@@ -11,10 +11,7 @@ import argparse
 import csv
 import itertools
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +20,7 @@ from .scenario import (
     Scenario,
     SynthSpec,
     ValidationError,
+    _number,
     forward_path_ir,
     load_scenario,
     save_scenario,
@@ -31,12 +29,19 @@ from .scenario import (
 )
 from .design import (
     VARIANTS,
+    WEIGHTED_VARIANTS,
     DesignConfig,
     EqualizerFilter,
     NumericsError,
+    assemble_atf_system,
     design_filter,
+    leakage_penalty,
+    normal_equations,
+    reduce_to_rtf,
+    solve_ls_atf,
+    solve_normal_equations,
 )
-from .evaluation import evaluate
+from .evaluation import evaluate, set_distances
 
 __all__ = ["SweepGrid", "cmd_synth", "cmd_design", "cmd_eval", "cmd_sweep", "main"]
 
@@ -62,14 +67,6 @@ def _load_json(path, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValidationError(f"{what}: expected a JSON object at the top level")
     return data
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number")
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}: non-finite value")
-    return float(value)
 
 
 def _as_int(value, path: str) -> int:
@@ -121,13 +118,13 @@ def _design_inputs_from_dict(data: dict) -> tuple[DesignConfig, float, int]:
             variant=_as_variant(data["variant"], "config.variant"),
             filter_length=_as_int(data["L_A"], "config.L_A"),
             acausal_delay=_as_int(data["d_H"], "config.d_H"),
-            reg_lambda=_as_number(data["lambda"], "config.lambda"),
-            reg_beta=_as_number(data["beta"], "config.beta"),
+            reg_lambda=_number(data["lambda"], "config.lambda"),
+            reg_beta=_number(data["beta"], "config.beta"),
             fft_size=fft_size,
         )
     except ValueError as exc:
         raise ValidationError(f"config: {exc}") from exc
-    gain_db = _as_number(data["G0_db"], "config.G0_db")
+    gain_db = _number(data["G0_db"], "config.G0_db")
     path_delay = _as_int(data["d_G"], "config.d_G")
     if path_delay < 0:
         raise ValidationError("config.d_G: must be nonnegative")
@@ -180,9 +177,9 @@ class SweepGrid:
             variants=_value_list(data, "variant", _as_variant, "grid.variant"),
             speaker_counts=_value_list(data, "N", _as_int, "grid.N"),
             acausal_delays=_value_list(data, "d_H", _as_int, "grid.d_H"),
-            lambdas=_value_list(data, "lambda", _as_number, "grid.lambda"),
-            betas=_value_list(data, "beta", _as_number, "grid.beta"),
-            gains_db=_value_list(data, "G0_db", _as_number, "grid.G0_db"),
+            lambdas=_value_list(data, "lambda", _number, "grid.lambda"),
+            betas=_value_list(data, "beta", _number, "grid.beta"),
+            gains_db=_value_list(data, "G0_db", _number, "grid.G0_db"),
             path_delays=_value_list(data, "d_G", _as_int, "grid.d_G"),
             filter_length=filter_length,
             fft_size=fft_size,
@@ -264,7 +261,6 @@ def _design_inputs_from_filter(filt: EqualizerFilter) -> tuple[DesignConfig, flo
     extra = {k: echo[k] for k in ("L_FFT",) if k in echo}
     data = {k: echo[k] for k in _CONFIG_FIELDS if k in echo}
     data.update(extra)
-    data.setdefault("G0_db", 0.0)
     for key in _CONFIG_FIELDS:
         if key not in data:
             raise ValidationError(f"filter.config: missing field '{key}'")
@@ -326,27 +322,32 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
         f.write("\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("EQDESIGN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"EQDESIGN_THREADS: expected a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"EQDESIGN_THREADS: expected a positive integer, got {raw!r}")
-    return n
+def _sweep_filter(scene: Scenario, train: tuple, g, config: DesignConfig, memo: dict) -> EqualizerFilter:
+    """design_filter on the sets of `scene` indexed by `train`, less the echo and
+    fingerprint, reusing the per-set normal equations and penalties in memo."""
+    if config.variant == "LS_ATF":
+        return solve_ls_atf(assemble_atf_system(scene.sets[train[0]], g, config.filter_length))
+    if config.variant != "MFR_DELTA_LS":
+        train = train[:1]
+    pairs = []
+    for i in train:
+        if i not in memo:
+            system = reduce_to_rtf(scene.sets[i], g, config.filter_length, config.acausal_delay)
+            memo[i] = normal_equations(system)
+        pairs.append(memo[i])
+    penalty = None
+    if config.variant in WEIGHTED_VARIANTS:
+        key = (train, config.reg_beta)
+        if key not in memo:
+            memo[key] = leakage_penalty([scene.sets[i] for i in train], g, config)
+        penalty = memo[key]
+    coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
+    return EqualizerFilter(
+        coef.reshape(scene.num_loudspeakers, config.filter_length), config.acausal_delay
+    )
 
 
-def _design_for_sets(train: Scenario, variant_config: DesignConfig, g) -> EqualizerFilter:
-    # single-set variants train on the first available set only
-    if variant_config.variant != "MFR_DELTA_LS" and train.num_sets > 1:
-        train = Scenario((train.sets[0],), train.sample_rate_hz)
-    return design_filter(train, g, variant_config)
-
-
-def _sweep_point(scenario: Scenario, grid: SweepGrid, mode: str, point) -> list[list]:
+def _sweep_point(scenario: Scenario, grid: SweepGrid, mode: str, point, memo: dict) -> list[list]:
     variant, n_spk, shift, lam, beta, gain_db, path_delay = point
     scene = select_loudspeakers(scenario, n_spk)
     config = DesignConfig(
@@ -359,18 +360,23 @@ def _sweep_point(scenario: Scenario, grid: SweepGrid, mode: str, point) -> list[
     )
     g = forward_path_ir(gain_db, path_delay, scene.sample_rate_hz)
     stem = [variant, n_spk, grid.filter_length, shift, lam, beta, gain_db, path_delay]
-    rows = []
+    everything = tuple(range(scene.num_sets))
     if mode == "resubstitution":
-        filt = _design_for_sets(scene, config, g)
-        report = evaluate(scene, g, filt, config)
-        rows.append(stem + [-1, report.mean_delta_h_aud_db])
+        folds = [(-1, everything, scene)]
     else:
-        for fold in range(scene.num_sets):
-            train_sets = tuple(ms for i, ms in enumerate(scene.sets) if i != fold)
-            held_out = Scenario((scene.sets[fold],), scene.sample_rate_hz)
-            filt = _design_for_sets(Scenario(train_sets, scene.sample_rate_hz), config, g)
-            report = evaluate(held_out, g, filt, config)
-            rows.append(stem + [fold, report.mean_delta_h_aud_db])
+        folds = [
+            (
+                fold,
+                everything[:fold] + everything[fold + 1 :],
+                Scenario((scene.sets[fold],), scene.sample_rate_hz),
+            )
+            for fold in everything
+        ]
+    rows = []
+    for fold, train, held_out in folds:
+        filt = _sweep_filter(scene, train, g, config, memo)
+        score = float(np.mean(set_distances(held_out, g, filt, config)))
+        rows.append(stem + [fold, score])
     return rows
 
 
@@ -381,26 +387,25 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     grid = SweepGrid.from_dict(_load_json(grid_path, "grid"))
     if mode == "leave-one-out" and scenario.num_sets < 2:
         raise ValidationError("leave-one-out needs a scenario with at least two sets")
-    points = list(grid.points())
 
-    def run(point):
-        return _sweep_point(scenario, grid, mode, point)
-
-    threads = _thread_count()
-    if threads == 1:
-        chunks = [run(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, points))
+    # A set's normal equations depend on (N, d_H, G0_db, d_G) and a penalty on
+    # (N, G0_db, d_G) plus its training sets and beta; lambda and the variant
+    # only choose among them. memo holds the pieces of one such group at a time.
+    rows = []
+    memo = {}
+    group = None
+    for point in grid.points():
+        _, n_spk, shift, _, _, gain_db, path_delay = point
+        if (n_spk, shift, gain_db, path_delay) != group:
+            group = (n_spk, shift, gain_db, path_delay)
+            memo.clear()
+        rows.extend(_sweep_point(scenario, grid, mode, point, memo))
 
     with open(out_path, "w", encoding="ascii", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SWEEP_HEADER)
-        for chunk in chunks:
-            for row in chunk:
-                writer.writerow(
-                    [x if isinstance(x, (str, int)) else repr(float(x)) for x in row]
-                )
+        for row in rows:
+            writer.writerow([x if isinstance(x, (str, int)) else repr(float(x)) for x in row])
 
 
 # ---------------------------------------------------------------------------

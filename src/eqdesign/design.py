@@ -12,7 +12,7 @@ regularization where vent leakage dominates anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +28,7 @@ from .scenario import MeasurementSet, Scenario, scenario_fingerprint
 
 __all__ = [
     "VARIANTS",
+    "WEIGHTED_VARIANTS",
     "NumericsError",
     "DesignConfig",
     "LinearSystem",
@@ -38,12 +39,18 @@ __all__ = [
     "reduce_to_rtf",
     "frequency_weights",
     "weights_from_ratio",
+    "normal_equations",
+    "leakage_penalty",
+    "solve_normal_equations",
     "solve_regularized",
     "solve_robust",
     "design_filter",
 ]
 
 VARIANTS = ("LS_ATF", "RLS", "R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS")
+
+# variants whose penalty is the leakage-weighted spectrum rather than the ridge
+WEIGHTED_VARIANTS = ("FR_DELTA_LS", "MFR_DELTA_LS")
 
 # singular values below this fraction of the largest count as rank loss
 RANK_RTOL = 1e-10
@@ -127,7 +134,6 @@ class LinearSystem:
     num_loudspeakers: int
     filter_length: int
     acausal_delay: int = 0
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -145,8 +151,6 @@ class LinearSystem:
                 f"matrix has {m.shape[1]} columns, expected "
                 f"{self.num_loudspeakers} * {self.filter_length}"
             )
-        if self.weights is not None:
-            object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +365,45 @@ def _spectral_penalty(weights: np.ndarray, num_loudspeakers: int, filter_length:
     return scipy.linalg.block_diag(*([block] * num_loudspeakers))
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def normal_equations(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix MᵀM and right-hand side Mᵀt of one design system."""
+    m = system.matrix
+    return m.T @ m, m.T @ system.target
+
+
+def leakage_penalty(sets, g: ImpulseResponse, config: DesignConfig) -> np.ndarray:
+    """Weighted-spectrum penalty of the weighted variants, before scaling by lambda.
+
+    The weight comes from the set-averaged spectra of `sets` at config.reg_beta;
+    the grid is the one the config resolves for these sets.
+    """
+    grid = FrequencyGrid(
+        _resolve_fft_size(config, sets[0].speaker_length), sets[0].sample_rate_hz
+    )
+    _, weights = frequency_weights(sets, g, config.reg_beta, grid)
+    return _spectral_penalty(weights, sets[0].num_loudspeakers, config.filter_length)
+
+
+def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
+    """Averaged, regularized normal equations solved by Cholesky.
+
+    pairs holds one (MᵀM, Mᵀt) per training set, as normal_equations returns
+    them; they are summed in order and divided by their count, so a set
+    count change leaves lambda comparable. reg_lambda times the penalty is
+    added, where penalty None is the identity (ridge). Returns the
+    concatenated coefficient vector. The pairs are not modified.
+    """
+    gram = pairs[0][0].copy()
+    rhs = pairs[0][1].copy()
+    for part_gram, part_rhs in pairs[1:]:
+        gram += part_gram
+        rhs += part_rhs
+    gram /= len(pairs)
+    rhs /= len(pairs)
+    if penalty is None:
+        gram[np.diag_indices_from(gram)] += reg_lambda
+    else:
+        gram += reg_lambda * penalty
     try:
         return scipy.linalg.solve(gram, rhs, assume_a="pos")
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
@@ -385,20 +427,14 @@ def solve_regularized(
     """
     if not reg_lambda >= 0:
         raise ValueError("reg_lambda must be nonnegative")
-    sys_weights = weights if weights is not None else system.weights
-    m = system.matrix
-    gram = m.T @ m
-    if sys_weights is None:
-        gram[np.diag_indices_from(gram)] += reg_lambda
-    else:
-        if grid is not None and np.asarray(sys_weights).size != grid.fft_size:
+    penalty = None
+    if weights is not None:
+        if grid is not None and np.asarray(weights).size != grid.fft_size:
             raise ValueError(
-                f"weights length {np.asarray(sys_weights).size} does not match fft_size {grid.fft_size}"
+                f"weights length {np.asarray(weights).size} does not match fft_size {grid.fft_size}"
             )
-        gram += reg_lambda * _spectral_penalty(
-            sys_weights, system.num_loudspeakers, system.filter_length
-        )
-    coef = _solve_normal_equations(gram, m.T @ system.target)
+        penalty = _spectral_penalty(weights, system.num_loudspeakers, system.filter_length)
+    coef = solve_normal_equations([normal_equations(system)], reg_lambda, penalty)
     return EqualizerFilter(
         coef.reshape(system.num_loudspeakers, system.filter_length),
         system.acausal_delay,
@@ -411,6 +447,16 @@ def _resolve_fft_size(config: DesignConfig, speaker_length: int) -> int:
     return default_fft_size(speaker_length, config.filter_length)
 
 
+def _reduced_coefficients(sets, g: ImpulseResponse, config: DesignConfig, weighted: bool) -> np.ndarray:
+    pairs = [
+        normal_equations(reduce_to_rtf(ms, g, config.filter_length, config.acausal_delay))
+        for ms in sets
+    ]
+    penalty = leakage_penalty(sets, g, config) if weighted else None
+    coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
+    return coef.reshape(sets[0].num_loudspeakers, config.filter_length)
+
+
 def solve_robust(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -> EqualizerFilter:
     """Multi-set weighted design: one filter serving every measurement set.
 
@@ -419,30 +465,8 @@ def solve_robust(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -
     comparable and a scenario of identical copies solves exactly like a
     single set. Weights come from the set-averaged spectra.
     """
-    grid = FrequencyGrid(
-        _resolve_fft_size(config, scenario.sets[0].speaker_length), scenario.sample_rate_hz
-    )
-    systems = [
-        reduce_to_rtf(ms, g, config.filter_length, config.acausal_delay)
-        for ms in scenario.sets
-    ]
-    gram = None
-    rhs = None
-    for system in systems:
-        m = system.matrix
-        gram = m.T @ m if gram is None else gram + m.T @ m
-        part = m.T @ system.target
-        rhs = part if rhs is None else rhs + part
-    gram /= scenario.num_sets
-    rhs /= scenario.num_sets
-
-    _, weights = frequency_weights(scenario.sets, g, config.reg_beta, grid)
-    gram += config.reg_lambda * _spectral_penalty(
-        weights, scenario.num_loudspeakers, config.filter_length
-    )
-    coef = _solve_normal_equations(gram, rhs)
     return EqualizerFilter(
-        coef.reshape(scenario.num_loudspeakers, config.filter_length),
+        _reduced_coefficients(scenario.sets, g, config, weighted=True),
         config.acausal_delay,
         _config_echo(config, scenario),
         scenario_fingerprint(scenario),
@@ -467,23 +491,15 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     first measurement set of the scenario; the multi-set variant averages
     over all of them.
     """
-    first = scenario.sets[0]
     if config.variant == "LS_ATF":
-        filt = solve_ls_atf(assemble_atf_system(first, g, config.filter_length))
-    elif config.variant in ("RLS", "R_DELTA_LS"):
-        system = reduce_to_rtf(first, g, config.filter_length, config.acausal_delay)
-        filt = solve_regularized(system, config.reg_lambda)
-    elif config.variant == "FR_DELTA_LS":
-        grid = FrequencyGrid(
-            _resolve_fft_size(config, first.speaker_length), scenario.sample_rate_hz
-        )
-        system = reduce_to_rtf(first, g, config.filter_length, config.acausal_delay)
-        _, weights = frequency_weights(first, g, config.reg_beta, grid)
-        filt = solve_regularized(system, config.reg_lambda, weights, grid)
+        system = assemble_atf_system(scenario.sets[0], g, config.filter_length)
+        coef = solve_ls_atf(system).coefficients
     else:
-        return solve_robust(scenario, g, config)
-    return replace(
-        filt,
-        config=_config_echo(config, scenario),
-        scenario_fingerprint=scenario_fingerprint(scenario),
+        sets = scenario.sets if config.variant == "MFR_DELTA_LS" else scenario.sets[:1]
+        coef = _reduced_coefficients(sets, g, config, config.variant in WEIGHTED_VARIANTS)
+    return EqualizerFilter(
+        coef,
+        config.acausal_delay,
+        _config_echo(config, scenario),
+        scenario_fingerprint(scenario),
     )

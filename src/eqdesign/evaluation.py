@@ -31,6 +31,7 @@ __all__ = [
     "aided_tf",
     "desired_tf",
     "simulate",
+    "set_distances",
     "evaluate",
 ]
 
@@ -164,6 +165,32 @@ def _to_db(mag: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(mag, _MAG_FLOOR))
 
 
+def _grid(scenario: Scenario, config: DesignConfig) -> FrequencyGrid:
+    return FrequencyGrid(
+        _resolve_fft_size(config, scenario.sets[0].speaker_length), scenario.sample_rate_hz
+    )
+
+
+def set_distances(
+    scenario: Scenario,
+    g: ImpulseResponse,
+    filt: EqualizerFilter,
+    config: DesignConfig,
+) -> tuple[float, ...]:
+    """Auditory spectral distance of the filter on each measurement set, in dB.
+
+    The grid is the one the config resolves for the scenario. This is the
+    scoring part of evaluate alone, without its spectral traces.
+    """
+    for ms in scenario.sets:
+        _check_filter(ms, filt)
+    grid = _grid(scenario, config)
+    return tuple(
+        auditory_spectral_distance(aided_tf(ms, g, filt), desired_tf(ms, g), grid)
+        for ms in scenario.sets
+    )
+
+
 def evaluate(
     scenario: Scenario,
     g: ImpulseResponse,
@@ -176,25 +203,14 @@ def evaluate(
     leakage ratio and the weight trace are set averages, matching what the
     robust solver looks at.
     """
-    for ms in scenario.sets:
-        _check_filter(ms, filt)
-    grid = FrequencyGrid(
-        _resolve_fft_size(config, scenario.sets[0].speaker_length), scenario.sample_rate_hz
-    )
-    distances = []
-    mags_aid = []
-    mags_des = []
-    mags_occ = []
-    for ms in scenario.sets:
-        h_aid = aided_tf(ms, g, filt)
-        h_des = desired_tf(ms, g)
-        distances.append(auditory_spectral_distance(h_aid, h_des, grid))
-        mags_aid.append(magnitude_response(h_aid, grid))
-        mags_des.append(magnitude_response(h_des, grid))
-        mags_occ.append(magnitude_response(ms.h_occ.samples, grid))
+    distances = set_distances(scenario, g, filt, config)
+    grid = _grid(scenario, config)
+    mags_aid = [magnitude_response(aided_tf(ms, g, filt), grid) for ms in scenario.sets]
+    mags_des = [magnitude_response(desired_tf(ms, g), grid) for ms in scenario.sets]
+    mags_occ = [magnitude_response(ms.h_occ.samples, grid) for ms in scenario.sets]
     ratio, weights = frequency_weights(scenario.sets, g, config.reg_beta, grid)
     return EvaluationReport(
-        tuple(distances),
+        distances,
         grid.frequencies_hz,
         _to_db(np.mean(mags_aid, axis=0)),
         _to_db(np.mean(mags_des, axis=0)),

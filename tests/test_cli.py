@@ -1,13 +1,30 @@
 """End-to-end runs of the command line: synth, design, eval, sweep."""
 
 import csv
+import io
 import itertools
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eqdesign import (
+    DesignConfig,
+    NumericsError,
+    Scenario,
+    SynthSpec,
+    design_filter,
+    evaluate,
+    forward_path_ir,
+    save_scenario,
+    select_loudspeakers,
+    synth_scenario,
+)
 from eqdesign.cli import EVAL_HEADER, SWEEP_HEADER, main
 
 
@@ -302,26 +319,6 @@ def test_sweep_grid_validation(tmp_path, sweep_scene_path, capsys):
     assert "empty value list" in capsys.readouterr().err
 
 
-def test_sweep_thread_count_is_immaterial(tmp_path, sweep_scene_path, monkeypatch):
-    grid = write_json(tmp_path / "grid.json", {
-        "variant": ["R_DELTA_LS", "MFR_DELTA_LS"], "N": [1, 2], "d_H": [0, 4],
-        "lambda": [1e-4, 0.1], "beta": 1.0, "G0_db": 0.0, "d_G": 0, "L_A": 9,
-    })
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    monkeypatch.delenv("EQDESIGN_THREADS", raising=False)
-    assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid,
-               "--out", serial) == 0
-    monkeypatch.setenv("EQDESIGN_THREADS", "4")
-    assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid,
-               "--out", threaded) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-    monkeypatch.setenv("EQDESIGN_THREADS", "zero")
-    assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid,
-               "--out", tmp_path / "x.csv") == 2
-
-
 def test_sweep_operating_point_study_under_a_minute(tmp_path):
     spec = write_json(tmp_path / "spec.json", {"num_sets": 5, "num_loudspeakers": 2})
     scene = tmp_path / "scene.json"
@@ -341,3 +338,78 @@ def test_sweep_operating_point_study_under_a_minute(tmp_path):
     # the delayed, regularized operating points must not be degenerate
     scores = [float(r[9]) for r in rows]
     assert all(math.isfinite(s) for s in scores)
+
+
+def reference_sweep_csv(scene, grid, mode):
+    """The sweep CSV row by row from the public design and evaluation calls."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(SWEEP_HEADER)
+    keys = ("variant", "N", "d_H", "lambda", "beta", "G0_db", "d_G")
+    for variant, n, d_h, lam, beta, gain_db, d_g in itertools.product(*(grid[k] for k in keys)):
+        sub = select_loudspeakers(scene, n)
+        config = DesignConfig(variant=variant, filter_length=grid["L_A"], acausal_delay=d_h,
+                              reg_lambda=lam, reg_beta=beta)
+        g = forward_path_ir(gain_db, d_g, sub.sample_rate_hz)
+        if mode == "resubstitution":
+            folds = [(-1, sub, sub)]
+        else:
+            folds = [
+                (k, Scenario(sub.sets[:k] + sub.sets[k + 1:], sub.sample_rate_hz),
+                 Scenario((sub.sets[k],), sub.sample_rate_hz))
+                for k in range(sub.num_sets)
+            ]
+        for fold, train, held_out in folds:
+            filt = design_filter(train, g, config)
+            score = evaluate(held_out, g, filt, config).mean_delta_h_aud_db
+            writer.writerow([variant, n, grid["L_A"], d_h, repr(lam), repr(beta),
+                             repr(gain_db), d_g, fold, repr(float(score))])
+    return out.getvalue().encode("ascii")
+
+
+def few(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True)
+
+
+@st.composite
+def sweep_cases(draw):
+    spec = SynthSpec(num_sets=draw(st.integers(2, 4)), num_loudspeakers=2,
+                     source_ir_length=12, speaker_ir_length=8, reinsertion_level_db=-20.0)
+    variants = draw(st.lists(st.sampled_from(
+        ["LS_ATF", "RLS", "R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS"]),
+        min_size=1, max_size=3, unique=True))
+    delay_free = {"LS_ATF", "RLS"} & set(variants)
+    grid = {
+        "variant": variants,
+        "N": draw(few([1, 2])),
+        "d_H": [0] if delay_free else draw(few([0, 1, 5])),
+        "lambda": draw(few([1e-3, 0.05, 2.0])),
+        "beta": draw(few([0.5, 1.0, 3.0])),
+        "G0_db": draw(few([0.0, -6.0, 10.0])),
+        "d_G": draw(few([0, 2, 5])),
+        "L_A": draw(st.integers(2, 16)),
+    }
+    mode = draw(st.sampled_from(["resubstitution", "leave-one-out"]))
+    return spec, draw(st.integers(0, 50)), grid, mode
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sweep_cases())
+def test_sweep_rows_match_per_row_designs(case):
+    spec, seed, grid, mode = case
+    scene = synth_scenario(spec, seed)
+    try:
+        expected = reference_sweep_csv(scene, grid, mode)
+    except NumericsError:
+        expected = None  # some point is singular; the sweep must fail on it too
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_scenario(scene, tmp / "scene.json")
+        write_json(tmp / "grid.json", grid)
+        code = run("sweep", "--scenario", tmp / "scene.json", "--grid", tmp / "grid.json",
+                   "--out", tmp / "sweep.csv", "--mode", mode)
+        if expected is None:
+            assert code == 3
+        else:
+            assert code == 0
+            assert (tmp / "sweep.csv").read_bytes() == expected
