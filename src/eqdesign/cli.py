@@ -458,7 +458,7 @@ def main(argv=None) -> int:
         else:
             cmd_sweep(args.scenario, args.grid, args.out, args.mode)
     # LinAlgError subclasses ValueError, so the numerics clause must come first
-    except (NumericsError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, ValueError, OSError) as exc:

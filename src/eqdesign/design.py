@@ -29,6 +29,7 @@ from .scenario import MeasurementSet, Scenario, scenario_fingerprint
 __all__ = [
     "VARIANTS",
     "WEIGHTED_VARIANTS",
+    "NORMAL_RCOND",
     "NumericsError",
     "DesignConfig",
     "LinearSystem",
@@ -54,6 +55,10 @@ WEIGHTED_VARIANTS = ("FR_DELTA_LS", "MFR_DELTA_LS")
 
 # singular values below this fraction of the largest count as rank loss
 RANK_RTOL = 1e-10
+
+# reciprocal condition number of the RTF normal equations below which the
+# fit leaves them for dense least squares on the convolution matrix
+NORMAL_RCOND = 1e-8
 
 # ridge used when a plain-RLS config leaves the strength unspecified
 STABILITY_LAMBDA = 1e-8
@@ -243,6 +248,38 @@ def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
     )
 
 
+def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
+    """Least-squares n_taps-tap x with convolve(through_mic, x) ~ v.
+
+    The normal matrix of the convolution matrix is the symmetric Toeplitz
+    matrix of the autocorrelation of through_mic, and its right-hand side is
+    the cross-correlation of v with through_mic, so the well-conditioned
+    case is one Cholesky solve that never forms the convolution matrix.
+    Squaring the condition number is harmless there; below NORMAL_RCOND, or
+    when the factorization fails, the fit falls back to dense lstsq on the
+    convolution matrix, whose singular values decide rank deficiency.
+    """
+    acorr = np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :]
+    column = np.zeros(n_taps)
+    column[: min(acorr.size, n_taps)] = acorr[:n_taps]
+    gram = scipy.linalg.toeplitz(column)
+    factor, info = scipy.linalg.lapack.dpotrf(gram)
+    if info == 0:
+        rcond, _ = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(gram, 1))
+        if rcond >= NORMAL_RCOND:
+            rhs = np.correlate(v, through_mic, "valid")
+            target, _ = scipy.linalg.lapack.dpotrs(factor, rhs)
+            return target
+    lhs = convolution_matrix(through_mic, n_taps)
+    target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
+    if singulars[0] == 0.0 or singulars[-1] <= RANK_RTOL * singulars[0]:
+        raise NumericsError(
+            "forward path through the device microphone is rank deficient; "
+            "cannot reduce to a relative transfer function"
+        )
+    return target
+
+
 def reduce_to_rtf(
     ms: MeasurementSet,
     g: ImpulseResponse,
@@ -271,16 +308,8 @@ def reduce_to_rtf(
 
     n_taps = ms.speaker_length + filter_length - 1 + acausal_delay
     through_mic = np.convolve(g.samples, ms.h_m.samples)
-    lhs = convolution_matrix(through_mic, n_taps)
-    v = _raw_target(ms, g, lhs.shape[0], acausal_delay)
-
-    singulars = np.linalg.svd(lhs, compute_uv=False)
-    if singulars[0] == 0.0 or singulars[-1] <= RANK_RTOL * singulars[0]:
-        raise NumericsError(
-            "forward path through the device microphone is rank deficient; "
-            "cannot reduce to a relative transfer function"
-        )
-    target, _, _, _ = np.linalg.lstsq(lhs, v, rcond=None)
+    v = _raw_target(ms, g, through_mic.size + n_taps - 1, acausal_delay)
+    target = _fit_rtf(through_mic, v, n_taps)
 
     rows = n_taps
     matrix = np.zeros((rows, ms.num_loudspeakers * filter_length))

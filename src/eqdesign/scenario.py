@@ -322,7 +322,10 @@ def _flip_one_zero(h: np.ndarray) -> np.ndarray:
         if 0.05 < abs(r) < 0.995 and (r.imag > 1e-12 or abs(r.imag) <= 1e-12)
     ]
     if not candidates:
-        raise RuntimeError("no eligible zero to reflect for a non-minimum-phase variant")
+        raise ValidationError(
+            "phase_family: non-minimum-phase found no loudspeaker zero to reflect; "
+            "raise spectral_range_db for a response with interior zeros"
+        )
     # a moderate radius keeps the reflected zero clearly outside the circle
     r = min(candidates, key=lambda z: abs(abs(z) - 0.7))
     if abs(r.imag) <= 1e-12:
@@ -379,7 +382,10 @@ def _draw_speaker_irs(rng, spec: SynthSpec, fft_size: int) -> list[np.ndarray]:
         ):
             continue
         return irs
-    raise RuntimeError("exhausted attempts drawing a co-prime loudspeaker pair")
+    raise ValidationError(
+        "phase_family: exhausted attempts drawing a co-prime loudspeaker pair; "
+        "raise spectral_range_db so the responses have distinct zeros"
+    )
 
 
 def _jitter(arr: np.ndarray, rng, sigma: float) -> np.ndarray:

@@ -9,6 +9,7 @@ with each other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,18 +176,37 @@ def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 
     if not fraction > 0:
         raise ValueError("fraction must be positive")
 
-    freqs = grid.frequencies_hz
-    half_idx = n // 2
-    edge = 2.0 ** (fraction / 2.0)
+    centres, window, sizes = _smoothing_windows(grid, float(fraction))
     out = v.copy()
-    # range stops before the Nyquist bin when n is even
-    for l in range(1, (n + 1) // 2):
-        lo = freqs[l] / edge
-        hi = freqs[l] * edge
-        k0 = max(int(np.searchsorted(freqs[: half_idx + 1], lo, side="left")), 1)
-        k1 = int(np.searchsorted(freqs[: half_idx + 1], hi, side="right")) - 1
-        window = v[k0 : k1 + 1]
-        # anchored on the centre bin so constant inputs come back bit-exact
-        out[l] = v[l] + np.mean(window - v[l])
-        out[n - l] = out[l]
+    # deviations from the centre bin, so constant inputs come back bit-exact;
+    # the padding repeats the centre bin and adds exact zeros
+    deviation = v[window] - v[centres, None]
+    out[centres] = v[centres] + deviation.sum(axis=1) / sizes
+    out[n - centres] = out[centres]
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _smoothing_windows(grid: FrequencyGrid, fraction: float):
+    """Centre bins, padded window indices and window sizes for smoothing.
+
+    Row i of the window array lists the bins whose centre frequencies lie
+    within +-fraction/2 octave of centres[i], clipped to the positive half of
+    the grid, followed by copies of centres[i] up to the longest window;
+    sizes[i] counts the unpadded bins. The arrays are read-only because the
+    cache hands them to every caller.
+    """
+    n = grid.fft_size
+    freqs = grid.frequencies_hz[: n // 2 + 1]
+    edge = 2.0 ** (fraction / 2.0)
+    # stops before the Nyquist bin when n is even
+    centres = np.arange(1, (n + 1) // 2)
+    first = np.maximum(np.searchsorted(freqs, freqs[centres] / edge, side="left"), 1)
+    last = np.searchsorted(freqs, freqs[centres] * edge, side="right") - 1
+    width = int((last - first).max(initial=0)) + 1
+    window = first[:, None] + np.arange(width)
+    window = np.where(window <= last[:, None], window, centres[:, None])
+    sizes = last - first + 1
+    for arr in (centres, window, sizes):
+        arr.setflags(write=False)
+    return centres, window, sizes

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eqdesign.design import (
+    NORMAL_RCOND,
     DesignConfig,
     EqualizerFilter,
     LinearSystem,
@@ -23,9 +26,11 @@ from eqdesign.design import (
     _spectral_penalty,
 )
 from eqdesign.scenario import (
+    PHASE_FAMILIES,
     MeasurementSet,
     Scenario,
     SynthSpec,
+    ValidationError,
     forward_path_ir,
     scenario_fingerprint,
     synth_scenario,
@@ -209,6 +214,57 @@ def test_reduce_rejects_dead_forward_path():
     dead = ImpulseResponse(np.zeros(3), RATE)
     with pytest.raises(NumericsError, match="rank deficient"):
         reduce_to_rtf(ms, dead, 4, 0)
+
+
+def dense_rtf_fit(ms, g, n_taps, d_H):
+    """Convolution matrix and target of the RTF fit, with its dense lstsq solution."""
+    through = np.convolve(g.samples, ms.h_m.samples)
+    lhs = scipy.linalg.convolution_matrix(through, n_taps, mode="full")
+    v = np.zeros(lhs.shape[0])
+    open_branch = np.convolve(g.samples, ms.h_open.samples)
+    v[d_H : d_H + open_branch.size] += open_branch
+    v[d_H : d_H + len(ms.h_occ)] -= ms.h_occ.samples
+    return lhs, np.linalg.lstsq(lhs, v, rcond=None)[0]
+
+
+@settings(max_examples=60)
+@given(
+    phase_family=st.sampled_from(PHASE_FAMILIES),
+    spectral_range_db=st.floats(0.0, 150.0),
+    G0_db=st.floats(-40.0, 20.0),
+    d_G=st.integers(0, 96),
+    L_A=st.integers(1, 64),
+    d_H=st.integers(0, 64),
+    seed=st.integers(0, 1000),
+)
+def test_reduce_toeplitz_fit_matches_dense_lstsq(
+    phase_family, spectral_range_db, G0_db, d_G, L_A, d_H, seed
+):
+    try:
+        ms = small_scene(seed, phase_family=phase_family,
+                         spectral_range_db=spectral_range_db).sets[0]
+    except ValidationError:
+        assume(False)  # no loudspeaker pair of this family exists at this range
+    g = forward_path_ir(G0_db, d_G, RATE)
+    system = reduce_to_rtf(ms, g, L_A, d_H)
+    n_taps = ms.speaker_length + L_A - 1 + d_H
+    lhs, expected = dense_rtf_fit(ms, g, n_taps, d_H)
+    # the normal equations square the condition number of the fit; near
+    # kappa 1 the rounding of either solver, up to about n_taps * eps, dominates
+    rcond = np.linalg.cond(lhs) ** -2
+    gap = np.max(np.abs(system.target - expected)) / np.max(np.abs(expected))
+    assert gap <= 10 * np.finfo(float).eps * (1 / rcond + n_taps)
+
+
+@pytest.mark.parametrize("L_A", [40, 64])
+def test_reduce_ill_conditioned_fit_falls_back_to_lstsq(L_A):
+    # (1 - z^-1)^4, a fourth-order zero at DC: rcond near 3e-9 at 40 taps
+    h_m = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+    h_open = np.array([0.8, 0.4, 0.1, 0.05, 0.0])
+    ms = MeasurementSet(ir(h_m), ir(h_open), ir(np.zeros(5)), (ir([1.0]),))
+    lhs, expected = dense_rtf_fit(ms, DELTA_G, L_A, 0)
+    assert np.linalg.cond(lhs) ** -2 < NORMAL_RCOND
+    assert np.array_equal(reduce_to_rtf(ms, DELTA_G, L_A, 0).target, expected)
 
 
 # ---------------------------------------------------------------------------
