@@ -35,7 +35,6 @@ from .design import (
     reduce_to_rtf,
     solve_ls_atf,
     solve_regularized,
-    solve_robust,
     weights_from_ratio,
 )
 from .evaluation import (

@@ -12,7 +12,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .scenario import (
     SynthSpec,
     ValidationError,
     _number,
+    _require_fields,
     forward_path_ir,
     load_scenario,
     save_scenario,
@@ -29,17 +30,11 @@ from .scenario import (
 )
 from .design import (
     VARIANTS,
-    WEIGHTED_VARIANTS,
     DesignConfig,
     EqualizerFilter,
     NumericsError,
-    assemble_atf_system,
+    design_coefficients,
     design_filter,
-    leakage_penalty,
-    normal_equations,
-    reduce_to_rtf,
-    solve_ls_atf,
-    solve_normal_equations,
 )
 from .evaluation import evaluate, set_distances
 
@@ -82,52 +77,33 @@ def _as_variant(value, path: str) -> str:
 
 
 def _synth_spec_from_dict(data: dict) -> SynthSpec:
-    known = {
-        "num_sets",
-        "num_loudspeakers",
-        "source_ir_length",
-        "speaker_ir_length",
-        "sample_rate_hz",
-        "phase_family",
-        "leakage_attenuation_db",
-        "reinsertion_level_db",
-        "correlation",
-        "spectral_range_db",
-    }
-    for key in data:
-        if key not in known:
-            raise ValidationError(f"synth config: unknown field '{key}'")
+    _require_fields(data, (), "synth config", tuple(f.name for f in fields(SynthSpec)))
     try:
         return SynthSpec(**data)
     except TypeError as exc:
         raise ValidationError(f"synth config: {exc}") from exc
 
 
-def _design_inputs_from_dict(data: dict) -> tuple[DesignConfig, float, int]:
-    for key in _CONFIG_FIELDS:
-        if key not in data:
-            raise ValidationError(f"config: missing field '{key}'")
-    for key in data:
-        if key not in _CONFIG_FIELDS and key != "L_FFT":
-            raise ValidationError(f"config: unknown field '{key}'")
-    fft_size = None
-    if "L_FFT" in data:
-        fft_size = _as_int(data["L_FFT"], "config.L_FFT")
+def _design_inputs_from_dict(data: dict, path: str) -> tuple[DesignConfig, float, int]:
+    """DesignConfig, G0_db and d_G of the config object at `path` ("config" in a
+    design config file, "filter.config" in a filter file)."""
+    _require_fields(data, _CONFIG_FIELDS, path, ("L_FFT",))
+    settings = dict(
+        variant=_as_variant(data["variant"], f"{path}.variant"),
+        filter_length=_as_int(data["L_A"], f"{path}.L_A"),
+        acausal_delay=_as_int(data["d_H"], f"{path}.d_H"),
+        reg_lambda=_number(data["lambda"], f"{path}.lambda"),
+        reg_beta=_number(data["beta"], f"{path}.beta"),
+        fft_size=_as_int(data["L_FFT"], f"{path}.L_FFT") if "L_FFT" in data else None,
+    )
     try:
-        config = DesignConfig(
-            variant=_as_variant(data["variant"], "config.variant"),
-            filter_length=_as_int(data["L_A"], "config.L_A"),
-            acausal_delay=_as_int(data["d_H"], "config.d_H"),
-            reg_lambda=_number(data["lambda"], "config.lambda"),
-            reg_beta=_number(data["beta"], "config.beta"),
-            fft_size=fft_size,
-        )
+        config = DesignConfig(**settings)
     except ValueError as exc:
-        raise ValidationError(f"config: {exc}") from exc
-    gain_db = _number(data["G0_db"], "config.G0_db")
-    path_delay = _as_int(data["d_G"], "config.d_G")
+        raise ValidationError(f"{path}: {exc}") from exc
+    gain_db = _number(data["G0_db"], f"{path}.G0_db")
+    path_delay = _as_int(data["d_G"], f"{path}.d_G")
     if path_delay < 0:
-        raise ValidationError("config.d_G: must be nonnegative")
+        raise ValidationError(f"{path}.d_G: must be nonnegative")
     return config, gain_db, path_delay
 
 
@@ -161,12 +137,7 @@ class SweepGrid:
 
     @staticmethod
     def from_dict(data: dict) -> "SweepGrid":
-        for key in _GRID_FIELDS:
-            if key not in data:
-                raise ValidationError(f"grid: missing field '{key}'")
-        for key in data:
-            if key not in _GRID_FIELDS and key not in ("L_A", "L_FFT"):
-                raise ValidationError(f"grid: unknown field '{key}'")
+        _require_fields(data, _GRID_FIELDS, "grid", ("L_A", "L_FFT"))
         filter_length = 99
         if "L_A" in data:
             filter_length = _as_int(data["L_A"], "grid.L_A")
@@ -216,12 +187,7 @@ def _filter_from_dict(data: dict) -> EqualizerFilter:
         "config",
         "scenario_fingerprint",
     )
-    for key in required:
-        if key not in data:
-            raise ValidationError(f"filter: missing field '{key}'")
-    for key in data:
-        if key not in required:
-            raise ValidationError(f"filter: unknown field '{key}'")
+    _require_fields(data, required, "filter")
     n = _as_int(data["num_loudspeakers"], "filter.num_loudspeakers")
     taps = _as_int(data["filter_length"], "filter.filter_length")
     shift = _as_int(data["d_H"], "filter.d_H")
@@ -253,20 +219,6 @@ def _load_filter(path) -> EqualizerFilter:
     return _filter_from_dict(_load_json(path, "filter"))
 
 
-def _design_inputs_from_filter(filt: EqualizerFilter) -> tuple[DesignConfig, float, int]:
-    echo = dict(filt.config)
-    for key in ("G0_db", "d_G"):
-        if key not in echo:
-            raise ValidationError(f"filter.config: missing field '{key}'")
-    extra = {k: echo[k] for k in ("L_FFT",) if k in echo}
-    data = {k: echo[k] for k in _CONFIG_FIELDS if k in echo}
-    data.update(extra)
-    for key in _CONFIG_FIELDS:
-        if key not in data:
-            raise ValidationError(f"filter.config: missing field '{key}'")
-    return _design_inputs_from_dict(data)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -278,7 +230,8 @@ def cmd_synth(config_path, seed: int, out_path) -> None:
 
 def cmd_design(scenario_path, config_path, out_path) -> None:
     scenario = load_scenario(scenario_path)
-    config, gain_db, path_delay = _design_inputs_from_dict(_load_json(config_path, "config"))
+    data = _load_json(config_path, "config")
+    config, gain_db, path_delay = _design_inputs_from_dict(data, "config")
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     filt = design_filter(scenario, g, config)
     echo = dict(filt.config)
@@ -296,7 +249,7 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
             f"filter drives {filt.num_loudspeakers} loudspeakers, "
             f"scenario has {scenario.num_loudspeakers}"
         )
-    config, gain_db, path_delay = _design_inputs_from_filter(filt)
+    config, gain_db, path_delay = _design_inputs_from_dict(filt.config, "filter.config")
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     report = evaluate(scenario, g, filt, config)
 
@@ -320,31 +273,6 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     with open(f"{out_prefix}.json", "w", encoding="ascii") as f:
         json.dump(summary, f, indent=1)
         f.write("\n")
-
-
-def _sweep_filter(scene: Scenario, train: tuple, g, config: DesignConfig, memo: dict) -> EqualizerFilter:
-    """design_filter on the sets of `scene` indexed by `train`, less the echo and
-    fingerprint, reusing the per-set normal equations and penalties in memo."""
-    if config.variant == "LS_ATF":
-        return solve_ls_atf(assemble_atf_system(scene.sets[train[0]], g, config.filter_length))
-    if config.variant != "MFR_DELTA_LS":
-        train = train[:1]
-    pairs = []
-    for i in train:
-        if i not in memo:
-            system = reduce_to_rtf(scene.sets[i], g, config.filter_length, config.acausal_delay)
-            memo[i] = normal_equations(system)
-        pairs.append(memo[i])
-    penalty = None
-    if config.variant in WEIGHTED_VARIANTS:
-        key = (train, config.reg_beta)
-        if key not in memo:
-            memo[key] = leakage_penalty([scene.sets[i] for i in train], g, config)
-        penalty = memo[key]
-    coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
-    return EqualizerFilter(
-        coef.reshape(scene.num_loudspeakers, config.filter_length), config.acausal_delay
-    )
 
 
 def _sweep_point(scenario: Scenario, grid: SweepGrid, mode: str, point, memo: dict) -> list[list]:
@@ -374,7 +302,8 @@ def _sweep_point(scenario: Scenario, grid: SweepGrid, mode: str, point, memo: di
         ]
     rows = []
     for fold, train, held_out in folds:
-        filt = _sweep_filter(scene, train, g, config, memo)
+        coef = design_coefficients(scene.sets, train, g, config, memo)
+        filt = EqualizerFilter(coef, config.acausal_delay)
         score = float(np.mean(set_distances(held_out, g, filt, config)))
         rows.append(stem + [fold, score])
     return rows

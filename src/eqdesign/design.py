@@ -44,7 +44,7 @@ __all__ = [
     "leakage_penalty",
     "solve_normal_equations",
     "solve_regularized",
-    "solve_robust",
+    "design_coefficients",
     "design_filter",
 ]
 
@@ -123,6 +123,10 @@ class DesignConfig:
             int(self.fft_size) != self.fft_size or self.fft_size < 2
         ):
             raise ValueError("fft_size must be an integer of at least 2, or None")
+        # integral floats pass the checks above; store them as the ints they are
+        for name in ("filter_length", "acausal_delay", "fft_size"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,34 +476,47 @@ def solve_regularized(
 
 def _resolve_fft_size(config: DesignConfig, speaker_length: int) -> int:
     if config.fft_size is not None:
-        return int(config.fft_size)
+        return config.fft_size
     return default_fft_size(speaker_length, config.filter_length)
 
 
-def _reduced_coefficients(sets, g: ImpulseResponse, config: DesignConfig, weighted: bool) -> np.ndarray:
-    pairs = [
-        normal_equations(reduce_to_rtf(ms, g, config.filter_length, config.acausal_delay))
-        for ms in sets
-    ]
-    penalty = leakage_penalty(sets, g, config) if weighted else None
+def design_coefficients(
+    sets, train: tuple, g: ImpulseResponse, config: DesignConfig, memo: dict
+) -> np.ndarray:
+    """Taps of config.variant trained on the sets indexed by train, shape (N, L_A).
+
+    LS_ATF solves the full system of the first training set; RLS, R_DELTA_LS
+    and FR_DELTA_LS reduce that set alone; MFR_DELTA_LS averages the normal
+    equations of every training set. The weighted variants regularize by the
+    leakage penalty of the sets they train on, the others by a ridge.
+
+    memo collects what other designs can reuse: the normal equations of set i
+    under the key i, and the penalty of training sets train at beta under
+    (train, beta). They depend on the sets, g, filter_length, acausal_delay
+    and fft_size, so a memo stays valid while those stay the same; the
+    variant, reg_lambda and reg_beta may change between calls. Pass a new {}
+    for a one-off design.
+    """
+    if config.variant == "LS_ATF":
+        system = assemble_atf_system(sets[train[0]], g, config.filter_length)
+        return solve_ls_atf(system).coefficients
+    if config.variant != "MFR_DELTA_LS":
+        train = train[:1]
+    pairs = []
+    for i in train:
+        if i not in memo:
+            memo[i] = normal_equations(
+                reduce_to_rtf(sets[i], g, config.filter_length, config.acausal_delay)
+            )
+        pairs.append(memo[i])
+    penalty = None
+    if config.variant in WEIGHTED_VARIANTS:
+        key = (train, config.reg_beta)
+        if key not in memo:
+            memo[key] = leakage_penalty([sets[i] for i in train], g, config)
+        penalty = memo[key]
     coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
     return coef.reshape(sets[0].num_loudspeakers, config.filter_length)
-
-
-def solve_robust(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -> EqualizerFilter:
-    """Multi-set weighted design: one filter serving every measurement set.
-
-    Per-set systems are reduced individually and their normal equations
-    averaged, so a set count change leaves the regularization strength
-    comparable and a scenario of identical copies solves exactly like a
-    single set. Weights come from the set-averaged spectra.
-    """
-    return EqualizerFilter(
-        _reduced_coefficients(scenario.sets, g, config, weighted=True),
-        config.acausal_delay,
-        _config_echo(config, scenario),
-        scenario_fingerprint(scenario),
-    )
 
 
 def _config_echo(config: DesignConfig, scenario: Scenario) -> dict:
@@ -520,12 +537,7 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     first measurement set of the scenario; the multi-set variant averages
     over all of them.
     """
-    if config.variant == "LS_ATF":
-        system = assemble_atf_system(scenario.sets[0], g, config.filter_length)
-        coef = solve_ls_atf(system).coefficients
-    else:
-        sets = scenario.sets if config.variant == "MFR_DELTA_LS" else scenario.sets[:1]
-        coef = _reduced_coefficients(sets, g, config, config.variant in WEIGHTED_VARIANTS)
+    coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {})
     return EqualizerFilter(
         coef,
         config.acausal_delay,

@@ -482,14 +482,16 @@ def save_scenario(scenario: Scenario, path) -> None:
         f.write("\n")
 
 
-def _require_fields(node: dict, required: tuple[str, ...], path: str) -> None:
+def _require_fields(
+    node: dict, required: tuple[str, ...], path: str, optional: tuple[str, ...] = ()
+) -> None:
     if not isinstance(node, dict):
         raise ValidationError(f"{path}: expected an object")
     for key in required:
         if key not in node:
             raise ValidationError(f"{path}: missing field '{key}'")
     for key in node:
-        if key not in required:
+        if key not in required and key not in optional:
             raise ValidationError(f"{path}: unknown field '{key}'")
 
 

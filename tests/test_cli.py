@@ -132,6 +132,13 @@ def test_design_config_errors(tmp_path, small_scene_path, capsys):
     assert "unknown field 'ripple'" in capsys.readouterr().err
 
 
+def test_design_config_error_names_field_once(tmp_path, small_scene_path, capsys):
+    config = write_json(tmp_path / "c.json", {**SMALL_CONFIG, "lambda": "big"})
+    assert run("design", "--scenario", small_scene_path, "--config", config,
+               "--out", tmp_path / "f.json") == 2
+    assert capsys.readouterr().err == "error: config.lambda: expected a number\n"
+
+
 def test_design_dead_forward_path_is_numerical_failure(tmp_path, small_scene_path, capsys):
     config = write_json(tmp_path / "config.json", {**SMALL_CONFIG, "G0_db": -1e9})
     assert run("design", "--scenario", small_scene_path, "--config", config,
@@ -216,6 +223,26 @@ def test_eval_rejects_malformed_filter(tmp_path, small_scene_path, capsys):
     assert run("eval", "--scenario", small_scene_path, "--filter", filt,
                "--out", tmp_path / "report") == 2
     assert "filter: missing field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lambda": "big"}, "error: filter.config.lambda: expected a number\n"),
+    ({"ripple": 3}, "error: filter.config: unknown field 'ripple'\n"),
+    ({"L_A": 0}, "error: filter.config: filter_length must be a positive integer\n"),
+], ids=["bad-number", "unknown-field", "bad-value"])
+def test_eval_filter_config_errors_name_filter_fields(tmp_path, small_scene_path, capsys,
+                                                      change, message):
+    config = write_json(tmp_path / "config.json", SMALL_CONFIG)
+    filt = tmp_path / "filter.json"
+    assert run("design", "--scenario", small_scene_path, "--config", config,
+               "--out", filt) == 0
+    doc = json.loads(filt.read_text())
+    doc["config"].update(change)
+    write_json(filt, doc)
+    assert run("eval", "--scenario", small_scene_path, "--filter", filt,
+               "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_eval_exact_inversion_pipeline(tmp_path):

@@ -21,7 +21,6 @@ from eqdesign.design import (
     reduce_to_rtf,
     solve_ls_atf,
     solve_regularized,
-    solve_robust,
     weights_from_ratio,
     _spectral_penalty,
 )
@@ -435,8 +434,8 @@ def test_robust_identical_copies_match_single_set():
     g = forward_path_ir(0.0, 8, RATE)
     config = DesignConfig(variant="MFR_DELTA_LS", filter_length=11, acausal_delay=4,
                           reg_lambda=0.1)
-    one = solve_robust(base, g, config)
-    three = solve_robust(copies, g, config)
+    one = design_filter(base, g, config)
+    three = design_filter(copies, g, config)
     scale = np.max(np.abs(one.coefficients))
     assert np.max(np.abs(one.coefficients - three.coefficients)) < 1e-10 * scale
 
@@ -448,16 +447,34 @@ def test_robust_minimizes_averaged_objective():
     g = forward_path_ir(0.0, 8, RATE)
     config = DesignConfig(variant="MFR_DELTA_LS", filter_length=11, acausal_delay=4,
                           reg_lambda=0.1)
-    robust = solve_robust(scene, g, config)
+    robust = design_filter(scene, g, config)
     best = robust_objective(scene, g, config, robust)
     for j in range(scene.num_sets):
         sub = Scenario((scene.sets[j],), RATE)
-        rival = solve_robust(sub, g, config)
+        rival = design_filter(sub, g, config)
         assert best <= robust_objective(scene, g, config, rival) + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # top-level designs
+
+
+def test_design_config_stores_integral_floats_as_ints():
+    scene = small_scene(seed=6)
+    g = forward_path_ir(0.0, 8, RATE)
+    ints = DesignConfig(variant="R_DELTA_LS", filter_length=9, acausal_delay=4,
+                        reg_lambda=0.1, fft_size=64)
+    floats = DesignConfig(variant="R_DELTA_LS", filter_length=9.0, acausal_delay=4.0,
+                          reg_lambda=0.1, fft_size=64.0)
+    assert floats == ints
+    for name in ("filter_length", "acausal_delay", "fft_size"):
+        assert type(getattr(floats, name)) is int
+    a, b = design_filter(scene, g, ints), design_filter(scene, g, floats)
+    assert np.array_equal(a.coefficients, b.coefficients)
+    assert b.to_dict() == a.to_dict()
+    for key in ("L_A", "d_H", "L_FFT"):
+        assert type(b.config[key]) is int
+    assert type(b.to_dict()["d_H"]) is int
 
 
 def test_design_filter_echo_and_fingerprint():
