@@ -20,6 +20,7 @@ import scipy.linalg
 from .signals import (
     FrequencyGrid,
     ImpulseResponse,
+    _is_whole,
     convolution_matrix,
     fractional_octave_smooth,
     magnitude_response,
@@ -103,13 +104,13 @@ class DesignConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if int(self.filter_length) != self.filter_length or self.filter_length < 1:
+        if not _is_whole(self.filter_length, 1):
             raise ValueError("filter_length must be a positive integer")
         if self.acausal_delay is None:
             object.__setattr__(
                 self, "acausal_delay", 0 if self.variant in ("LS_ATF", "RLS") else 32
             )
-        if int(self.acausal_delay) != self.acausal_delay or self.acausal_delay < 0:
+        if not _is_whole(self.acausal_delay, 0):
             raise ValueError("acausal_delay must be a nonnegative integer")
         if self.variant in ("LS_ATF", "RLS") and self.acausal_delay != 0:
             raise ValueError(f"variant {self.variant} does not take an acausal delay")
@@ -119,9 +120,7 @@ class DesignConfig:
             raise ValueError("reg_lambda must be nonnegative")
         if not self.reg_beta > 0:
             raise ValueError("reg_beta must be positive")
-        if self.fft_size is not None and (
-            int(self.fft_size) != self.fft_size or self.fft_size < 2
-        ):
+        if self.fft_size is not None and not _is_whole(self.fft_size, 2):
             raise ValueError("fft_size must be an integer of at least 2, or None")
         # integral floats pass the checks above; store them as the ints they are
         for name in ("filter_length", "acausal_delay", "fft_size"):
@@ -230,7 +229,7 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
     as a reference point; the matrix is structurally rank deficient because
     every block shares the forward-path-and-microphone factor.
     """
-    if int(filter_length) != filter_length or filter_length < 1:
+    if not _is_whole(filter_length, 1):
         raise ValueError("filter_length must be a positive integer")
     _check_rates(ms, g)
     filter_length = int(filter_length)
@@ -302,9 +301,9 @@ def reduce_to_rtf(
     Raises NumericsError when the forward path through the microphone is
     rank deficient (for example a zero-gain path).
     """
-    if int(filter_length) != filter_length or filter_length < 1:
+    if not _is_whole(filter_length, 1):
         raise ValueError("filter_length must be a positive integer")
-    if int(acausal_delay) != acausal_delay or acausal_delay < 0:
+    if not _is_whole(acausal_delay, 0):
         raise ValueError("acausal_delay must be a nonnegative integer")
     _check_rates(ms, g)
     filter_length = int(filter_length)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ImpulseResponse
+from .signals import ImpulseResponse, _is_whole
 
 __all__ = [
     "ValidationError",
@@ -154,7 +154,7 @@ class Scenario:
 
 def select_loudspeakers(scenario: Scenario, count: int) -> Scenario:
     """Restrict a scenario to its first `count` loudspeakers."""
-    if int(count) != count or count < 1:
+    if not _is_whole(count, 1):
         raise ValidationError("loudspeaker count must be a positive integer")
     if count > scenario.num_loudspeakers:
         raise ValidationError(
@@ -168,7 +168,7 @@ def select_loudspeakers(scenario: Scenario, count: int) -> Scenario:
 
 def forward_path_ir(gain_db: float, delay_samples: int, sample_rate_hz: float) -> ImpulseResponse:
     """Hearing-device forward path: a flat gain behind an integer processing delay."""
-    if int(delay_samples) != delay_samples or delay_samples < 0:
+    if not _is_whole(delay_samples, 0):
         raise ValidationError("delay_samples must be a nonnegative integer")
     g = np.zeros(int(delay_samples) + 1)
     g[-1] = 10.0 ** (gain_db / 20.0)
@@ -205,13 +205,13 @@ class SynthSpec:
     spectral_range_db: float = 10.0
 
     def __post_init__(self):
-        if int(self.num_sets) != self.num_sets or self.num_sets < 1:
+        if not _is_whole(self.num_sets, 1):
             raise ValidationError("num_sets must be a positive integer")
-        if int(self.num_loudspeakers) != self.num_loudspeakers or self.num_loudspeakers < 1:
+        if not _is_whole(self.num_loudspeakers, 1):
             raise ValidationError("num_loudspeakers must be a positive integer")
         for name in ("source_ir_length", "speaker_ir_length"):
             val = getattr(self, name)
-            if int(val) != val or val < 1:
+            if not _is_whole(val, 1):
                 raise ValidationError(f"{name} must be a positive integer")
         if not self.sample_rate_hz > 0:
             raise ValidationError("sample_rate_hz must be positive")
@@ -257,28 +257,56 @@ def _replace_factor(h: np.ndarray, r_old: complex, r_new: complex) -> np.ndarray
     return np.convolve(quotient, in_factor)
 
 
-def _pull_roots_inside(h: np.ndarray, ceiling: float = 0.999, squeeze: float = 0.99) -> np.ndarray:
-    """Reflect any root at or outside `ceiling` back into the unit circle.
+# _pull_roots_inside reflects zeros at or past _ROOT_CEILING to at most
+# _ROOT_SQUEEZE. _CERTIFIED_RADIUS sits a margin below the ceiling, so that a
+# response certified inside it has no zero np.roots could place at or past it.
+_ROOT_CEILING = 0.999
+_ROOT_SQUEEZE = 0.99
+_CERTIFIED_RADIUS = 0.99
+
+
+def _zeros_within(h: np.ndarray, radius: float) -> bool:
+    """Schur–Cohn test: True only if every zero of h lies strictly inside `radius`.
+
+    Levinson step-down on the monic, radius-scaled coefficients h[k] / radius**k:
+    their zeros lie inside the unit circle iff every reflection coefficient has
+    |k| < 1. O(n²) against the O(n³) eigenvalue solve of np.roots. False means
+    "not certified" (a zero at or past the radius, a zero leading coefficient,
+    or a non-finite value), not that a zero was located.
+    """
+    if h[0] == 0.0 or not np.all(np.isfinite(h)):
+        return False
+    a = h * radius ** -np.arange(h.size)
+    a = a / a[0]
+    for m in range(h.size - 1, 0, -1):
+        k = a[m]
+        if not abs(k) < 1.0:
+            return False
+        a = (a[:m] - k * a[m:0:-1]) / (1.0 - k * k)
+    return True
+
+
+def _pull_roots_inside(h: np.ndarray) -> np.ndarray:
+    """Reflect any root at or outside _ROOT_CEILING back into the unit circle.
 
     Truncating a cepstrally built response can push isolated zeros onto or
     past the circle; this restores a strict minimum-phase layout without
-    touching the rest of the zeros.
+    touching the rest of the zeros. Roots are computed only when the
+    Schur–Cohn test cannot certify the response as it stands.
     """
     if h.size < 2:
         return h
     for _ in range(6):
+        if _zeros_within(h, _CERTIFIED_RADIUS):
+            return h
         roots = np.roots(h)
-        offenders = [
-            r
-            for r in roots
-            if abs(r) >= ceiling and (r.imag > 1e-12 or abs(r.imag) <= 1e-12)
-        ]
+        offenders = [r for r in roots if abs(r) >= _ROOT_CEILING and r.imag >= -1e-12]
         if not offenders:
             return h
         for r in offenders:
             flipped = r / (abs(r) ** 2)
-            if abs(flipped) > squeeze:
-                flipped *= squeeze / abs(flipped)
+            if abs(flipped) > _ROOT_SQUEEZE:
+                flipped *= _ROOT_SQUEEZE / abs(flipped)
             h = _replace_factor(h, r, flipped)
     return h
 
@@ -316,11 +344,7 @@ def _flip_one_zero(h: np.ndarray) -> np.ndarray:
     reversed factor makes the result non-minimum-phase without changing |H|.
     """
     roots = np.roots(h)
-    candidates = [
-        r
-        for r in roots
-        if 0.05 < abs(r) < 0.995 and (r.imag > 1e-12 or abs(r.imag) <= 1e-12)
-    ]
+    candidates = [r for r in roots if 0.05 < abs(r) < 0.995 and r.imag >= -1e-12]
     if not candidates:
         raise ValidationError(
             "phase_family: non-minimum-phase found no loudspeaker zero to reflect; "

@@ -26,6 +26,18 @@ __all__ = [
 ]
 
 
+def _is_whole(value, least: int) -> bool:
+    """True for an integral number no smaller than `least`.
+
+    False for ±inf, NaN and anything int() cannot take, so callers raise
+    their own error naming the field instead of an OverflowError.
+    """
+    try:
+        return int(value) == value and value >= least
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _clean_samples(samples, what: str = "impulse response") -> np.ndarray:
     arr = np.array(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -63,7 +75,7 @@ class FrequencyGrid:
     sample_rate_hz: float
 
     def __post_init__(self):
-        if int(self.fft_size) != self.fft_size or self.fft_size < 2:
+        if not _is_whole(self.fft_size, 2):
             raise ValueError("fft_size must be an integer of at least 2")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
@@ -106,14 +118,14 @@ def convolution_matrix(h, num_cols: int) -> np.ndarray:
     Column j holds h delayed by j samples; the shape is
     (len(h) + num_cols - 1, num_cols).
     """
-    if int(num_cols) != num_cols or num_cols < 1:
+    if not _is_whole(num_cols, 1):
         raise ValueError("num_cols must be a positive integer")
     return _scipy_convolution_matrix(_payload(h), int(num_cols), mode="full")
 
 
 def delay(h, num_samples: int):
     """Prepend num_samples zeros: a pure delay, magnitude response unchanged."""
-    if int(num_samples) != num_samples or num_samples < 0:
+    if not _is_whole(num_samples, 0):
         raise ValueError("delay must be a nonnegative integer number of samples")
     x = _payload(h)
     out = np.concatenate([np.zeros(int(num_samples)), x])

@@ -88,6 +88,19 @@ def test_synth_rejects_broken_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [('{"num_sets": Infinity}', "num_sets"), ('{"source_ir_length": 1e400}', "source_ir_length")],
+)
+def test_synth_rejects_infinite_integer_field(tmp_path, capsys, text, field):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run("synth", "--config", spec, "--out", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("family", ["non-minimum-phase", "co-prime-pair"])
 def test_synth_unsatisfiable_family_is_config_error(tmp_path, capsys, family):
     # a flat spectrum gives loudspeaker responses without interior zeros

@@ -91,6 +91,9 @@ def test_design_config_validation():
         DesignConfig(variant="LS_ATF", acausal_delay=5)
     with pytest.raises(ValueError, match="filter_length"):
         DesignConfig(filter_length=0)
+    for not_whole in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="filter_length"):
+            DesignConfig(filter_length=not_whole)
     with pytest.raises(ValueError, match="reg_lambda"):
         DesignConfig(reg_lambda=-1.0)
     with pytest.raises(ValueError, match="reg_beta"):

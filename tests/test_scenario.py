@@ -3,10 +3,14 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eqdesign import scenario as scenario_module
 from eqdesign.scenario import (
     MeasurementSet,
     Scenario,
@@ -19,6 +23,16 @@ from eqdesign.scenario import (
     scenario_from_dict,
     select_loudspeakers,
     synth_scenario,
+)
+from eqdesign.scenario import (
+    _CERTIFIED_RADIUS,
+    _ROOT_CEILING,
+    _cepstral_min_phase,
+    _pow2_at_least,
+    _pull_roots_inside,
+    _random_log_magnitude_db,
+    _replace_factor,
+    _zeros_within,
 )
 from eqdesign.signals import FrequencyGrid, ImpulseResponse, magnitude_response
 
@@ -132,16 +146,112 @@ def test_synth_shapes_and_defaults():
 
 
 def test_minimum_phase_roots_inside_unit_circle():
-    spec = SynthSpec(
-        num_sets=1, num_loudspeakers=2, source_ir_length=10, speaker_ir_length=8,
-        reinsertion_level_db=None,
+    # short responses, then the README default lengths
+    for source_len, speaker_len in ((10, 8), (130, 100)):
+        spec = SynthSpec(
+            num_sets=1, num_loudspeakers=2, source_ir_length=source_len,
+            speaker_ir_length=speaker_len, reinsertion_level_db=None,
+        )
+        ms = synth_scenario(spec, seed=1).sets[0]
+        for _, response in ms._named_irs():
+            h = response.samples
+            if np.any(h != 0.0):
+                assert np.max(np.abs(np.roots(h))) < _ROOT_CEILING
+
+
+def roots_only_pull(h, ceiling=0.999, squeeze=0.99):
+    """The np.roots-only loop that _pull_roots_inside replaced, kept as its oracle."""
+    if h.size < 2:
+        return h
+    for _ in range(6):
+        roots = np.roots(h)
+        offenders = [
+            r
+            for r in roots
+            if abs(r) >= ceiling and (r.imag > 1e-12 or abs(r.imag) <= 1e-12)
+        ]
+        if not offenders:
+            return h
+        for r in offenders:
+            flipped = r / (abs(r) ** 2)
+            if abs(flipped) > squeeze:
+                flipped *= squeeze / abs(flipped)
+            h = _replace_factor(h, r, flipped)
+    return h
+
+
+def truncated_cepstral_response(seed, length, range_db):
+    """What _cepstral_min_phase hands to _pull_roots_inside for a random curve."""
+    rng = np.random.default_rng(seed)
+    curve = _random_log_magnitude_db(rng, _pow2_at_least(max(8 * length, 512)), range_db)
+    with mock.patch.object(scenario_module, "_pull_roots_inside", lambda h: h):
+        return _cepstral_min_phase(curve, length, normalize=False)
+
+
+@settings(max_examples=60)
+@given(
+    length=st.integers(2, 300),
+    range_db=st.floats(0.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pull_roots_inside_matches_roots_only_loop(length, range_db, seed):
+    h = truncated_cepstral_response(seed, length, range_db)
+    assert np.array_equal(_pull_roots_inside(h), roots_only_pull(h))
+
+
+def poly_with_zeros(largest, seed, pairs=12, conjugate=True):
+    """Real polynomial with `pairs` conjugate zero pairs within 0.9 * largest.
+
+    Its largest zeros sit at modulus `largest`: a conjugate pair, or with
+    conjugate=False one real zero.
+    """
+    rng = np.random.default_rng(seed)
+    inner = 0.9 * largest * np.sqrt(rng.uniform(size=pairs)) * np.exp(
+        2j * np.pi * rng.uniform(size=pairs)
     )
-    scene = synth_scenario(spec, seed=1)
-    ms = scene.sets[0]
-    for _, response in ms._named_irs():
-        h = response.samples
-        if np.any(h != 0.0):
-            assert np.max(np.abs(np.roots(h))) < 1.0
+    if conjugate:
+        outer = largest * np.exp(2j * np.pi * rng.uniform())
+        zeros = np.concatenate([inner, inner.conj(), [outer, outer.conjugate()]])
+    else:
+        zeros = np.concatenate([inner, inner.conj(), [largest]])
+    return np.poly(zeros).real
+
+
+@pytest.mark.parametrize("h", [
+    poly_with_zeros(0.995, seed=0, conjugate=False),
+    poly_with_zeros(1.05, seed=1, conjugate=False),
+    poly_with_zeros(1.2, seed=2),
+    np.concatenate([[0.0], poly_with_zeros(0.5, seed=3)]),
+], ids=["real-0.995", "real-1.05", "pair-1.2", "leading-zero"])
+def test_pull_roots_inside_falls_back_to_roots(h):
+    assert not _zeros_within(h, _CERTIFIED_RADIUS)
+    pulled = _pull_roots_inside(h)
+    assert np.array_equal(pulled, roots_only_pull(h))
+    assert np.max(np.abs(np.roots(pulled))) < _ROOT_CEILING
+
+
+@pytest.mark.parametrize("largest", [0.5, 0.98, 0.995, 1.0, 1.3])
+@pytest.mark.parametrize("pairs", [0, 1, 12, 60])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_zeros_within_certifies_exactly_the_inside(largest, pairs, conjugate):
+    inside = largest < _CERTIFIED_RADIUS
+    for seed in range(5):
+        h = poly_with_zeros(largest, seed, pairs, conjugate)
+        assert _zeros_within(h, _CERTIFIED_RADIUS) == inside
+        # zeros at the origin are inside any radius
+        with_trailing = np.concatenate([h, [0.0, 0.0]])
+        assert _zeros_within(with_trailing, _CERTIFIED_RADIUS) == inside
+        # a zero leading coefficient is never certified
+        assert not _zeros_within(np.concatenate([[0.0], h]), _CERTIFIED_RADIUS)
+
+
+def test_zeros_within_rejects_non_finite():
+    h = poly_with_zeros(0.5, seed=0)
+    for where in (0, 3):
+        for bad in (math.nan, math.inf, -math.inf):
+            spoiled = h.copy()
+            spoiled[where] = bad
+            assert not _zeros_within(spoiled, _CERTIFIED_RADIUS)
 
 
 def test_non_minimum_phase_sibling_keeps_magnitude():
