@@ -20,7 +20,10 @@ from .scenario import (
     Scenario,
     SynthSpec,
     ValidationError,
+    _as_int,
+    _load_json,
     _number,
+    _number_list,
     _require_fields,
     forward_path_ir,
     load_scenario,
@@ -51,25 +54,6 @@ _GRID_FIELDS = ("variant", "N", "d_H", "lambda", "beta", "G0_db", "d_G")
 # strict JSON readers
 
 
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise ValidationError(f"{what}: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what}: invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{what}: expected a JSON object at the top level")
-    return data
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: expected an integer")
-    return value
-
-
 def _as_variant(value, path: str) -> str:
     if value not in VARIANTS:
         raise ValidationError(f"{path}: expected one of {VARIANTS}, got {value!r}")
@@ -78,10 +62,7 @@ def _as_variant(value, path: str) -> str:
 
 def _synth_spec_from_dict(data: dict) -> SynthSpec:
     _require_fields(data, (), "synth config", tuple(f.name for f in fields(SynthSpec)))
-    try:
-        return SynthSpec(**data)
-    except TypeError as exc:
-        raise ValidationError(f"synth config: {exc}") from exc
+    return SynthSpec(**data)
 
 
 def _design_inputs_from_dict(data: dict, path: str) -> tuple[DesignConfig, float, int]:
@@ -204,9 +185,10 @@ def _filter_from_dict(data: dict) -> EqualizerFilter:
         raise ValidationError("filter.config: expected an object")
     if not isinstance(data["scenario_fingerprint"], str):
         raise ValidationError("filter.scenario_fingerprint: expected a string")
+    rows = [_number_list(row, f"filter.coefficients[{i}]") for i, row in enumerate(coef)]
     try:
         return EqualizerFilter(
-            np.asarray(coef, dtype=float),
+            np.array(rows),
             shift,
             dict(data["config"]),
             data["scenario_fingerprint"],
@@ -275,40 +257,6 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
         f.write("\n")
 
 
-def _sweep_point(scenario: Scenario, grid: SweepGrid, mode: str, point, memo: dict) -> list[list]:
-    variant, n_spk, shift, lam, beta, gain_db, path_delay = point
-    scene = select_loudspeakers(scenario, n_spk)
-    config = DesignConfig(
-        variant=variant,
-        filter_length=grid.filter_length,
-        acausal_delay=shift,
-        reg_lambda=lam,
-        reg_beta=beta,
-        fft_size=grid.fft_size,
-    )
-    g = forward_path_ir(gain_db, path_delay, scene.sample_rate_hz)
-    stem = [variant, n_spk, grid.filter_length, shift, lam, beta, gain_db, path_delay]
-    everything = tuple(range(scene.num_sets))
-    if mode == "resubstitution":
-        folds = [(-1, everything, scene)]
-    else:
-        folds = [
-            (
-                fold,
-                everything[:fold] + everything[fold + 1 :],
-                Scenario((scene.sets[fold],), scene.sample_rate_hz),
-            )
-            for fold in everything
-        ]
-    rows = []
-    for fold, train, held_out in folds:
-        coef = design_coefficients(scene.sets, train, g, config, memo)
-        filt = EqualizerFilter(coef, config.acausal_delay)
-        score = float(np.mean(set_distances(held_out, g, filt, config)))
-        rows.append(stem + [fold, score])
-    return rows
-
-
 def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") -> None:
     if mode not in ("resubstitution", "leave-one-out"):
         raise ValidationError(f"mode: expected resubstitution or leave-one-out, got {mode!r}")
@@ -319,16 +267,43 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
 
     # A set's normal equations depend on (N, d_H, G0_db, d_G) and a penalty on
     # (N, G0_db, d_G) plus its training sets and beta; lambda and the variant
-    # only choose among them. memo holds the pieces of one such group at a time.
+    # only choose among them. Each run of consecutive points sharing those four
+    # gets its own scene, forward path, folds and memo.
     rows = []
-    memo = {}
-    group = None
-    for point in grid.points():
-        _, n_spk, shift, _, _, gain_db, path_delay = point
-        if (n_spk, shift, gain_db, path_delay) != group:
-            group = (n_spk, shift, gain_db, path_delay)
-            memo.clear()
-        rows.extend(_sweep_point(scenario, grid, mode, point, memo))
+    runs = itertools.groupby(grid.points(), key=lambda point: point[1:3] + point[5:])
+    for (n_spk, _, gain_db, path_delay), points in runs:
+        scene = select_loudspeakers(scenario, n_spk)
+        g = forward_path_ir(gain_db, path_delay, scene.sample_rate_hz)
+        everything = tuple(range(scene.num_sets))
+        if mode == "resubstitution":
+            folds = [(-1, everything, scene)]
+        else:
+            folds = [
+                (
+                    fold,
+                    everything[:fold] + everything[fold + 1 :],
+                    Scenario((scene.sets[fold],), scene.sample_rate_hz),
+                )
+                for fold in everything
+            ]
+        memo = {}
+        for point in points:
+            variant, _, shift, lam, beta, _, _ = point
+            config = DesignConfig(
+                variant=variant,
+                filter_length=grid.filter_length,
+                acausal_delay=shift,
+                reg_lambda=lam,
+                reg_beta=beta,
+                fft_size=grid.fft_size,
+            )
+            # the point's own values: G0_db 0.0 and -0.0 share a run, not a row
+            stem = [*point[:2], grid.filter_length, *point[2:]]
+            for fold, train, held_out in folds:
+                coef = design_coefficients(scene.sets, train, g, config, memo)
+                filt = EqualizerFilter(coef, config.acausal_delay)
+                score = float(np.mean(set_distances(held_out, g, filt, config)))
+                rows.append(stem + [fold, score])
 
     with open(out_path, "w", encoding="ascii", newline="") as f:
         writer = csv.writer(f)

@@ -171,8 +171,15 @@ def forward_path_ir(gain_db: float, delay_samples: int, sample_rate_hz: float) -
     if not _is_whole(delay_samples, 0):
         raise ValidationError("delay_samples must be a nonnegative integer")
     g = np.zeros(int(delay_samples) + 1)
-    g[-1] = 10.0 ** (gain_db / 20.0)
+    g[-1] = _db_to_gain(gain_db, "forward path gain")
     return ImpulseResponse(g, sample_rate_hz)
+
+
+def _db_to_gain(level_db: float, name: str) -> float:
+    try:
+        return 10.0 ** (level_db / 20.0)
+    except OverflowError:
+        raise ValidationError(f"{name} {level_db} dB overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +220,7 @@ class SynthSpec:
             val = getattr(self, name)
             if not _is_whole(val, 1):
                 raise ValidationError(f"{name} must be a positive integer")
-        if not self.sample_rate_hz > 0:
+        if not _number(self.sample_rate_hz, "sample_rate_hz") > 0:
             raise ValidationError("sample_rate_hz must be positive")
         if self.phase_family not in PHASE_FAMILIES:
             raise ValidationError(
@@ -223,13 +230,14 @@ class SynthSpec:
             raise ValidationError("co-prime-pair needs at least two loudspeakers")
         if self.phase_family != "minimum-phase" and self.speaker_ir_length < 2:
             raise ValidationError(f"{self.phase_family} needs speaker_ir_length of at least 2")
-        if math.isnan(self.leakage_attenuation_db) or self.leakage_attenuation_db == -math.inf:
-            raise ValidationError("leakage_attenuation_db must be a number or +inf")
-        if self.reinsertion_level_db is not None and not math.isfinite(self.reinsertion_level_db):
-            raise ValidationError("reinsertion_level_db must be finite or None")
-        if not 0.0 <= self.correlation <= 1.0:
+        # +inf silences the leakage and None disables the scatter
+        if self.leakage_attenuation_db != math.inf:
+            _number(self.leakage_attenuation_db, "leakage_attenuation_db")
+        if self.reinsertion_level_db is not None:
+            _number(self.reinsertion_level_db, "reinsertion_level_db")
+        if not 0.0 <= _number(self.correlation, "correlation") <= 1.0:
             raise ValidationError("correlation must lie in [0, 1]")
-        if not 0.0 <= self.spectral_range_db < 200.0:
+        if not 0.0 <= _number(self.spectral_range_db, "spectral_range_db") < 200.0:
             raise ValidationError("spectral_range_db must lie in [0, 200)")
 
 
@@ -450,7 +458,7 @@ def synth_scenario(spec: SynthSpec, seed: int) -> Scenario:
     rate = spec.sample_rate_hz
     sigma = None
     if spec.reinsertion_level_db is not None:
-        sigma = 10.0 ** (spec.reinsertion_level_db / 20.0)
+        sigma = _db_to_gain(spec.reinsertion_level_db, "reinsertion_level_db")
 
     sets = []
     for _ in range(spec.num_sets):
@@ -506,6 +514,19 @@ def save_scenario(scenario: Scenario, path) -> None:
         f.write("\n")
 
 
+def _load_json(path, what: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            data = json.load(f)
+    except OSError as exc:
+        raise ValidationError(f"{what}: cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what}: invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what}: expected a JSON object at the top level")
+    return data
+
+
 def _require_fields(
     node: dict, required: tuple[str, ...], path: str, optional: tuple[str, ...] = ()
 ) -> None:
@@ -519,12 +540,22 @@ def _require_fields(
             raise ValidationError(f"{path}: unknown field '{key}'")
 
 
+def _as_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer")
+    return value
+
+
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ValidationError(f"{path}: expected a number")
-    if not math.isfinite(node):
+    try:
+        value = float(node)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
         raise ValidationError(f"{path}: non-finite value")
-    return float(node)
+    return value
 
 
 def _number_list(node, path: str) -> np.ndarray:
@@ -543,65 +574,30 @@ def scenario_from_dict(data: dict) -> Scenario:
     """
     _require_fields(data, ("sample_rate_hz", "num_loudspeakers", "sets"), "scenario")
     rate = _number(data["sample_rate_hz"], "sample_rate_hz")
-    if rate <= 0:
-        raise ValidationError("sample_rate_hz: must be positive")
-    n_spk = data["num_loudspeakers"]
-    if isinstance(n_spk, bool) or not isinstance(n_spk, int) or n_spk < 1:
-        raise ValidationError("num_loudspeakers: expected a positive integer")
-    raw_sets = data["sets"]
-    if not isinstance(raw_sets, list) or len(raw_sets) == 0:
-        raise ValidationError("sets: expected a non-empty list")
-
+    n_spk = _as_int(data["num_loudspeakers"], "num_loudspeakers")
+    if not isinstance(data["sets"], list):
+        raise ValidationError("sets: expected a list")
     sets = []
-    source_len = speaker_len = None
-    for i, raw in enumerate(raw_sets):
+    for i, raw in enumerate(data["sets"]):
         path = f"sets[{i}]"
         _require_fields(raw, ("h_m", "h_open", "h_occ", "d"), path)
-        h_m = _number_list(raw["h_m"], f"{path}.h_m")
-        if source_len is None:
-            source_len = h_m.size
-        if h_m.size != source_len:
-            raise ValidationError(
-                f"{path}.h_m: length {h_m.size} does not match sets[0] length {source_len}"
-            )
-        named = {"h_m": h_m}
-        for key in ("h_open", "h_occ"):
-            arr = _number_list(raw[key], f"{path}.{key}")
-            if arr.size != source_len:
-                raise ValidationError(
-                    f"{path}.{key}: length {arr.size} does not match h_m length {source_len}"
-                )
-            named[key] = arr
+        h = [
+            ImpulseResponse(_number_list(raw[key], f"{path}.{key}"), rate)
+            for key in ("h_m", "h_open", "h_occ")
+        ]
         if not isinstance(raw["d"], list) or len(raw["d"]) != n_spk:
             got = len(raw["d"]) if isinstance(raw["d"], list) else type(raw["d"]).__name__
-            raise ValidationError(
-                f"{path}.d: expected {n_spk} loudspeaker responses, got {got}"
-            )
-        d = []
-        for j, node in enumerate(raw["d"]):
-            arr = _number_list(node, f"{path}.d[{j}]")
-            if speaker_len is None:
-                speaker_len = arr.size
-            if arr.size != speaker_len:
-                raise ValidationError(
-                    f"{path}.d[{j}]: length {arr.size} does not match sets[0].d[0] length {speaker_len}"
-                )
-            d.append(ImpulseResponse(arr, rate))
-        sets.append(
-            MeasurementSet(
-                ImpulseResponse(named["h_m"], rate),
-                ImpulseResponse(named["h_open"], rate),
-                ImpulseResponse(named["h_occ"], rate),
-                tuple(d),
-            )
+            raise ValidationError(f"{path}.d: expected {n_spk} loudspeaker responses, got {got}")
+        d = tuple(
+            ImpulseResponse(_number_list(node, f"{path}.d[{j}]"), rate)
+            for j, node in enumerate(raw["d"])
         )
+        try:
+            sets.append(MeasurementSet(*h, d))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}.{exc}") from exc
     return Scenario(tuple(sets), rate)
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scenario file {path}: invalid JSON ({exc})") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(_load_json(path, "scenario"))

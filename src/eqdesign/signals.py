@@ -29,9 +29,11 @@ __all__ = [
 def _is_whole(value, least: int) -> bool:
     """True for an integral number no smaller than `least`.
 
-    False for ±inf, NaN and anything int() cannot take, so callers raise
-    their own error naming the field instead of an OverflowError.
+    False for booleans, ±inf, NaN and anything int() cannot take, so callers
+    raise their own error naming the field instead of an OverflowError.
     """
+    if isinstance(value, bool):
+        return False
     try:
         return int(value) == value and value >= least
     except (TypeError, ValueError, OverflowError):
