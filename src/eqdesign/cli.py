@@ -159,7 +159,8 @@ def _write_filter(filt: EqualizerFilter, path) -> None:
         f.write("\n")
 
 
-def _filter_from_dict(data: dict) -> EqualizerFilter:
+def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float, int]:
+    """The filter of a filter file, with the DesignConfig, G0_db and d_G of its config."""
     required = (
         "num_loudspeakers",
         "filter_length",
@@ -181,13 +182,16 @@ def _filter_from_dict(data: dict) -> EqualizerFilter:
         raise ValidationError(
             f"filter.coefficients: expected {n} rows of {taps} numbers"
         )
-    if not isinstance(data["config"], dict):
-        raise ValidationError("filter.config: expected an object")
+    config, gain_db, path_delay = _design_inputs_from_dict(data["config"], "filter.config")
+    if shift != config.acausal_delay:
+        raise ValidationError(
+            f"filter.d_H: {shift} does not match filter.config.d_H {config.acausal_delay}"
+        )
     if not isinstance(data["scenario_fingerprint"], str):
         raise ValidationError("filter.scenario_fingerprint: expected a string")
     rows = [_number_list(row, f"filter.coefficients[{i}]") for i, row in enumerate(coef)]
     try:
-        return EqualizerFilter(
+        filt = EqualizerFilter(
             np.array(rows),
             shift,
             dict(data["config"]),
@@ -195,10 +199,7 @@ def _filter_from_dict(data: dict) -> EqualizerFilter:
         )
     except ValueError as exc:
         raise ValidationError(f"filter: {exc}") from exc
-
-
-def _load_filter(path) -> EqualizerFilter:
-    return _filter_from_dict(_load_json(path, "filter"))
+    return filt, config, gain_db, path_delay
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +226,12 @@ def cmd_design(scenario_path, config_path, out_path) -> None:
 
 def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     scenario = load_scenario(scenario_path)
-    filt = _load_filter(filter_path)
+    filt, config, gain_db, path_delay = _filter_from_dict(_load_json(filter_path, "filter"))
     if filt.num_loudspeakers != scenario.num_loudspeakers:
         raise ValidationError(
             f"filter drives {filt.num_loudspeakers} loudspeakers, "
             f"scenario has {scenario.num_loudspeakers}"
         )
-    config, gain_db, path_delay = _design_inputs_from_dict(filt.config, "filter.config")
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     report = evaluate(scenario, g, filt, config)
 
@@ -265,13 +265,30 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     if mode == "leave-one-out" and scenario.num_sets < 2:
         raise ValidationError("leave-one-out needs a scenario with at least two sets")
 
+    # Every point's settings, loudspeaker count and forward path are checked
+    # before any design runs, so a bad point exits 2 wherever it sits.
+    points = list(grid.points())
+    configs = [
+        DesignConfig(
+            variant=variant,
+            filter_length=grid.filter_length,
+            acausal_delay=shift,
+            reg_lambda=lam,
+            reg_beta=beta,
+            fft_size=grid.fft_size,
+        )
+        for variant, _, shift, lam, beta, _, _ in points
+    ]
     # A set's normal equations depend on (N, d_H, G0_db, d_G) and a penalty on
     # (N, G0_db, d_G) plus its training sets and beta; lambda and the variant
-    # only choose among them. Each run of consecutive points sharing those four
-    # gets its own scene, forward path, folds and memo.
-    rows = []
-    runs = itertools.groupby(grid.points(), key=lambda point: point[1:3] + point[5:])
-    for (n_spk, _, gain_db, path_delay), points in runs:
+    # only choose among them. Points sharing those four form a bucket wherever
+    # they sit in the grid, and each bucket gets its own scene, forward path,
+    # folds and memo.
+    buckets = {}
+    for index, point in enumerate(points):
+        buckets.setdefault(point[1:3] + point[5:], []).append(index)
+    plans = []
+    for (n_spk, _, gain_db, path_delay), indices in buckets.items():
         scene = select_loudspeakers(scenario, n_spk)
         g = forward_path_ir(gain_db, path_delay, scene.sample_rate_hz)
         everything = tuple(range(scene.num_sets))
@@ -286,29 +303,26 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
                 )
                 for fold in everything
             ]
+        plans.append((scene, g, folds, indices))
+
+    rows = [None] * len(points)
+    for scene, g, folds, indices in plans:
         memo = {}
-        for point in points:
-            variant, _, shift, lam, beta, _, _ = point
-            config = DesignConfig(
-                variant=variant,
-                filter_length=grid.filter_length,
-                acausal_delay=shift,
-                reg_lambda=lam,
-                reg_beta=beta,
-                fft_size=grid.fft_size,
-            )
-            # the point's own values: G0_db 0.0 and -0.0 share a run, not a row
-            stem = [*point[:2], grid.filter_length, *point[2:]]
+        for index in indices:
+            config = configs[index]
+            # the point's own values: G0_db 0.0 and -0.0 share a bucket, not a row
+            stem = [*points[index][:2], grid.filter_length, *points[index][2:]]
+            rows[index] = []
             for fold, train, held_out in folds:
                 coef = design_coefficients(scene.sets, train, g, config, memo)
                 filt = EqualizerFilter(coef, config.acausal_delay)
                 score = float(np.mean(set_distances(held_out, g, filt, config)))
-                rows.append(stem + [fold, score])
+                rows[index].append(stem + [fold, score])
 
     with open(out_path, "w", encoding="ascii", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SWEEP_HEADER)
-        for row in rows:
+        for row in itertools.chain.from_iterable(rows):
             writer.writerow([x if isinstance(x, (str, int)) else repr(float(x)) for x in row])
 
 

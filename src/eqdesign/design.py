@@ -377,8 +377,8 @@ def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: F
     return ratio, weights_from_ratio(ratio, reg_beta, grid)
 
 
-def _spectral_penalty(weights: np.ndarray, num_loudspeakers: int, filter_length: int) -> np.ndarray:
-    """Quadratic form of the weighted-spectrum seminorm, one block per loudspeaker.
+def _penalty_block(weights: np.ndarray, filter_length: int) -> np.ndarray:
+    """Quadratic form of the weighted-spectrum seminorm of one loudspeaker's taps.
 
     With the DFT scaled by 1/sqrt(fft_size) the penalty for all-ones weights
     is exactly the identity, which keeps lambda comparable between the
@@ -393,7 +393,12 @@ def _spectral_penalty(weights: np.ndarray, num_loudspeakers: int, filter_length:
             f"weight spectrum of length {w.size} cannot constrain {filter_length} taps"
         )
     acorr = np.fft.ifft(w**2).real
-    block = scipy.linalg.toeplitz(acorr[:filter_length])
+    return scipy.linalg.toeplitz(acorr[:filter_length])
+
+
+def _spectral_penalty(weights: np.ndarray, num_loudspeakers: int, filter_length: int) -> np.ndarray:
+    """The seminorm over all loudspeakers: one _penalty_block per loudspeaker."""
+    block = _penalty_block(weights, filter_length)
     return scipy.linalg.block_diag(*([block] * num_loudspeakers))
 
 
@@ -404,26 +409,32 @@ def normal_equations(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def leakage_penalty(sets, g: ImpulseResponse, config: DesignConfig) -> np.ndarray:
-    """Weighted-spectrum penalty of the weighted variants, before scaling by lambda.
+    """Weighted-spectrum penalty block of the weighted variants, before scaling by lambda.
 
     The weight comes from the set-averaged spectra of `sets` at config.reg_beta;
-    the grid is the one the config resolves for these sets.
+    the grid is the one the config resolves for these sets. The block is
+    filter_length square and applies to every loudspeaker's taps alike.
     """
     grid = FrequencyGrid(
         _resolve_fft_size(config, sets[0].speaker_length), sets[0].sample_rate_hz
     )
     _, weights = frequency_weights(sets, g, config.reg_beta, grid)
-    return _spectral_penalty(weights, sets[0].num_loudspeakers, config.filter_length)
+    return _penalty_block(weights, config.filter_length)
 
 
 def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
-    """Averaged, regularized normal equations solved by Cholesky.
+    """Averaged, regularized normal equations solved by Cholesky, else LDLᵀ.
 
     pairs holds one (MᵀM, Mᵀt) per training set, as normal_equations returns
     them; they are summed in order and divided by their count, so a set
     count change leaves lambda comparable. reg_lambda times the penalty is
-    added, where penalty None is the identity (ridge). Returns the
+    added to each loudspeaker's diagonal block, where penalty is one
+    filter_length-square block and None is the identity (ridge). Returns the
     concatenated coefficient vector. The pairs are not modified.
+
+    A system that rounding leaves a hair short of positive definite fails
+    Cholesky; it is solved once more by symmetric LDLᵀ, and only an exact
+    zero pivot there raises NumericsError.
     """
     gram = pairs[0][0].copy()
     rhs = pairs[0][1].copy()
@@ -435,9 +446,16 @@ def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None 
     if penalty is None:
         gram[np.diag_indices_from(gram)] += reg_lambda
     else:
-        gram += reg_lambda * penalty
+        scaled = reg_lambda * penalty
+        taps = penalty.shape[0]
+        for start in range(0, gram.shape[0], taps):
+            gram[start : start + taps, start : start + taps] += scaled
     try:
         return scipy.linalg.solve(gram, rhs, assume_a="pos")
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        pass
+    try:
+        return scipy.linalg.solve(gram, rhs, assume_a="sym")
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericsError(
             "regularized normal equations are singular; the scene is not "
@@ -465,7 +483,7 @@ def solve_regularized(
             raise ValueError(
                 f"weights length {np.asarray(weights).size} does not match fft_size {grid.fft_size}"
             )
-        penalty = _spectral_penalty(weights, system.num_loudspeakers, system.filter_length)
+        penalty = _penalty_block(weights, system.filter_length)
     coef = solve_normal_equations([normal_equations(system)], reg_lambda, penalty)
     return EqualizerFilter(
         coef.reshape(system.num_loudspeakers, system.filter_length),
@@ -490,15 +508,18 @@ def design_coefficients(
     leakage penalty of the sets they train on, the others by a ridge.
 
     memo collects what other designs can reuse: the normal equations of set i
-    under the key i, and the penalty of training sets train at beta under
-    (train, beta). They depend on the sets, g, filter_length, acausal_delay
-    and fft_size, so a memo stays valid while those stay the same; the
-    variant, reg_lambda and reg_beta may change between calls. Pass a new {}
-    for a one-off design.
+    under the key i, the penalty of training sets train at beta under
+    (train, beta), and the LS_ATF taps of set i under ("LS_ATF", i). They
+    depend on the sets, g, filter_length, acausal_delay and fft_size, so a
+    memo stays valid while those stay the same; the variant, reg_lambda and
+    reg_beta may change between calls. Pass a new {} for a one-off design.
     """
     if config.variant == "LS_ATF":
-        system = assemble_atf_system(sets[train[0]], g, config.filter_length)
-        return solve_ls_atf(system).coefficients
+        key = ("LS_ATF", train[0])
+        if key not in memo:
+            system = assemble_atf_system(sets[train[0]], g, config.filter_length)
+            memo[key] = solve_ls_atf(system).coefficients
+        return memo[key]
     if config.variant != "MFR_DELTA_LS":
         train = train[:1]
     pairs = []

@@ -563,7 +563,11 @@ def _number_list(node, path: str) -> np.ndarray:
         raise ValidationError(f"{path}: expected a non-empty list of numbers")
     out = np.empty(len(node))
     for i, item in enumerate(node):
-        out[i] = _number(item, f"{path}[{i}]")
+        try:
+            out[i] = _number(item, path)
+        except ValidationError:
+            # the element path is formatted only for the element that fails
+            out[i] = _number(item, f"{path}[{i}]")
     return out
 
 

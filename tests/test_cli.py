@@ -25,6 +25,7 @@ from eqdesign import (
     select_loudspeakers,
     synth_scenario,
 )
+from eqdesign import cli, design
 from eqdesign.cli import EVAL_HEADER, SWEEP_HEADER, main
 
 
@@ -258,6 +259,25 @@ def test_eval_filter_config_errors_name_filter_fields(tmp_path, small_scene_path
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("d_H", -1, "error: filter.d_H: -1 does not match filter.config.d_H 4\n"),
+    ("d_H", 5, "error: filter.d_H: 5 does not match filter.config.d_H 4\n"),
+    ("config", [], "error: filter.config: expected an object\n"),
+], ids=["negative-d_H", "other-d_H", "config-not-object"])
+def test_eval_filter_fields_checked_once(tmp_path, small_scene_path, capsys, key, value, message):
+    config = write_json(tmp_path / "config.json", SMALL_CONFIG)
+    filt = tmp_path / "filter.json"
+    assert run("design", "--scenario", small_scene_path, "--config", config,
+               "--out", filt) == 0
+    doc = json.loads(filt.read_text())
+    doc[key] = value
+    write_json(filt, doc)
+    assert run("eval", "--scenario", small_scene_path, "--filter", filt,
+               "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_eval_exact_inversion_pipeline(tmp_path):
     scene, filt = designed_pair(
         tmp_path,
@@ -370,6 +390,71 @@ def test_sweep_grid_validation(tmp_path, sweep_scene_path, capsys):
     assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid,
                "--out", tmp_path / "s.csv") == 2
     assert "empty value list" in capsys.readouterr().err
+
+
+# the first point is valid; the bad one opens a later bucket
+@pytest.mark.parametrize("change, message", [
+    ({"d_H": [0, 4]}, "does not take an acausal delay"),
+    ({"N": [2, 3]}, "requested 3 loudspeakers"),
+], ids=["RLS-with-d_H", "too-many-loudspeakers"])
+def test_sweep_checks_every_point_before_any_design(tmp_path, sweep_scene_path, monkeypatch,
+                                                    capsys, change, message):
+    def no_design(*args):
+        raise AssertionError("a design ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "design_coefficients", no_design)
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": "RLS", "N": 2, "d_H": 0, "lambda": 1e-8,
+        "beta": 1.0, "G0_db": 0.0, "d_G": 0, "L_A": 9, **change,
+    })
+    assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid,
+               "--out", tmp_path / "s.csv") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_reuses_work_across_the_whole_grid(tmp_path, sweep_scene_path, monkeypatch):
+    calls = {"reduce_to_rtf": 0, "assemble_atf_system": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(design, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(design, name, counted)
+    # beta, G0_db and d_G vary innermost, so no two consecutive points share
+    # (N, d_H, G0_db, d_G)
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": ["LS_ATF", "RLS", "FR_DELTA_LS", "MFR_DELTA_LS"], "N": [1, 2], "d_H": 0,
+        "lambda": [1e-3, 0.1], "beta": [0.5, 2.0], "G0_db": [0.0, -6.0], "d_G": [0, 2],
+        "L_A": 9,
+    })
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid, "--out", out) == 0
+    assert len(read_csv(out)) == 1 + 4 * 2 * 2 * 2 * 2 * 2
+    buckets = 2 * 2 * 2  # N x G0_db x d_G
+    assert calls == {"reduce_to_rtf": buckets * SWEEP_SYNTH["num_sets"],
+                     "assemble_atf_system": buckets}
+
+
+def test_sweep_survives_rounding_level_cholesky_failure(tmp_path):
+    # On this long scene the single-set FR_DELTA_LS points at N 2, beta 0.5
+    # and G0_db 0 (rows 56 and 57) have normal equations singular at rounding
+    # level, and Cholesky fails on them; the LDLᵀ retry solves them.
+    spec = write_json(tmp_path / "spec.json", {"num_sets": 3, "num_loudspeakers": 2,
+                                               "source_ir_length": 256,
+                                               "speaker_ir_length": 200})
+    scene = tmp_path / "scene.json"
+    assert run("synth", "--config", spec, "--seed", 200000023, "--out", scene) == 0
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": ["LS_ATF", "RLS", "R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS"],
+        "N": [1, 2], "d_H": 0, "lambda": 0.1, "beta": [0.5, 2.0], "G0_db": [0.0, -10.0],
+        "d_G": [48, 96], "L_A": 200,
+    })
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--scenario", scene, "--grid", grid, "--out", out) == 0
+    rows = read_csv(out)[1:]
+    assert len(rows) == 80
+    assert all(math.isfinite(float(r[9])) for r in rows)
 
 
 def test_sweep_operating_point_study_under_a_minute(tmp_path):

@@ -18,7 +18,10 @@ from eqdesign.design import (
     default_fft_size,
     design_filter,
     frequency_weights,
+    leakage_penalty,
+    normal_equations,
     reduce_to_rtf,
+    solve_normal_equations,
     solve_ls_atf,
     solve_regularized,
     weights_from_ratio,
@@ -390,6 +393,33 @@ def test_unregularized_singular_system_raises():
     system = LinearSystem(matrix, np.array([1.0, 0.0]), 2, 1, 0)
     with pytest.raises(NumericsError, match="singular"):
         solve_regularized(system, 0.0)
+
+
+def test_rounding_level_indefinite_system_solves_by_ldl():
+    # one rounding step short of singular: Cholesky meets the pivot -2**-50
+    gram = np.array([[1.0, 1.0], [1.0, 1.0 - 2.0**-50]])
+    rhs = np.array([1.0, 0.0])  # solved by (1 - 2**50, 2**50)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.solve(gram, rhs, assume_a="pos")
+    coef = solve_normal_equations([(gram, rhs)], 0.0)
+    assert np.allclose(coef, [1 - 2.0**50, 2.0**50], rtol=1e-14, atol=0)
+    assert np.allclose(gram @ coef, rhs, rtol=0, atol=1e-12)
+
+
+def test_penalty_block_is_added_per_loudspeaker():
+    scene = small_scene(seed=4, num_loudspeakers=3, source_ir_length=10, speaker_ir_length=6)
+    g = forward_path_ir(0.0, 2, RATE)
+    config = DesignConfig(variant="FR_DELTA_LS", filter_length=5, acausal_delay=2,
+                          reg_lambda=0.3, fft_size=64)
+    block = leakage_penalty(scene.sets, g, config)
+    assert block.shape == (5, 5)
+    gram, rhs = normal_equations(reduce_to_rtf(scene.sets[0], g, 5, 2))
+    _, w = frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE))
+    full = gram + 0.3 * _spectral_penalty(w, 3, 5)
+    assert np.array_equal(
+        solve_normal_equations([(gram, rhs)], 0.3, block),
+        scipy.linalg.solve(full, rhs, assume_a="pos"),
+    )
 
 
 def test_ridge_path_is_monotone():
