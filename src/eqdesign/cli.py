@@ -38,8 +38,9 @@ from .design import (
     NumericsError,
     design_coefficients,
     design_filter,
+    forget_forward_path,
 )
-from .evaluation import evaluate, set_distances
+from .evaluation import SetScorer, _grid, evaluate
 
 __all__ = ["SweepGrid", "cmd_synth", "cmd_design", "cmd_eval", "cmd_sweep", "main"]
 
@@ -58,6 +59,14 @@ def _as_variant(value, path: str) -> str:
     if value not in VARIANTS:
         raise ValidationError(f"{path}: expected one of {VARIANTS}, got {value!r}")
     return value
+
+
+def _as_path_delay(value, path: str) -> int:
+    """A forward-path delay d_G: an integer number of samples, at least 0."""
+    delay = _as_int(value, path)
+    if delay < 0:
+        raise ValidationError(f"{path}: must be nonnegative")
+    return delay
 
 
 def _synth_spec_from_dict(data: dict) -> SynthSpec:
@@ -82,10 +91,7 @@ def _design_inputs_from_dict(data: dict, path: str) -> tuple[DesignConfig, float
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     gain_db = _number(data["G0_db"], f"{path}.G0_db")
-    path_delay = _as_int(data["d_G"], f"{path}.d_G")
-    if path_delay < 0:
-        raise ValidationError(f"{path}.d_G: must be nonnegative")
-    return config, gain_db, path_delay
+    return config, gain_db, _as_path_delay(data["d_G"], f"{path}.d_G")
 
 
 def _value_list(data: dict, key: str, coerce, path: str) -> tuple:
@@ -132,7 +138,7 @@ class SweepGrid:
             lambdas=_value_list(data, "lambda", _number, "grid.lambda"),
             betas=_value_list(data, "beta", _number, "grid.beta"),
             gains_db=_value_list(data, "G0_db", _number, "grid.G0_db"),
-            path_delays=_value_list(data, "d_G", _as_int, "grid.d_G"),
+            path_delays=_value_list(data, "d_G", _as_path_delay, "grid.d_G"),
             filter_length=filter_length,
             fft_size=fft_size,
         )
@@ -279,18 +285,25 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
         )
         for variant, _, shift, lam, beta, _, _ in points
     ]
-    # A set's normal equations depend on (N, d_H, G0_db, d_G) and a penalty on
-    # (N, G0_db, d_G) plus its training sets and beta; lambda and the variant
-    # only choose among them. Points sharing those four form a bucket wherever
-    # they sit in the grid, and each bucket gets its own scene, forward path,
-    # folds and memo.
+    paths = {}
+    for point in points:
+        if point[5:] not in paths:
+            paths[point[5:]] = forward_path_ir(*point[5:], scenario.sample_rate_hz)
+    # A set's Gram depends on (N, d_H) alone, so the points sharing those two
+    # form a bucket wherever they sit in the grid, with its own scene, folds,
+    # memo, scorers and scores. Within a bucket the points run grouped by
+    # forward path, and the memo drops what a path shapes (right-hand sides,
+    # penalties, solutions) when its group ends; scorers and scores are a few
+    # kB a path. G0_db 0.0 and -0.0 share a path. LS_ATF points, which need
+    # no Gram, run first: their dense lstsq is the largest transient, and no
+    # Gram is held yet then.
     buckets = {}
     for index, point in enumerate(points):
-        buckets.setdefault(point[1:3] + point[5:], []).append(index)
+        group = (point[0] != "LS_ATF", point[5:])
+        buckets.setdefault(point[1:3], {}).setdefault(group, []).append(index)
     plans = []
-    for (n_spk, _, gain_db, path_delay), indices in buckets.items():
+    for (n_spk, _), groups in buckets.items():
         scene = select_loudspeakers(scenario, n_spk)
-        g = forward_path_ir(gain_db, path_delay, scene.sample_rate_hz)
         everything = tuple(range(scene.num_sets))
         if mode == "resubstitution":
             folds = [(-1, everything, scene)]
@@ -303,21 +316,33 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
                 )
                 for fold in everything
             ]
-        plans.append((scene, g, folds, indices))
+        plans.append((scene, folds, groups))
 
     rows = [None] * len(points)
-    for scene, g, folds, indices in plans:
-        memo = {}
-        for index in indices:
-            config = configs[index]
-            # the point's own values: G0_db 0.0 and -0.0 share a bucket, not a row
-            stem = [*points[index][:2], grid.filter_length, *points[index][2:]]
-            rows[index] = []
-            for fold, train, held_out in folds:
-                coef = design_coefficients(scene.sets, train, g, config, memo)
-                filt = EqualizerFilter(coef, config.acausal_delay)
-                score = float(np.mean(set_distances(held_out, g, filt, config)))
-                rows[index].append(stem + [fold, score])
+    for scene, folds, groups in plans:
+        memo, scorers, scores = {}, {}, {}
+        for (_, path), indices in sorted(groups.items(), key=lambda item: item[0][0]):
+            g = paths[path]
+            for index in indices:
+                config = configs[index]
+                # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
+                stem = [*points[index][:2], grid.filter_length, *points[index][2:]]
+                rows[index] = []
+                for fold, train, held_out in folds:
+                    coef = design_coefficients(scene.sets, train, g, config, memo)
+                    # equal taps score alike, so each distinct design is scored once a fold
+                    key = (path, fold, coef.tobytes())
+                    if key not in scores:
+                        # rejects non-finite taps, as design_filter does
+                        filt = EqualizerFilter(coef, config.acausal_delay)
+                        if (path, fold) not in scorers:
+                            grid_f = _grid(held_out, config)
+                            scorers[path, fold] = [SetScorer(ms, g, grid_f) for ms in held_out.sets]
+                        scores[key] = float(
+                            np.mean([score(filt.coefficients) for score in scorers[path, fold]])
+                        )
+                    rows[index].append(stem + [fold, scores[key]])
+            forget_forward_path(memo, g)
 
     with open(out_path, "w", encoding="ascii", newline="") as f:
         writer = csv.writer(f)

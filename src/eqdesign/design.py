@@ -46,6 +46,7 @@ __all__ = [
     "solve_normal_equations",
     "solve_regularized",
     "design_coefficients",
+    "forget_forward_path",
     "design_filter",
 ]
 
@@ -251,6 +252,26 @@ def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
     )
 
 
+def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, min_rcond: float = 0.0):
+    """x with matrix @ x = rhs by Cholesky of the upper triangle, else None.
+
+    None when the factorization fails or, for a positive min_rcond, when
+    LAPACK's estimate of the reciprocal 1-norm condition number falls below
+    it. The factor and solve are the dpotrf/dpotrs pair that
+    scipy.linalg.solve(assume_a="pos") runs, so x matches it bit for bit,
+    without its LinAlgWarning on an ill-conditioned matrix.
+    """
+    factor, info = scipy.linalg.lapack.dpotrf(matrix)
+    if info != 0:
+        return None
+    if min_rcond > 0:
+        rcond, _ = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(matrix, 1))
+        if not rcond >= min_rcond:
+            return None
+    x, _ = scipy.linalg.lapack.dpotrs(factor, rhs)
+    return x
+
+
 def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
     """Least-squares n_taps-tap x with convolve(through_mic, x) ~ v.
 
@@ -265,14 +286,11 @@ def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
     acorr = np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :]
     column = np.zeros(n_taps)
     column[: min(acorr.size, n_taps)] = acorr[:n_taps]
-    gram = scipy.linalg.toeplitz(column)
-    factor, info = scipy.linalg.lapack.dpotrf(gram)
-    if info == 0:
-        rcond, _ = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(gram, 1))
-        if rcond >= NORMAL_RCOND:
-            rhs = np.correlate(v, through_mic, "valid")
-            target, _ = scipy.linalg.lapack.dpotrs(factor, rhs)
-            return target
+    target = _cholesky_solve(
+        scipy.linalg.toeplitz(column), np.correlate(v, through_mic, "valid"), NORMAL_RCOND
+    )
+    if target is not None:
+        return target
     lhs = convolution_matrix(through_mic, n_taps)
     target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
     if singulars[0] == 0.0 or singulars[-1] <= RANK_RTOL * singulars[0]:
@@ -450,10 +468,9 @@ def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None 
         taps = penalty.shape[0]
         for start in range(0, gram.shape[0], taps):
             gram[start : start + taps, start : start + taps] += scaled
-    try:
-        return scipy.linalg.solve(gram, rhs, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        pass
+    coef = _cholesky_solve(gram, rhs)
+    if coef is not None:
+        return coef
     try:
         return scipy.linalg.solve(gram, rhs, assume_a="sym")
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
@@ -507,36 +524,56 @@ def design_coefficients(
     equations of every training set. The weighted variants regularize by the
     leakage penalty of the sets they train on, the others by a ridge.
 
-    memo collects what other designs can reuse: the normal equations of set i
-    under the key i, the penalty of training sets train at beta under
-    (train, beta), and the LS_ATF taps of set i under ("LS_ATF", i). They
-    depend on the sets, g, filter_length, acausal_delay and fft_size, so a
-    memo stays valid while those stay the same; the variant, reg_lambda and
-    reg_beta may change between calls. Pass a new {} for a one-off design.
+    memo collects what other designs can reuse, each piece keyed by what it
+    depends on. It stays valid while the sets, filter_length, acausal_delay
+    and fft_size stay the same; g, the variant, reg_lambda and reg_beta may
+    change between calls. The Gram MᵀM of set i does not depend on g and
+    sits under ("gram", i). Everything else sits in memo[g.samples.tobytes()]:
+    Mᵀt of set i under ("rhs", i), the penalty of training sets train at
+    beta under ("penalty", train, beta), the LS_ATF taps of set i under
+    ("LS_ATF", i), and the taps solved for training sets train at lambda
+    under ("taps", train, lambda, penalty key or None). Variants that pose
+    the same problem therefore share one solve: RLS and R_DELTA_LS at equal
+    lambda, and the ridge variants across beta. forget_forward_path drops
+    the entries of one g. Pass a new {} for a one-off design.
     """
+    path = memo.setdefault(g.samples.tobytes(), {})
     if config.variant == "LS_ATF":
         key = ("LS_ATF", train[0])
-        if key not in memo:
+        if key not in path:
             system = assemble_atf_system(sets[train[0]], g, config.filter_length)
-            memo[key] = solve_ls_atf(system).coefficients
-        return memo[key]
+            path[key] = solve_ls_atf(system).coefficients
+        return path[key]
     if config.variant != "MFR_DELTA_LS":
         train = train[:1]
-    pairs = []
-    for i in train:
-        if i not in memo:
-            memo[i] = normal_equations(
-                reduce_to_rtf(sets[i], g, config.filter_length, config.acausal_delay)
-            )
-        pairs.append(memo[i])
-    penalty = None
+    penalty_key = None
     if config.variant in WEIGHTED_VARIANTS:
-        key = (train, config.reg_beta)
-        if key not in memo:
-            memo[key] = leakage_penalty([sets[i] for i in train], g, config)
-        penalty = memo[key]
-    coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
-    return coef.reshape(sets[0].num_loudspeakers, config.filter_length)
+        penalty_key = ("penalty", train, config.reg_beta)
+    key = ("taps", train, config.reg_lambda, penalty_key)
+    if key not in path:
+        pairs = []
+        for i in train:
+            if ("rhs", i) not in path:
+                system = reduce_to_rtf(sets[i], g, config.filter_length, config.acausal_delay)
+                m = system.matrix
+                if ("gram", i) not in memo:
+                    memo["gram", i] = m.T @ m
+                path["rhs", i] = m.T @ system.target
+                del system, m  # one reduced matrix alive at a time, none in the solve
+            pairs.append((memo["gram", i], path["rhs", i]))
+        penalty = None
+        if penalty_key is not None:
+            if penalty_key not in path:
+                path[penalty_key] = leakage_penalty([sets[i] for i in train], g, config)
+            penalty = path[penalty_key]
+        coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
+        path[key] = coef.reshape(sets[0].num_loudspeakers, config.filter_length)
+    return path[key]
+
+
+def forget_forward_path(memo: dict, g: ImpulseResponse) -> None:
+    """Drop what a design_coefficients memo holds for forward path g; Grams stay."""
+    memo.pop(g.samples.tobytes(), None)
 
 
 def _config_echo(config: DesignConfig, scenario: Scenario) -> dict:

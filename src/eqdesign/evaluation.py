@@ -31,6 +31,7 @@ __all__ = [
     "aided_tf",
     "desired_tf",
     "simulate",
+    "SetScorer",
     "set_distances",
     "evaluate",
 ]
@@ -69,6 +70,25 @@ def erb_weights(grid: FrequencyGrid, f_low_hz: float = 200.0, f_up_hz: float = 8
     return w
 
 
+def _in_band(h_des, grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
+    """ERB weights and desired magnitudes of the weighted bins, and the bin mask."""
+    des = magnitude_response(h_des, grid)
+    w = erb_weights(grid, f_low_hz, f_up_hz)
+    band = w > 0
+    if np.any(des[band] == 0.0):
+        bad = int(np.flatnonzero(band & (des == 0.0))[0])
+        raise ValueError(
+            f"desired response vanishes at {grid.frequencies_hz[bad]:.1f} Hz; distance undefined"
+        )
+    return w[band], des[band], band
+
+
+def _band_distance(aid, weights: np.ndarray, des: np.ndarray) -> float:
+    with np.errstate(divide="ignore"):
+        deviation_db = 20.0 * np.log10(aid / des)
+    return float(np.sum(weights * np.abs(deviation_db)))
+
+
 def auditory_spectral_distance(
     h_aid,
     h_des,
@@ -82,18 +102,8 @@ def auditory_spectral_distance(
     every weighted bin. The desired response must not vanish inside the
     band; a vanishing aided response yields an infinite distance.
     """
-    aid = magnitude_response(h_aid, grid)
-    des = magnitude_response(h_des, grid)
-    w = erb_weights(grid, f_low_hz, f_up_hz)
-    band = w > 0
-    if np.any(des[band] == 0.0):
-        bad = int(np.flatnonzero(band & (des == 0.0))[0])
-        raise ValueError(
-            f"desired response vanishes at {grid.frequencies_hz[bad]:.1f} Hz; distance undefined"
-        )
-    with np.errstate(divide="ignore"):
-        deviation_db = 20.0 * np.log10(aid[band] / des[band])
-    return float(np.sum(w[band] * np.abs(deviation_db)))
+    weights, des, band = _in_band(h_des, grid, f_low_hz, f_up_hz)
+    return _band_distance(magnitude_response(h_aid, grid)[band], weights, des)
 
 
 def _check_filter(ms: MeasurementSet, filt: EqualizerFilter) -> None:
@@ -106,9 +116,13 @@ def _check_filter(ms: MeasurementSet, filt: EqualizerFilter) -> None:
 def aided_tf(ms: MeasurementSet, g: ImpulseResponse, filt: EqualizerFilter) -> np.ndarray:
     """Aided-ear impulse response: equalized playback plus vent leakage."""
     _check_filter(ms, filt)
+    return _aided(ms, np.convolve(g.samples, ms.h_m.samples), filt.coefficients)
+
+
+def _aided(ms: MeasurementSet, through_mic: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     total = None
-    for d_n, a_n in zip(ms.d, filt.coefficients):
-        term = np.convolve(np.convolve(d_n.samples, a_n), np.convolve(g.samples, ms.h_m.samples))
+    for d_n, a_n in zip(ms.d, coefficients):
+        term = np.convolve(np.convolve(d_n.samples, a_n), through_mic)
         total = term if total is None else total + term
     total[: len(ms.h_occ)] += ms.h_occ.samples
     return total
@@ -171,6 +185,29 @@ def _grid(scenario: Scenario, config: DesignConfig) -> FrequencyGrid:
     )
 
 
+class SetScorer:
+    """Auditory spectral distance of any filter on one set under one forward path.
+
+    It holds what every filter scored there shares: the microphone pickup
+    through g, the ERB weights and the in-band desired magnitudes. Calling it
+    on a (loudspeakers x taps) coefficient array gives the distance in dB,
+    bit for bit what auditory_spectral_distance gives on aided_tf and
+    desired_tf.
+    """
+
+    def __init__(self, ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid):
+        self._ms = ms
+        self._grid = grid
+        self._through_mic = np.convolve(g.samples, ms.h_m.samples)
+        self._weights, self._desired, self._band = _in_band(
+            desired_tf(ms, g), grid, 200.0, 8000.0
+        )
+
+    def __call__(self, coefficients: np.ndarray) -> float:
+        aid = magnitude_response(_aided(self._ms, self._through_mic, coefficients), self._grid)
+        return _band_distance(aid[self._band], self._weights, self._desired)
+
+
 def set_distances(
     scenario: Scenario,
     g: ImpulseResponse,
@@ -185,10 +222,7 @@ def set_distances(
     for ms in scenario.sets:
         _check_filter(ms, filt)
     grid = _grid(scenario, config)
-    return tuple(
-        auditory_spectral_distance(aided_tf(ms, g, filt), desired_tf(ms, g), grid)
-        for ms in scenario.sets
-    )
+    return tuple(SetScorer(ms, g, grid)(filt.coefficients) for ms in scenario.sets)
 
 
 def evaluate(

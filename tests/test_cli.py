@@ -7,11 +7,13 @@ import json
 import math
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgWarning
 
 from eqdesign import (
     DesignConfig,
@@ -392,6 +394,21 @@ def test_sweep_grid_validation(tmp_path, sweep_scene_path, capsys):
     assert "empty value list" in capsys.readouterr().err
 
 
+def test_negative_path_delay_names_its_field(tmp_path, small_scene_path, capsys):
+    config = write_json(tmp_path / "config.json", dict(SMALL_CONFIG, d_G=-1))
+    assert run("design", "--scenario", small_scene_path, "--config", config,
+               "--out", tmp_path / "filter.json") == 2
+    assert "error: config.d_G: must be nonnegative" in capsys.readouterr().err
+
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": "R_DELTA_LS", "N": 1, "d_H": 0, "lambda": 1e-8,
+        "beta": 1.0, "G0_db": 0.0, "d_G": [0, -1], "L_A": 9,
+    })
+    assert run("sweep", "--scenario", small_scene_path, "--grid", grid,
+               "--out", tmp_path / "s.csv") == 2
+    assert "error: grid.d_G[1]: must be nonnegative" in capsys.readouterr().err
+
+
 # the first point is valid; the bad one opens a later bucket
 @pytest.mark.parametrize("change, message", [
     ({"d_H": [0, 4]}, "does not take an acausal delay"),
@@ -434,6 +451,74 @@ def test_sweep_reuses_work_across_the_whole_grid(tmp_path, sweep_scene_path, mon
     buckets = 2 * 2 * 2  # N x G0_db x d_G
     assert calls == {"reduce_to_rtf": buckets * SWEEP_SYNTH["num_sets"],
                      "assemble_atf_system": buckets}
+
+
+def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monkeypatch):
+    grams, rhs, solves = [], [], []
+
+    def spied_solve(pairs, reg_lambda, penalty=None):
+        solves.append(reg_lambda)
+        for gram, part in pairs:
+            if not any(gram is seen for seen in grams):
+                grams.append(gram)
+            if not any(part is seen for seen in rhs):
+                rhs.append(part)
+        return solve(pairs, reg_lambda, penalty)
+
+    solve = design.solve_normal_equations
+    monkeypatch.setattr(design, "solve_normal_equations", spied_solve)
+    counts = {"scorers": 0, "scored": 0}
+
+    class CountedScorer(cli.SetScorer):
+        def __init__(self, *args):
+            counts["scorers"] += 1
+            super().__init__(*args)
+
+        def __call__(self, coefficients):
+            counts["scored"] += 1
+            return super().__call__(coefficients)
+
+    monkeypatch.setattr(cli, "SetScorer", CountedScorer)
+    # G0_db, d_G and beta vary within each (N, d_H) bucket
+    lambdas, betas, gains, delays = [1e-3, 0.1], [0.5, 2.0], [0.0, -6.0], [0, 2]
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": ["LS_ATF", "RLS", "R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS"],
+        "N": [1, 2], "d_H": 0, "lambda": lambdas, "beta": betas, "G0_db": gains,
+        "d_G": delays, "L_A": 9,
+    })
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid, "--out", out) == 0
+    assert len(read_csv(out)) == 1 + 5 * 2 * 2 * 2 * 2 * 2
+    sets = SWEEP_SYNTH["num_sets"]
+    buckets = 2  # N x d_H
+    paths = buckets * len(gains) * len(delays)
+    # one Gram per (N, d_H, set), one right-hand side per set and forward path
+    assert len(grams) == buckets * sets
+    assert len(rhs) == paths * sets
+    # per path: RLS and R_DELTA_LS share one ridge solve per lambda, whatever
+    # beta is; FR_DELTA_LS and MFR_DELTA_LS solve once per (lambda, beta)
+    assert len(solves) == paths * (len(lambdas) + 2 * len(lambdas) * len(betas))
+    # per path, LS_ATF and each distinct solution are scored once on every set
+    designs = paths * (1 + len(lambdas) + 2 * len(lambdas) * len(betas))
+    assert counts == {"scorers": paths * sets, "scored": designs * sets}
+
+
+def test_variant_grid_solves_without_linalg_warnings(tmp_path):
+    spec = write_json(tmp_path / "spec.json", {"num_sets": 3, "num_loudspeakers": 2,
+                                               "source_ir_length": 256,
+                                               "speaker_ir_length": 200})
+    scene = tmp_path / "scene.json"
+    assert run("synth", "--config", spec, "--seed", 7, "--out", scene) == 0
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": ["LS_ATF", "RLS", "R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS"],
+        "N": [1, 2], "d_H": 0, "lambda": 0.1, "beta": [0.5, 2.0], "G0_db": [0.0, -10.0],
+        "d_G": [48, 96], "L_A": 200,
+    })
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        assert run("sweep", "--scenario", scene, "--grid", grid, "--out", out) == 0
+    assert len(read_csv(out)) == 1 + 80
 
 
 def test_sweep_survives_rounding_level_cholesky_failure(tmp_path):
