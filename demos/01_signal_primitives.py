@@ -26,9 +26,8 @@ for k in (0, 4, 16, 32):
     print(f"{k:3d}  {grid.frequencies_hz[k]:7.1f}  {mag[k]:.4f}")
 
 # smoothing flattens a one-bin spike into its 1/6-octave neighborhood
-spiky = np.ones(1024)
+spiky = np.ones(513)  # the one-sided bins of a 1024-point grid
 spiky[64] = 9.0
-spiky[1024 - 64] = 9.0
 smooth = fractional_octave_smooth(spiky, FrequencyGrid(1024, rate))
 print("\nspike at 1 kHz:", spiky[64], "-> smoothed:", round(smooth[64], 4))
 print("bin 62 (window overlaps the spike):", round(smooth[62], 4))

@@ -14,7 +14,7 @@ from eqdesign.design import (
     design_filter,
     frequency_weights,
     reduce_to_rtf,
-    _spectral_penalty,
+    _penalty_block,
 )
 from eqdesign.evaluation import evaluate
 from eqdesign.scenario import SynthSpec, forward_path_ir, synth_scenario
@@ -30,14 +30,13 @@ g = forward_path_ir(0.0, 0, RATE)
 grid = FrequencyGrid(default_fft_size(ms.speaker_length, 99), RATE)
 
 ratio, w = frequency_weights(ms, g, 1.0, grid)
-half = grid.fft_size // 2 + 1
-peak = int(np.argmax(w[:half]))
-print(f"leakage ratio spans {ratio[:half].min():.3f}..{ratio[:half].max():.3f}")
+peak = int(np.argmax(w))
+print(f"leakage ratio spans {ratio.min():.3f}..{ratio.max():.3f}")
 print(f"weight peaks at {grid.frequencies_hz[peak]:.0f} Hz "
       f"where the ratio is {ratio[peak]:.3f}\n")
 
 system = reduce_to_rtf(ms, g, 99, 0)
-penalty = _spectral_penalty(w, 1, 99)
+penalty = _penalty_block(w, 99, grid.fft_size)  # one loudspeaker, one block
 
 print("   lambda   residual   seminorm   distance_db")
 for lam in (1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0):

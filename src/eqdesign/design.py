@@ -349,12 +349,13 @@ def weights_from_ratio(ratio, reg_beta: float, grid: FrequencyGrid) -> np.ndarra
     density in the smoothed ratio with spread sigma^2 = beta * ln(10)/20, so
     it peaks where leakage and target are comparable and fades where either
     side dominates. Bins where the smoothed ratio is zero get weight zero.
+    ratio and the weight are one-sided, length fft_size // 2 + 1.
     """
     if not reg_beta > 0:
         raise ValueError("reg_beta must be positive")
     smoothed = fractional_octave_smooth(np.asarray(ratio, dtype=float), grid)
     sigma = np.sqrt(np.log(10.0) / 20.0 * reg_beta)
-    w = np.zeros(grid.fft_size)
+    w = np.zeros(smoothed.size)
     pos = smoothed > 0
     w[pos] = np.exp(-0.5 * (np.log(smoothed[pos]) / sigma) ** 2) / (
         np.sqrt(2.0 * np.pi) * sigma * smoothed[pos]
@@ -367,7 +368,7 @@ def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: F
 
     V is |leakage| over |processed open-ear target|, built from set-averaged
     magnitude spectra; pass one MeasurementSet or a sequence of them. Both
-    returned arrays have length fft_size and are conjugate-symmetric.
+    returned arrays live on the grid's one-sided bins, length fft_size // 2 + 1.
     """
     if isinstance(measurements, MeasurementSet):
         measurements = [measurements]
@@ -395,29 +396,27 @@ def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: F
     return ratio, weights_from_ratio(ratio, reg_beta, grid)
 
 
-def _penalty_block(weights: np.ndarray, filter_length: int) -> np.ndarray:
+def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np.ndarray:
     """Quadratic form of the weighted-spectrum seminorm of one loudspeaker's taps.
 
-    With the DFT scaled by 1/sqrt(fft_size) the penalty for all-ones weights
-    is exactly the identity, which keeps lambda comparable between the
-    identity-regularized and frequency-weighted variants. The block is the
-    Toeplitz autocorrelation of the squared weight curve.
+    weights is one-sided, length fft_size // 2 + 1. With the DFT scaled by
+    1/sqrt(fft_size) the penalty for all-ones weights is exactly the
+    identity, which keeps lambda comparable between the identity-regularized
+    and frequency-weighted variants. The block is the Toeplitz
+    autocorrelation of the squared weight curve, taken over its two-sided
+    mirror image.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("weights must be a 1-D spectrum")
-    if w.size < filter_length:
+    if w.shape != (fft_size // 2 + 1,):
         raise ValueError(
-            f"weight spectrum of length {w.size} cannot constrain {filter_length} taps"
+            f"weight spectrum of shape {w.shape} does not match fft_size {fft_size}: "
+            f"expected {fft_size // 2 + 1} one-sided bins"
         )
-    acorr = np.fft.ifft(w**2).real
+    if fft_size < filter_length:
+        raise ValueError(f"fft_size {fft_size} cannot constrain {filter_length} taps")
+    w2 = w**2
+    acorr = np.fft.ifft(np.concatenate([w2, w2[1 : fft_size - w2.size + 1][::-1]])).real
     return scipy.linalg.toeplitz(acorr[:filter_length])
-
-
-def _spectral_penalty(weights: np.ndarray, num_loudspeakers: int, filter_length: int) -> np.ndarray:
-    """The seminorm over all loudspeakers: one _penalty_block per loudspeaker."""
-    block = _penalty_block(weights, filter_length)
-    return scipy.linalg.block_diag(*([block] * num_loudspeakers))
 
 
 def normal_equations(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +436,7 @@ def leakage_penalty(sets, g: ImpulseResponse, config: DesignConfig) -> np.ndarra
         _resolve_fft_size(config, sets[0].speaker_length), sets[0].sample_rate_hz
     )
     _, weights = frequency_weights(sets, g, config.reg_beta, grid)
-    return _penalty_block(weights, config.filter_length)
+    return _penalty_block(weights, config.filter_length, grid.fft_size)
 
 
 def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
@@ -490,17 +489,16 @@ def solve_regularized(
 
     Without weights the penalty is reg_lambda times the plain coefficient
     energy; with weights it is reg_lambda times the weighted spectral energy
-    of the filters. A grid, when given, must match the weight vector length.
+    of the filters. Weights are one-sided and need the grid they live on,
+    because their length alone does not tell an even fft_size from an odd one.
     """
     if not reg_lambda >= 0:
         raise ValueError("reg_lambda must be nonnegative")
     penalty = None
     if weights is not None:
-        if grid is not None and np.asarray(weights).size != grid.fft_size:
-            raise ValueError(
-                f"weights length {np.asarray(weights).size} does not match fft_size {grid.fft_size}"
-            )
-        penalty = _penalty_block(weights, system.filter_length)
+        if grid is None:
+            raise ValueError("weights need the grid they live on")
+        penalty = _penalty_block(weights, system.filter_length, grid.fft_size)
     coef = solve_normal_equations([normal_equations(system)], reg_lambda, penalty)
     return EqualizerFilter(
         coef.reshape(system.num_loudspeakers, system.filter_length),

@@ -47,11 +47,11 @@ def erb_bandwidth_hz(frequency_hz) -> np.ndarray:
 
 
 def erb_weights(grid: FrequencyGrid, f_low_hz: float = 200.0, f_up_hz: float = 8000.0) -> np.ndarray:
-    """Auditory-band weights on the grid, normalized to sum to one in-band.
+    """Auditory-band weights on the grid's one-sided bins, summing to one.
 
-    Only positive-frequency bins inside [f_low_hz, f_up_hz] get weight; the
-    weight of a bin is the reciprocal of the ERB at its frequency, so densely
-    packed low-frequency bands are not over-counted.
+    Only bins inside [f_low_hz, f_up_hz] get weight; the weight of a bin is
+    the reciprocal of the ERB at its frequency, so densely packed
+    low-frequency bands are not over-counted.
     """
     if not 0 < f_low_hz < f_up_hz:
         raise ValueError("need 0 < f_low_hz < f_up_hz")
@@ -61,10 +61,9 @@ def erb_weights(grid: FrequencyGrid, f_low_hz: float = 200.0, f_up_hz: float = 8
         )
     freqs = grid.frequencies_hz
     band = (freqs >= f_low_hz) & (freqs <= f_up_hz)
-    band[grid.fft_size // 2 + 1 :] = False
     if not np.any(band):
         raise ValueError("no grid bins fall inside the evaluation band")
-    w = np.zeros(grid.fft_size)
+    w = np.zeros(freqs.size)
     w[band] = 1.0 / erb_bandwidth_hz(freqs[band])
     w /= w[band].sum()
     return w
@@ -159,7 +158,7 @@ def simulate(ms: MeasurementSet, g: ImpulseResponse, filt: EqualizerFilter, stim
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """Per-set distances plus set-averaged spectral traces on one grid."""
+    """Per-set distances plus set-averaged traces on one grid's one-sided bins."""
 
     delta_h_aud_db: tuple[float, ...]
     frequencies_hz: np.ndarray

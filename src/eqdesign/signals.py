@@ -3,8 +3,8 @@
 Impulse responses here are short FIR sequences: plain 1-D float arrays, plus
 a sample rate so that mixed-rate operations fail loudly instead of silently
 producing garbage. Spectral quantities (magnitude responses, smoothing,
-design weights) all live on one uniform DFT grid so they stay bin-compatible
-with each other.
+design weights) all live on the one-sided bins of one uniform DFT grid so
+they stay bin-compatible with each other.
 """
 
 from __future__ import annotations
@@ -71,7 +71,11 @@ class ImpulseResponse:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform DFT grid; bin l sits at l * sample_rate_hz / fft_size."""
+    """Uniform DFT grid; bin l sits at l * sample_rate_hz / fft_size.
+
+    Spectra on the grid are one-sided: bins 0 .. fft_size // 2, from 0 Hz up
+    to the Nyquist frequency (reached only when fft_size is even).
+    """
 
     fft_size: int
     sample_rate_hz: float
@@ -84,7 +88,7 @@ class FrequencyGrid:
 
     @property
     def frequencies_hz(self) -> np.ndarray:
-        return np.arange(self.fft_size) * (self.sample_rate_hz / self.fft_size)
+        return np.arange(self.fft_size // 2 + 1) * (self.sample_rate_hz / self.fft_size)
 
 
 def _payload(h, what: str = "impulse response") -> np.ndarray:
@@ -137,12 +141,10 @@ def delay(h, num_samples: int):
 
 
 def magnitude_response(h, grid: FrequencyGrid) -> np.ndarray:
-    """|DFT| of h on the grid, length fft_size.
+    """|DFT| of h on the grid's one-sided bins, length fft_size // 2 + 1.
 
-    The upper half is mirrored from the lower half, so the output is exactly
-    conjugate-symmetric (entry l equals entry fft_size - l for l >= 1). An
-    ImpulseResponse input must match the grid's sample rate, and h must fit
-    inside the grid.
+    An ImpulseResponse input must match the grid's sample rate, and h must
+    fit inside the grid.
     """
     x = _payload(h)
     n = grid.fft_size
@@ -152,11 +154,7 @@ def magnitude_response(h, grid: FrequencyGrid) -> np.ndarray:
         )
     if x.size > n:
         raise ValueError(f"impulse response of length {x.size} does not fit fft_size {n}")
-    half = np.abs(np.fft.rfft(x, n))
-    out = np.empty(n)
-    out[: half.size] = half
-    out[half.size:] = half[1 : n - half.size + 1][::-1]
-    return out
+    return np.abs(np.fft.rfft(x, n))
 
 
 def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 / 6.0) -> np.ndarray:
@@ -164,14 +162,13 @@ def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 
 
     Each positive-frequency bin is replaced by the arithmetic mean over the
     bins whose centre frequencies lie within +-fraction/2 octave around it,
-    clipped to the positive half of the grid. The DC bin (no geometric band
+    clipped to the grid's one-sided bins. The DC bin (no geometric band
     exists at 0 Hz) and, for even sizes, the Nyquist bin pass through
-    unchanged; the upper half mirrors the lower so conjugate symmetry is
-    preserved.
+    unchanged.
 
     Parameters
     ----------
-    values : array, length fft_size, nonnegative
+    values : array, length fft_size // 2 + 1, nonnegative
     grid : FrequencyGrid
     fraction : octave fraction of the full window width, default 1/6
 
@@ -180,7 +177,7 @@ def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 
     array of the same length.
     """
     v = np.asarray(values, dtype=float)
-    n = grid.fft_size
+    n = grid.fft_size // 2 + 1
     if v.shape != (n,):
         raise ValueError(f"expected {n} spectrum values, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -196,7 +193,6 @@ def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 
     # the padding repeats the centre bin and adds exact zeros
     deviation = v[window] - v[centres, None]
     out[centres] = v[centres] + deviation.sum(axis=1) / sizes
-    out[n - centres] = out[centres]
     return out
 
 
@@ -205,13 +201,13 @@ def _smoothing_windows(grid: FrequencyGrid, fraction: float):
     """Centre bins, padded window indices and window sizes for smoothing.
 
     Row i of the window array lists the bins whose centre frequencies lie
-    within +-fraction/2 octave of centres[i], clipped to the positive half of
-    the grid, followed by copies of centres[i] up to the longest window;
+    within +-fraction/2 octave of centres[i], clipped to the grid's one-sided
+    bins, followed by copies of centres[i] up to the longest window;
     sizes[i] counts the unpadded bins. The arrays are read-only because the
     cache hands them to every caller.
     """
     n = grid.fft_size
-    freqs = grid.frequencies_hz[: n // 2 + 1]
+    freqs = grid.frequencies_hz
     edge = 2.0 ** (fraction / 2.0)
     # stops before the Nyquist bin when n is even
     centres = np.arange(1, (n + 1) // 2)

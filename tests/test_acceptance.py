@@ -9,6 +9,7 @@ import sys
 from time import perf_counter
 
 import numpy as np
+import scipy.linalg
 
 from eqdesign.design import (
     DesignConfig,
@@ -17,7 +18,7 @@ from eqdesign.design import (
     frequency_weights,
     reduce_to_rtf,
     solve_regularized,
-    _spectral_penalty,
+    _penalty_block,
 )
 from eqdesign.evaluation import (
     auditory_spectral_distance,
@@ -118,7 +119,7 @@ def test_3_regularization_trades_residual_for_seminorm():
     grid = FrequencyGrid(default_fft_size(ms.speaker_length, 99), RATE)
     system = reduce_to_rtf(ms, g, 99, 0)
     _, w = frequency_weights(ms, g, 1.0, grid)
-    penalty = _spectral_penalty(w, 1, 99)
+    penalty = _penalty_block(w, 99, grid.fft_size)
 
     lambdas = (1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0)
     seminorms, residuals, distances = [], [], []
@@ -149,14 +150,14 @@ def test_4_flat_weights_reduce_to_ridge_and_solver_is_optimal():
     g = forward_path_ir(0.0, 8, RATE)
     system = reduce_to_rtf(ms, g, 11, 4)
     grid = FrequencyGrid(default_fft_size(ms.speaker_length, 11), RATE)
-    flat = np.ones(grid.fft_size)
+    flat = np.ones(grid.fft_size // 2 + 1)
     for lam in (1e-4, 0.1, 1.0):
         weighted = solve_regularized(system, lam, flat, grid)
         ridge = solve_regularized(system, lam)
         assert np.array_equal(weighted.coefficients, ridge.coefficients)
 
     _, w = frequency_weights(ms, g, 1.0, grid)
-    penalty = _spectral_penalty(w, 2, 11)
+    penalty = scipy.linalg.block_diag(*[_penalty_block(w, 11, grid.fft_size)] * 2)
     lam = 0.1
     filt = solve_regularized(system, lam, w, grid)
     a = filt.coefficients.ravel()
@@ -174,7 +175,7 @@ def test_4_flat_weights_reduce_to_ridge_and_solver_is_optimal():
     system2 = reduce_to_rtf(small, g2, 5, 2)
     grid2 = FrequencyGrid(default_fft_size(small.speaker_length, 5), RATE)
     _, w2 = frequency_weights(small, g2, 1.0, grid2)
-    penalty2 = _spectral_penalty(w2, 2, 5)
+    penalty2 = scipy.linalg.block_diag(*[_penalty_block(w2, 5, grid2.fft_size)] * 2)
     worst = 0.0
     for lam in (1e-6, 1e-2, 1.0):
         got = solve_regularized(system2, lam, w2, grid2).coefficients.ravel()

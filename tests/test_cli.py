@@ -186,7 +186,7 @@ def test_eval_outputs(tmp_path, small_scene_path):
 
     rows = read_csv(tmp_path / "report.csv")
     assert rows[0] == EVAL_HEADER
-    assert len(rows) == 1 + 64  # one data row per grid bin
+    assert len(rows) == 1 + 33  # one data row per bin from 0 Hz to Nyquist
     assert float(rows[1][0]) == 0.0  # DC bin leads
 
     summary = json.loads((tmp_path / "report.json").read_text())
@@ -204,7 +204,26 @@ def test_eval_full_scale_row_count(tmp_path):
     )
     assert run("eval", "--scenario", scene, "--filter", filt,
                "--out", tmp_path / "report") == 0
-    assert len(read_csv(tmp_path / "report.csv")) == 1 + 1024
+    assert len(read_csv(tmp_path / "report.csv")) == 1 + 513
+
+
+@pytest.mark.parametrize("fft_size", [64, 65])
+def test_eval_csv_stops_at_nyquist(tmp_path, small_scene_path, fft_size):
+    config = write_json(tmp_path / "config.json", dict(SMALL_CONFIG, L_FFT=fft_size))
+    filt = tmp_path / "filter.json"
+    assert run("design", "--scenario", small_scene_path, "--config", config,
+               "--out", filt) == 0
+    assert run("eval", "--scenario", small_scene_path, "--filter", filt,
+               "--out", tmp_path / "report") == 0
+
+    rows = read_csv(tmp_path / "report.csv")
+    assert len(rows) == 1 + fft_size // 2 + 1
+    freqs = [float(row[0]) for row in rows[1:]]
+    nyquist = 8000.0  # the scene has synth's default 16 kHz rate
+    assert freqs[0] == 0.0
+    assert all(a < b for a, b in zip(freqs, freqs[1:]))
+    assert freqs[-1] <= nyquist
+    assert (freqs[-1] == nyquist) == (fft_size % 2 == 0)
 
 
 def test_eval_zero_filter_reduces_to_leakage(tmp_path, small_scene_path):

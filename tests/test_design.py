@@ -25,7 +25,7 @@ from eqdesign.design import (
     solve_ls_atf,
     solve_regularized,
     weights_from_ratio,
-    _spectral_penalty,
+    _penalty_block,
 )
 from eqdesign.scenario import (
     PHASE_FAMILIES,
@@ -278,20 +278,20 @@ def test_reduce_ill_conditioned_fit_falls_back_to_lstsq(L_A):
 
 def test_weight_at_unit_ratio():
     grid = FrequencyGrid(64, RATE)
-    w = weights_from_ratio(np.ones(64), 1.0, grid)
+    w = weights_from_ratio(np.ones(33), 1.0, grid)
     assert np.allclose(w, 1.1757560423186113, atol=1e-12)
 
 
 def test_weight_vanishes_without_leakage():
     grid = FrequencyGrid(64, RATE)
-    assert np.array_equal(weights_from_ratio(np.zeros(64), 1.0, grid), np.zeros(64))
+    assert np.array_equal(weights_from_ratio(np.zeros(33), 1.0, grid), np.zeros(33))
 
 
 def test_weight_unimodal_in_ratio():
     # log-normal density peaks at exp(-sigma^2), about 0.89 for beta = 1
     grid = FrequencyGrid(64, RATE)
     levels = [0.05, 0.2, 0.5, 0.85, 0.95, 1.5, 4.0, 20.0]
-    values = [weights_from_ratio(np.full(64, v), 1.0, grid)[3] for v in levels]
+    values = [weights_from_ratio(np.full(33, v), 1.0, grid)[3] for v in levels]
     assert values[0] < values[1] < values[2] < values[3]
     assert values[4] > values[5] > values[6] > values[7]
 
@@ -308,10 +308,10 @@ def test_frequency_weights_ratio_definition():
     g = forward_path_ir(8.0, 5, RATE)
     grid = FrequencyGrid(128, RATE)
     ratio, w = frequency_weights(ms, g, 1.0, grid)
-    leak = np.abs(np.fft.fft(ms.h_occ.samples, 128))
-    open_gain = np.abs(np.fft.fft(np.convolve(g.samples, ms.h_open.samples), 128))
+    leak = np.abs(np.fft.fft(ms.h_occ.samples, 128))[:65]
+    open_gain = np.abs(np.fft.fft(np.convolve(g.samples, ms.h_open.samples), 128))[:65]
     assert np.allclose(ratio, leak / open_gain, atol=1e-12)
-    assert w.shape == (128,)
+    assert w.shape == (65,)
     assert np.all(w >= 0.0)
 
 
@@ -319,16 +319,21 @@ def test_frequency_weights_ratio_definition():
 # spectral penalty
 
 
+def spectral_penalty(weights, num_loudspeakers, filter_length, grid):
+    """The seminorm over all loudspeakers: one _penalty_block per loudspeaker."""
+    block = _penalty_block(weights, filter_length, grid.fft_size)
+    return scipy.linalg.block_diag(*([block] * num_loudspeakers))
+
+
 def test_penalty_is_identity_for_flat_weights():
-    penalty = _spectral_penalty(np.ones(256), 2, 9)
+    penalty = spectral_penalty(np.ones(129), 2, 9, FrequencyGrid(256, RATE))
     assert np.array_equal(penalty, np.eye(18))
 
 
 def test_penalty_structure():
     rng = np.random.default_rng(0)
-    half = rng.uniform(0.1, 2.0, 33)
-    w = np.concatenate([half, half[-2:0:-1]])  # symmetric spectrum, n = 64
-    penalty = _spectral_penalty(w, 2, 5)
+    w = rng.uniform(0.1, 2.0, 33)
+    penalty = spectral_penalty(w, 2, 5, FrequencyGrid(64, RATE))
     assert penalty.shape == (10, 10)
     assert np.allclose(penalty, penalty.T, atol=1e-14)
     assert np.min(scipy.linalg.eigvalsh(penalty)) > -1e-10
@@ -338,7 +343,34 @@ def test_penalty_structure():
 
 def test_penalty_rejects_short_weight_vector():
     with pytest.raises(ValueError, match="cannot constrain"):
-        _spectral_penalty(np.ones(4), 1, 8)
+        _penalty_block(np.ones(3), 8, 4)
+
+
+def test_penalty_guard_counts_the_two_sided_size():
+    # 65 one-sided bins of a 128-point grid constrain 99 taps; only
+    # fft_size, not the one-sided length, bounds the tap count
+    assert np.array_equal(_penalty_block(np.ones(65), 99, 128), np.eye(99))
+    assert _penalty_block(np.ones(50), 99, 99).shape == (99, 99)
+    with pytest.raises(ValueError, match="cannot constrain"):
+        _penalty_block(np.ones(50), 99, 98)
+    with pytest.raises(ValueError, match="does not match fft_size"):
+        _penalty_block(np.ones(65), 9, 64)
+
+
+@settings(max_examples=60)
+@given(
+    fft_size=st.integers(2, 600),
+    filter_length=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_penalty_block_matches_two_sided_spectrum(fft_size, filter_length, seed):
+    assume(filter_length <= fft_size)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 3.0, fft_size // 2 + 1) * (rng.uniform(size=fft_size // 2 + 1) > 0.1)
+    bins = np.arange(fft_size)
+    full = w[np.minimum(bins, fft_size - bins)]  # the two-sided, conjugate-symmetric layout
+    expected = scipy.linalg.toeplitz(np.fft.ifft(full**2).real[:filter_length])
+    assert np.array_equal(_penalty_block(w, filter_length, fft_size), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +403,7 @@ def test_weighted_solve_matches_augmented_least_squares():
     system = reduce_to_rtf(ms, g, 5, 2)
     grid = FrequencyGrid(64, RATE)
     _, w = frequency_weights(ms, g, 1.0, grid)
-    penalty = _spectral_penalty(w, 2, 5)
+    penalty = spectral_penalty(w, 2, 5, grid)
     for lam in (1e-6, 1e-2, 1.0):
         filt = solve_regularized(system, lam, w, grid)
         chol = np.linalg.cholesky(penalty + 1e-15 * np.eye(10))
@@ -386,6 +418,13 @@ def test_weighted_solve_checks_grid_congruence():
     system = random_system(seed=9, length=4)
     with pytest.raises(ValueError, match="does not match fft_size"):
         solve_regularized(system, 0.1, np.ones(32), FrequencyGrid(64, RATE))
+
+
+def test_weighted_solve_needs_the_grid():
+    # 33 one-sided bins belong to fft_size 64 or 65 alike
+    system = random_system(seed=9, length=4)
+    with pytest.raises(ValueError, match="grid"):
+        solve_regularized(system, 0.1, np.ones(33))
 
 
 def test_unregularized_singular_system_raises():
@@ -415,7 +454,7 @@ def test_penalty_block_is_added_per_loudspeaker():
     assert block.shape == (5, 5)
     gram, rhs = normal_equations(reduce_to_rtf(scene.sets[0], g, 5, 2))
     _, w = frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE))
-    full = gram + 0.3 * _spectral_penalty(w, 3, 5)
+    full = gram + 0.3 * spectral_penalty(w, 3, 5, FrequencyGrid(64, RATE))
     assert np.array_equal(
         solve_normal_equations([(gram, rhs)], 0.3, block),
         scipy.linalg.solve(full, rhs, assume_a="pos"),
@@ -443,7 +482,7 @@ def robust_objective(scene, g, config, filt):
     grid = FrequencyGrid(default_fft_size(scene.sets[0].speaker_length,
                                           config.filter_length), RATE)
     _, w = frequency_weights(scene.sets, g, config.reg_beta, grid)
-    penalty = _spectral_penalty(w, scene.num_loudspeakers, config.filter_length)
+    penalty = spectral_penalty(w, scene.num_loudspeakers, config.filter_length, grid)
     a = filt.coefficients.ravel()
     total = 0.0
     for ms in scene.sets:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqdesign.design import DesignConfig, EqualizerFilter, design_filter, frequency_weights
 from eqdesign.evaluation import (
@@ -56,14 +58,38 @@ def test_erb_weights_normalization_and_support():
     grid = FrequencyGrid(1024, RATE)
     w = erb_weights(grid)
     freqs = grid.frequencies_hz
+    assert w.shape == (513,)  # one weight per bin from 0 Hz to Nyquist
     assert abs(w.sum() - 1.0) < 1e-12
     in_band = (freqs >= 200.0) & (freqs <= 8000.0)
-    in_band[513:] = False
     assert np.all(w[in_band] > 0)
     assert np.all(w[~in_band] == 0.0)
-    assert np.all(w[513:] == 0.0)  # mirrored half carries no weight
     positive = w[in_band]
     assert np.all(np.diff(positive) < 0)  # wider auditory bands weigh less per bin
+
+
+def two_sided_erb_weights(n, rate, f_low_hz, f_up_hz):
+    """The two-sided erb_weights that the one-sided one replaced."""
+    freqs = np.arange(n) * (rate / n)
+    band = (freqs >= f_low_hz) & (freqs <= f_up_hz)
+    band[n // 2 + 1 :] = False
+    w = np.zeros(n)
+    w[band] = 1.0 / erb_bandwidth_hz(freqs[band])
+    w /= w[band].sum()
+    return w
+
+
+@settings(max_examples=80)
+@given(
+    # bins at most 250 Hz apart, so every band of 500 Hz or more holds one
+    fft_size=st.integers(64, 4096),
+    f_low_hz=st.floats(20.0, 2000.0),
+    f_up_hz=st.floats(2500.0, 8000.0),
+)
+def test_erb_weights_match_two_sided_formula(fft_size, f_low_hz, f_up_hz):
+    for n in (fft_size, fft_size + 1):  # an even and an odd size, in some order
+        w = erb_weights(FrequencyGrid(n, RATE), f_low_hz, f_up_hz)
+        expected = two_sided_erb_weights(n, RATE, f_low_hz, f_up_hz)[: n // 2 + 1]
+        assert np.array_equal(w, expected)
 
 
 def test_erb_weights_rejects_bad_bands():
@@ -202,7 +228,7 @@ def test_evaluate_report_contents():
     assert len(report.delta_h_aud_db) == 3
     for trace in (report.frequencies_hz, report.mag_db_aid, report.mag_db_des,
                   report.mag_db_occ, report.leakage_ratio, report.weight_trace):
-        assert trace.shape == (n,)
+        assert trace.shape == (n // 2 + 1,)
         assert np.all(np.isfinite(trace))
     assert report.mean_delta_h_aud_db == pytest.approx(
         float(np.mean(report.delta_h_aud_db))

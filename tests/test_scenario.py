@@ -312,11 +312,10 @@ def test_leakage_levels():
     )
     ms = tied.sets[0]
     grid = FrequencyGrid(2048, RATE)
-    half = 1025
     ratio_db = 20.0 * np.log10(
-        magnitude_response(ms.h_occ, grid)[:half] / magnitude_response(ms.h_open, grid)[:half]
+        magnitude_response(ms.h_occ, grid) / magnitude_response(ms.h_open, grid)
     )
-    expected = -20.0 * grid.frequencies_hz[:half] / 8000.0
+    expected = -20.0 * grid.frequencies_hz / 8000.0
     assert np.max(np.abs(ratio_db - expected)) < 0.2
 
     hm = ms.h_m.samples

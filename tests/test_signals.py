@@ -34,7 +34,9 @@ def test_impulse_response_validates_and_copies():
 
 def test_frequency_grid():
     grid = FrequencyGrid(8, 16000.0)
-    assert np.array_equal(grid.frequencies_hz, np.arange(8) * 2000.0)
+    assert np.array_equal(grid.frequencies_hz, np.arange(5) * 2000.0)  # 0 Hz .. Nyquist
+    odd = FrequencyGrid(9, 16000.0).frequencies_hz
+    assert odd.size == 5 and odd[-1] < 8000.0  # an odd grid stops short of Nyquist
     with pytest.raises(ValueError):
         FrequencyGrid(1, 16000.0)
     with pytest.raises(ValueError):
@@ -110,20 +112,19 @@ def test_delay():
 
 def test_magnitude_response_hand_values():
     grid = FrequencyGrid(4, 16000.0)
-    assert np.allclose(magnitude_response([1.0], grid), np.ones(4), atol=1e-15)
-    assert np.allclose(magnitude_response([0.0, 1.0], grid), np.ones(4), atol=1e-15)
-    # 4-point DFT of [1, 1]: 2, 1-j, 0, 1+j
-    expected = [2.0, np.sqrt(2.0), 0.0, np.sqrt(2.0)]
+    assert np.allclose(magnitude_response([1.0], grid), np.ones(3), atol=1e-15)
+    assert np.allclose(magnitude_response([0.0, 1.0], grid), np.ones(3), atol=1e-15)
+    # 4-point DFT of [1, 1]: 2, 1-j, 0, 1+j; the one-sided bins are the first three
+    expected = [2.0, np.sqrt(2.0), 0.0]
     assert np.allclose(magnitude_response([1.0, 1.0], grid), expected, atol=1e-12)
 
 
-def test_magnitude_response_symmetry_and_limits():
+def test_magnitude_response_layout_and_limits():
     rng = np.random.default_rng(3)
     for n in (8, 9, 16, 31):
         grid = FrequencyGrid(n, 16000.0)
         mag = magnitude_response(rng.standard_normal(n - 2), grid)
-        for l in range(1, n):
-            assert mag[l] == mag[n - l]
+        assert mag.shape == (n // 2 + 1,)
         assert np.all(mag >= 0.0)
     with pytest.raises(ValueError):
         magnitude_response(np.ones(5), FrequencyGrid(4, 16000.0))
@@ -133,7 +134,7 @@ def test_magnitude_response_symmetry_and_limits():
 
 def test_smoothing_preserves_constants_exactly():
     grid = FrequencyGrid(64, 16000.0)
-    flat = np.full(64, 0.37)
+    flat = np.full(33, 0.37)
     assert np.array_equal(fractional_octave_smooth(flat, grid), flat)
 
 
@@ -144,14 +145,13 @@ def test_smoothing_spike_window():
     spacing of 15.625 Hz that covers exactly bins 61 through 67.
     """
     grid = FrequencyGrid(1024, 16000.0)
-    mag = np.ones(1024)
+    mag = np.ones(513)
     spike_bin = 64
     assert grid.frequencies_hz[spike_bin] == 1000.0
     mag[spike_bin] = 9.0
-    mag[1024 - spike_bin] = 9.0
     out = fractional_octave_smooth(mag, grid)
 
-    freqs = grid.frequencies_hz[:513]
+    freqs = grid.frequencies_hz
     lo = 1000.0 * 2.0 ** (-1.0 / 12.0)
     hi = 1000.0 * 2.0 ** (1.0 / 12.0)
     window = np.flatnonzero((freqs >= lo) & (freqs <= hi))
@@ -163,23 +163,21 @@ def test_smoothing_spike_window():
     assert np.all(out[spike_bin] >= out)
 
 
-def test_smoothing_symmetry_and_edges():
+def test_smoothing_edges():
     grid = FrequencyGrid(128, 16000.0)
     rng = np.random.default_rng(4)
-    mag = rng.uniform(0.1, 2.0, 128)
-    mag[65:] = mag[1:64][::-1]  # conjugate-symmetric layout
+    mag = rng.uniform(0.1, 2.0, 65)
     out = fractional_octave_smooth(mag, grid)
-    assert out[0] == mag[0]
+    assert out.shape == (65,)
+    assert out[0] == mag[0]  # DC and Nyquist pass through
     assert out[64] == mag[64]
-    for l in range(1, 128):
-        assert out[l] == out[128 - l]
 
 
 def test_smoothing_monotone_and_bounded():
     grid = FrequencyGrid(256, 16000.0)
     rng = np.random.default_rng(5)
-    base = rng.uniform(0.0, 1.0, 256)
-    bigger = base + rng.uniform(0.0, 1.0, 256)
+    base = rng.uniform(0.0, 1.0, 129)
+    bigger = base + rng.uniform(0.0, 1.0, 129)
     s_base = fractional_octave_smooth(base, grid)
     s_bigger = fractional_octave_smooth(bigger, grid)
     assert np.all(s_bigger >= s_base - 1e-12)
@@ -189,20 +187,28 @@ def test_smoothing_monotone_and_bounded():
 def test_smoothing_rejects_bad_input():
     grid = FrequencyGrid(16, 16000.0)
     with pytest.raises(ValueError):
-        fractional_octave_smooth(-np.ones(16), grid)
+        fractional_octave_smooth(-np.ones(9), grid)
     with pytest.raises(ValueError):
-        fractional_octave_smooth(np.ones(8), grid)
+        fractional_octave_smooth(np.ones(16), grid)  # the two-sided length
     with pytest.raises(ValueError):
-        fractional_octave_smooth(np.full(16, np.inf), grid)
+        fractional_octave_smooth(np.full(9, np.inf), grid)
     with pytest.raises(ValueError):
-        fractional_octave_smooth(np.ones(16), grid, fraction=0.0)
+        fractional_octave_smooth(np.ones(9), grid, fraction=0.0)
 
 
-def per_bin_smooth(values, grid, fraction):
-    """The per-bin loop that fractional_octave_smooth replaced, kept as its oracle."""
+def two_sided_magnitude(h, n):
+    """The mirrored magnitude_response that the one-sided one replaced."""
+    half = np.abs(np.fft.rfft(h, n))
+    out = np.empty(n)
+    out[: half.size] = half
+    out[half.size:] = half[1 : n - half.size + 1][::-1]
+    return out
+
+
+def per_bin_smooth(values, n, rate, fraction):
+    """The two-sided per-bin loop that fractional_octave_smooth replaced, kept as its oracle."""
     v = np.asarray(values, dtype=float)
-    n = grid.fft_size
-    freqs = grid.frequencies_hz
+    freqs = np.arange(n) * (rate / n)
     half_idx = n // 2
     edge = 2.0 ** (fraction / 2.0)
     out = v.copy()
@@ -217,6 +223,19 @@ def per_bin_smooth(values, grid, fraction):
 
 
 @settings(max_examples=80)
+@given(half_size=st.integers(1, 2048), seed=st.integers(0, 2**32 - 1))
+def test_magnitude_response_matches_two_sided_formula(half_size, seed):
+    rng = np.random.default_rng(seed)
+    # an even and an odd size with the same number of one-sided bins
+    for n in (2 * half_size, 2 * half_size + 1):
+        grid = FrequencyGrid(n, 16000.0)
+        bins = n // 2 + 1
+        assert np.array_equal(grid.frequencies_hz, (np.arange(n) * (16000.0 / n))[:bins])
+        h = rng.standard_normal(int(rng.integers(1, n + 1)))
+        assert np.array_equal(magnitude_response(h, grid), two_sided_magnitude(h, n)[:bins])
+
+
+@settings(max_examples=80)
 @given(
     fft_size=st.integers(2, 4096),
     fraction=st.sampled_from([1.0 / 3.0, 1.0 / 6.0, 1.0 / 24.0]),
@@ -224,12 +243,13 @@ def per_bin_smooth(values, grid, fraction):
 )
 def test_smoothing_matches_per_bin_loop(fft_size, fraction, seed):
     grid = FrequencyGrid(fft_size, 16000.0)
+    bins = fft_size // 2 + 1
     rng = np.random.default_rng(seed)
     # spectra spanning 60 dB, with some exact zeros
     mag = 10.0 ** rng.uniform(-3.0, 0.0, fft_size) * (rng.uniform(size=fft_size) > 0.1)
-    expected = per_bin_smooth(mag, grid, fraction)
-    gap = np.max(np.abs(fractional_octave_smooth(mag, grid, fraction) - expected))
+    expected = per_bin_smooth(mag, fft_size, 16000.0, fraction)[:bins]
+    gap = np.max(np.abs(fractional_octave_smooth(mag[:bins], grid, fraction) - expected))
     assert gap <= 4 * np.finfo(float).eps * np.max(np.abs(expected))
 
-    flat = np.full(fft_size, rng.uniform(0.0, 10.0))
+    flat = np.full(bins, rng.uniform(0.0, 10.0))
     assert np.array_equal(fractional_octave_smooth(flat, grid, fraction), flat)
