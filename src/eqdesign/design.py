@@ -252,24 +252,44 @@ def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
     )
 
 
-def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, min_rcond: float = 0.0):
+def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray):
     """x with matrix @ x = rhs by Cholesky of the upper triangle, else None.
 
-    None when the factorization fails or, for a positive min_rcond, when
-    LAPACK's estimate of the reciprocal 1-norm condition number falls below
-    it. The factor and solve are the dpotrf/dpotrs pair that
-    scipy.linalg.solve(assume_a="pos") runs, so x matches it bit for bit,
-    without its LinAlgWarning on an ill-conditioned matrix.
+    None when the factorization fails. The factor and solve are the
+    dpotrf/dpotrs pair that scipy.linalg.solve(assume_a="pos") runs, so x
+    matches it bit for bit, without its LinAlgWarning on an ill-conditioned
+    matrix.
     """
     factor, info = scipy.linalg.lapack.dpotrf(matrix)
     if info != 0:
         return None
-    if min_rcond > 0:
-        rcond, _ = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(matrix, 1))
-        if not rcond >= min_rcond:
-            return None
     x, _ = scipy.linalg.lapack.dpotrs(factor, rhs)
     return x
+
+
+def _spectral_rcond_bound(through_mic: np.ndarray) -> float:
+    """Proven lower bound on the reciprocal condition number of the RTF fit's normal matrix.
+
+    For any number of taps that matrix is CᵀC, with C the full convolution
+    matrix of through_mic = tm. Its Rayleigh quotients are averages of
+    P(w) = |TM(e^jw)|², so its eigenvalues lie in [min P, max P]. |TM| is
+    sampled by one rfft, and every w lies within pi/nfft of a sample. For
+    any centre c, |TM| is Lipschitz with constant sum |n - c| |tm[n]|; the
+    centre is the weighted median, so a leading delay widens nothing.
+    Widening the sampled extremes by that margin, plus a rounding allowance
+    for the FFT, brackets |TM|, and the bound is (low / high)². It is 0 when
+    the bracket reaches 0, as for a zero on the unit circle or a dead path.
+    """
+    a = np.abs(through_mic)
+    total = a.sum()
+    if not total > 0:
+        return 0.0
+    centre = np.searchsorted(np.cumsum(a), 0.5 * total)
+    nfft = 8 << (a.size - 1).bit_length()
+    mag = np.abs(np.fft.rfft(through_mic, nfft))
+    margin = np.pi / nfft * (np.abs(np.arange(a.size) - centre) @ a)
+    margin += 8 * np.log2(nfft) * np.finfo(float).eps * total
+    return (max(mag.min() - margin, 0.0) / (mag.max() + margin)) ** 2
 
 
 def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
@@ -277,25 +297,28 @@ def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
 
     The normal matrix of the convolution matrix is the symmetric Toeplitz
     matrix of the autocorrelation of through_mic, and its right-hand side is
-    the cross-correlation of v with through_mic, so the well-conditioned
-    case is one Cholesky solve that never forms the convolution matrix.
-    Squaring the condition number is harmless there; below NORMAL_RCOND, or
-    when the factorization fails, the fit falls back to dense lstsq on the
-    convolution matrix, whose singular values decide rank deficiency.
+    the cross-correlation of v with through_mic. When _spectral_rcond_bound
+    proves its reciprocal condition number at least NORMAL_RCOND, the fit is
+    one Levinson solve in O(n_taps²) that never forms the convolution
+    matrix; Levinson is weakly stable on positive definite Toeplitz
+    matrices, and squaring the condition number is harmless there. Otherwise
+    the fit falls back to dense lstsq on the convolution matrix, whose
+    singular values decide rank deficiency.
     """
-    acorr = np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :]
-    column = np.zeros(n_taps)
-    column[: min(acorr.size, n_taps)] = acorr[:n_taps]
-    target = _cholesky_solve(
-        scipy.linalg.toeplitz(column), np.correlate(v, through_mic, "valid"), NORMAL_RCOND
-    )
-    if target is not None:
-        return target
+    rcond_bound = _spectral_rcond_bound(through_mic)
+    if rcond_bound >= NORMAL_RCOND:
+        acorr = np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :]
+        column = np.zeros(n_taps)
+        column[: min(acorr.size, n_taps)] = acorr[:n_taps]
+        return scipy.linalg.solve_toeplitz(column, np.correlate(v, through_mic, "valid"))
     lhs = convolution_matrix(through_mic, n_taps)
     target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
     if singulars[0] == 0.0 or singulars[-1] <= RANK_RTOL * singulars[0]:
+        ratio = singulars[-1] / singulars[0] if singulars[0] > 0 else 0.0
         raise NumericsError(
-            "forward path through the device microphone is rank deficient; "
+            "forward path through the device microphone is rank deficient: "
+            f"singular-value ratio s_min/s_max {ratio:.3g} is at most {RANK_RTOL:g} "
+            f"(spectral rcond bound {rcond_bound:.3g}); "
             "cannot reduce to a relative transfer function"
         )
     return target
@@ -342,6 +365,17 @@ def reduce_to_rtf(
     return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length, acausal_delay)
 
 
+def _log_normal_weight(smoothed: np.ndarray, reg_beta: float) -> np.ndarray:
+    """The beta-dependent half of weights_from_ratio, on an already smoothed ratio."""
+    sigma = np.sqrt(np.log(10.0) / 20.0 * reg_beta)
+    w = np.zeros(smoothed.size)
+    pos = smoothed > 0
+    w[pos] = np.exp(-0.5 * (np.log(smoothed[pos]) / sigma) ** 2) / (
+        np.sqrt(2.0 * np.pi) * sigma * smoothed[pos]
+    )
+    return w
+
+
 def weights_from_ratio(ratio, reg_beta: float, grid: FrequencyGrid) -> np.ndarray:
     """Log-normal regularization weight for a given leakage-to-target ratio.
 
@@ -354,22 +388,11 @@ def weights_from_ratio(ratio, reg_beta: float, grid: FrequencyGrid) -> np.ndarra
     if not reg_beta > 0:
         raise ValueError("reg_beta must be positive")
     smoothed = fractional_octave_smooth(np.asarray(ratio, dtype=float), grid)
-    sigma = np.sqrt(np.log(10.0) / 20.0 * reg_beta)
-    w = np.zeros(smoothed.size)
-    pos = smoothed > 0
-    w[pos] = np.exp(-0.5 * (np.log(smoothed[pos]) / sigma) ** 2) / (
-        np.sqrt(2.0 * np.pi) * sigma * smoothed[pos]
-    )
-    return w
+    return _log_normal_weight(smoothed, reg_beta)
 
 
-def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: FrequencyGrid):
-    """Leakage ratio V and regularization weight W on the grid.
-
-    V is |leakage| over |processed open-ear target|, built from set-averaged
-    magnitude spectra; pass one MeasurementSet or a sequence of them. Both
-    returned arrays live on the grid's one-sided bins, length fft_size // 2 + 1.
-    """
+def _leakage_ratio(measurements, g: ImpulseResponse, grid: FrequencyGrid) -> np.ndarray:
+    """|leakage| over |processed open-ear target|, from set-averaged magnitude spectra."""
     if isinstance(measurements, MeasurementSet):
         measurements = [measurements]
     measurements = list(measurements)
@@ -392,7 +415,17 @@ def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: F
         raise NumericsError(
             f"processed open-ear response vanishes at bin {bad}; leakage ratio undefined"
         )
-    ratio = leak / open_gain
+    return leak / open_gain
+
+
+def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: FrequencyGrid):
+    """Leakage ratio V and regularization weight W on the grid.
+
+    V is |leakage| over |processed open-ear target|, built from set-averaged
+    magnitude spectra; pass one MeasurementSet or a sequence of them. Both
+    returned arrays live on the grid's one-sided bins, length fft_size // 2 + 1.
+    """
+    ratio = _leakage_ratio(measurements, g, grid)
     return ratio, weights_from_ratio(ratio, reg_beta, grid)
 
 
@@ -425,6 +458,20 @@ def normal_equations(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     return m.T @ m, m.T @ system.target
 
 
+def _design_grid(sets, config: DesignConfig) -> FrequencyGrid:
+    """The analysis grid config resolves for these sets."""
+    return FrequencyGrid(
+        _resolve_fft_size(config, sets[0].speaker_length), sets[0].sample_rate_hz
+    )
+
+
+def _weighted_penalty(smoothed, config: DesignConfig, grid: FrequencyGrid) -> np.ndarray:
+    """Penalty block at config.reg_beta from a smoothed leakage ratio on grid."""
+    return _penalty_block(
+        _log_normal_weight(smoothed, config.reg_beta), config.filter_length, grid.fft_size
+    )
+
+
 def leakage_penalty(sets, g: ImpulseResponse, config: DesignConfig) -> np.ndarray:
     """Weighted-spectrum penalty block of the weighted variants, before scaling by lambda.
 
@@ -432,11 +479,9 @@ def leakage_penalty(sets, g: ImpulseResponse, config: DesignConfig) -> np.ndarra
     the grid is the one the config resolves for these sets. The block is
     filter_length square and applies to every loudspeaker's taps alike.
     """
-    grid = FrequencyGrid(
-        _resolve_fft_size(config, sets[0].speaker_length), sets[0].sample_rate_hz
-    )
-    _, weights = frequency_weights(sets, g, config.reg_beta, grid)
-    return _penalty_block(weights, config.filter_length, grid.fft_size)
+    grid = _design_grid(sets, config)
+    smoothed = fractional_octave_smooth(_leakage_ratio(sets, g, grid), grid)
+    return _weighted_penalty(smoothed, config, grid)
 
 
 def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
@@ -527,13 +572,14 @@ def design_coefficients(
     and fft_size stay the same; g, the variant, reg_lambda and reg_beta may
     change between calls. The Gram MᵀM of set i does not depend on g and
     sits under ("gram", i). Everything else sits in memo[g.samples.tobytes()]:
-    Mᵀt of set i under ("rhs", i), the penalty of training sets train at
-    beta under ("penalty", train, beta), the LS_ATF taps of set i under
-    ("LS_ATF", i), and the taps solved for training sets train at lambda
-    under ("taps", train, lambda, penalty key or None). Variants that pose
-    the same problem therefore share one solve: RLS and R_DELTA_LS at equal
-    lambda, and the ridge variants across beta. forget_forward_path drops
-    the entries of one g. Pass a new {} for a one-off design.
+    Mᵀt of set i under ("rhs", i), the smoothed leakage ratio of training
+    sets train under ("ratio", train), which every beta shares, the penalty
+    built on it at beta under ("penalty", train, beta), the LS_ATF taps of
+    set i under ("LS_ATF", i), and the taps solved for training sets train
+    at lambda under ("taps", train, lambda, penalty key or None). Variants
+    that pose the same problem therefore share one solve: RLS and R_DELTA_LS
+    at equal lambda, and the ridge variants across beta. forget_forward_path
+    drops the entries of one g. Pass a new {} for a one-off design.
     """
     path = memo.setdefault(g.samples.tobytes(), {})
     if config.variant == "LS_ATF":
@@ -562,7 +608,11 @@ def design_coefficients(
         penalty = None
         if penalty_key is not None:
             if penalty_key not in path:
-                path[penalty_key] = leakage_penalty([sets[i] for i in train], g, config)
+                grid = _design_grid(sets, config)
+                if ("ratio", train) not in path:
+                    ratio = _leakage_ratio([sets[i] for i in train], g, grid)
+                    path["ratio", train] = fractional_octave_smooth(ratio, grid)
+                path[penalty_key] = _weighted_penalty(path["ratio", train], config, grid)
             penalty = path[penalty_key]
         coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
         path[key] = coef.reshape(sets[0].num_loudspeakers, config.filter_length)

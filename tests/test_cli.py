@@ -522,6 +522,32 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     assert counts == {"scorers": paths * sets, "scored": designs * sets}
 
 
+def test_sweep_smooths_each_leakage_ratio_once_per_bucket(tmp_path, sweep_scene_path,
+                                                          monkeypatch):
+    calls = []
+
+    def counted(values, grid, *args):
+        calls.append(values.size)
+        return smooth(values, grid, *args)
+
+    smooth = design.fractional_octave_smooth
+    monkeypatch.setattr(design, "fractional_octave_smooth", counted)
+    # the variant grid of the benchmark, at fewer taps and shorter delays
+    gains, delays = [0.0, -10.0], [0, 2]
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": ["LS_ATF", "RLS", "R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS"],
+        "N": [1, 2], "d_H": 0, "lambda": 0.1, "beta": [0.5, 2.0], "G0_db": gains,
+        "d_G": delays, "L_A": 9,
+    })
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid, "--out", out) == 0
+    assert len(read_csv(out)) == 1 + 80
+    # per (N, d_H) bucket and forward path, FR_DELTA_LS and MFR_DELTA_LS each
+    # smooth the ratio of their training sets once, whatever beta is
+    buckets = 2  # N x d_H
+    assert len(calls) == buckets * len(gains) * len(delays) * 2 == 16
+
+
 def test_variant_grid_solves_without_linalg_warnings(tmp_path):
     spec = write_json(tmp_path / "spec.json", {"num_sets": 3, "num_loudspeakers": 2,
                                                "source_ir_length": 256,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eqdesign.design import (
     NORMAL_RCOND,
+    RANK_RTOL,
     DesignConfig,
     EqualizerFilter,
     LinearSystem,
@@ -25,7 +26,9 @@ from eqdesign.design import (
     solve_ls_atf,
     solve_regularized,
     weights_from_ratio,
+    _fit_rtf,
     _penalty_block,
+    _spectral_rcond_bound,
 )
 from eqdesign.scenario import (
     PHASE_FAMILIES,
@@ -217,8 +220,20 @@ def test_reduce_mint_two_speaker_exact():
 def test_reduce_rejects_dead_forward_path():
     ms = small_scene(seed=1).sets[0]
     dead = ImpulseResponse(np.zeros(3), RATE)
-    with pytest.raises(NumericsError, match="rank deficient"):
+    with pytest.raises(NumericsError,
+                       match=r"rank deficient: .*s_min/s_max 0 .*spectral rcond bound 0\)"):
         reduce_to_rtf(ms, dead, 4, 0)
+
+
+def test_rank_deficient_fit_names_its_singular_value_ratio():
+    # a 14th-order zero at DC: alive, but rank deficient at 64 taps
+    through_mic = np.poly(np.ones(14))
+    ratio = np.linalg.cond(scipy.linalg.convolution_matrix(through_mic, 64)) ** -1
+    assert 0 < ratio <= RANK_RTOL
+    with pytest.raises(NumericsError) as info:
+        _fit_rtf(through_mic, np.ones(through_mic.size + 63), 64)
+    assert f"s_min/s_max {ratio:.3g} " in str(info.value)
+    assert "spectral rcond bound 0)" in str(info.value)
 
 
 def dense_rtf_fit(ms, g, n_taps, d_H):
@@ -270,6 +285,51 @@ def test_reduce_ill_conditioned_fit_falls_back_to_lstsq(L_A):
     lhs, expected = dense_rtf_fit(ms, DELTA_G, L_A, 0)
     assert np.linalg.cond(lhs) ** -2 < NORMAL_RCOND
     assert np.array_equal(reduce_to_rtf(ms, DELTA_G, L_A, 0).target, expected)
+
+
+@st.composite
+def microphone_paths(draw):
+    """Forward path through the microphone, zeros at radius 0.5 to 1, delayed and scaled.
+
+    Returns the path and whether one of its zeros lies exactly on the unit circle.
+    """
+    taps, on_circle = np.ones(1), False
+    for _ in range(draw(st.integers(0, 5))):
+        r = draw(st.one_of(st.floats(0.5, 1.0), st.just(1.0)))
+        on_circle |= r == 1.0
+        if draw(st.booleans()):  # a real zero at r or -r
+            factor = [1.0, -r * draw(st.sampled_from([1.0, -1.0]))]
+        else:  # a conjugate pair
+            factor = [1.0, -2.0 * r * math.cos(draw(st.floats(0.0, math.pi))), r * r]
+        taps = np.convolve(taps, factor)
+    gain = 10.0 ** (draw(st.floats(-40.0, 20.0)) / 20.0)
+    return np.concatenate([np.zeros(draw(st.integers(0, 96))), gain * taps]), on_circle
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=microphone_paths(), n_taps=st.integers(1, 64), seed=st.integers(0, 1000))
+def test_spectral_guard_is_a_lower_bound_and_certifies_levinson(path, n_taps, seed):
+    through_mic, on_circle = path
+    lhs = scipy.linalg.convolution_matrix(through_mic, n_taps, mode="full")
+    eigenvalues = np.linalg.eigvalsh(lhs.T @ lhs)
+    bound = _spectral_rcond_bound(through_mic)
+    assert bound <= eigenvalues[0] / eigenvalues[-1]
+    # a target the path mostly explains, as an RTF fit's is, plus a residual
+    rng = np.random.default_rng(seed)
+    v = lhs @ rng.standard_normal(n_taps)
+    v += 0.1 * np.std(v) * rng.standard_normal(v.size)
+    target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
+    if on_circle:
+        assert bound == 0.0
+    if bound >= NORMAL_RCOND:
+        rcond = np.linalg.cond(lhs) ** -2
+        gap = np.max(np.abs(_fit_rtf(through_mic, v, n_taps) - target)) / np.max(np.abs(target))
+        assert gap <= 10 * np.finfo(float).eps * (1 / rcond + n_taps)
+    elif singulars[-1] <= RANK_RTOL * singulars[0]:
+        with pytest.raises(NumericsError, match="rank deficient"):
+            _fit_rtf(through_mic, v, n_taps)
+    else:  # the dense fallback, bit for bit
+        assert np.array_equal(_fit_rtf(through_mic, v, n_taps), target)
 
 
 # ---------------------------------------------------------------------------
