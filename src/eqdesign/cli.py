@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import sys
 from dataclasses import dataclass, fields
 
@@ -25,6 +24,7 @@ from .scenario import (
     _number,
     _number_list,
     _require_fields,
+    _write_json,
     forward_path_ir,
     load_scenario,
     save_scenario,
@@ -156,13 +156,7 @@ class SweepGrid:
 
 
 # ---------------------------------------------------------------------------
-# filter file round-trip
-
-
-def _write_filter(filt: EqualizerFilter, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        json.dump(filt.to_dict(), f, indent=1)
-        f.write("\n")
+# filter file reader
 
 
 def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float, int]:
@@ -227,7 +221,7 @@ def cmd_design(scenario_path, config_path, out_path) -> None:
     echo["G0_db"] = gain_db
     echo["d_G"] = path_delay
     filt = EqualizerFilter(filt.coefficients, filt.acausal_delay, echo, filt.scenario_fingerprint)
-    _write_filter(filt, out_path)
+    _write_json(filt.to_dict(), out_path)
 
 
 def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
@@ -258,9 +252,7 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
         "mean_delta_h_aud_db": report.mean_delta_h_aud_db,
         "scenario_fingerprint": filt.scenario_fingerprint,
     }
-    with open(f"{out_prefix}.json", "w", encoding="ascii") as f:
-        json.dump(summary, f, indent=1)
-        f.write("\n")
+    _write_json(summary, f"{out_prefix}.json")
 
 
 def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") -> None:

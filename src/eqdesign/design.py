@@ -410,6 +410,11 @@ def _leakage_ratio(measurements, g: ImpulseResponse, grid: FrequencyGrid) -> np.
         ],
         axis=0,
     )
+    return _ratio_to_open(leak, open_gain)
+
+
+def _ratio_to_open(leak: np.ndarray, open_gain: np.ndarray) -> np.ndarray:
+    """Set-averaged leakage magnitudes over set-averaged processed open-ear ones."""
     if np.any(open_gain == 0.0):
         bad = int(np.flatnonzero(open_gain == 0.0)[0])
         raise NumericsError(

@@ -18,9 +18,11 @@ from .scenario import MeasurementSet, Scenario
 from .design import (
     DesignConfig,
     EqualizerFilter,
+    _check_rates,
     _config_echo,
+    _ratio_to_open,
     _resolve_fft_size,
-    frequency_weights,
+    weights_from_ratio,
 )
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "desired_tf",
     "simulate",
     "SetScorer",
-    "set_distances",
     "evaluate",
 ]
 
@@ -69,9 +70,11 @@ def erb_weights(grid: FrequencyGrid, f_low_hz: float = 200.0, f_up_hz: float = 8
     return w
 
 
-def _in_band(h_des, grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
-    """ERB weights and desired magnitudes of the weighted bins, and the bin mask."""
-    des = magnitude_response(h_des, grid)
+def _in_band(des: np.ndarray, grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
+    """ERB weights and desired magnitudes of the weighted bins, and the bin mask.
+
+    des is the desired response's magnitude on all of the grid's one-sided bins.
+    """
     w = erb_weights(grid, f_low_hz, f_up_hz)
     band = w > 0
     if np.any(des[band] == 0.0):
@@ -101,7 +104,7 @@ def auditory_spectral_distance(
     every weighted bin. The desired response must not vanish inside the
     band; a vanishing aided response yields an infinite distance.
     """
-    weights, des, band = _in_band(h_des, grid, f_low_hz, f_up_hz)
+    weights, des, band = _in_band(magnitude_response(h_des, grid), grid, f_low_hz, f_up_hz)
     return _band_distance(magnitude_response(h_aid, grid)[band], weights, des)
 
 
@@ -188,40 +191,32 @@ class SetScorer:
     """Auditory spectral distance of any filter on one set under one forward path.
 
     It holds what every filter scored there shares: the microphone pickup
-    through g, the ERB weights and the in-band desired magnitudes. Calling it
-    on a (loudspeakers x taps) coefficient array gives the distance in dB,
-    bit for bit what auditory_spectral_distance gives on aided_tf and
-    desired_tf.
+    through g, the ERB weights and the desired magnitudes, kept on all
+    one-sided bins as `desired`. `aided` gives a filter's aided magnitudes
+    and `distance` scores them; calling the scorer on a (loudspeakers x taps)
+    coefficient array does both, and gives the distance in dB bit for bit as
+    auditory_spectral_distance gives it on aided_tf and desired_tf.
     """
 
     def __init__(self, ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid):
         self._ms = ms
         self._grid = grid
         self._through_mic = np.convolve(g.samples, ms.h_m.samples)
-        self._weights, self._desired, self._band = _in_band(
-            desired_tf(ms, g), grid, 200.0, 8000.0
+        self.desired = magnitude_response(desired_tf(ms, g), grid)
+        self._weights, self._desired_in_band, self._band = _in_band(
+            self.desired, grid, 200.0, 8000.0
         )
 
+    def aided(self, coefficients: np.ndarray) -> np.ndarray:
+        """Magnitude of the aided response under these taps, on all one-sided bins."""
+        return magnitude_response(_aided(self._ms, self._through_mic, coefficients), self._grid)
+
+    def distance(self, aided: np.ndarray) -> float:
+        """Distance in dB of the aided magnitudes `aided` from the desired ones."""
+        return _band_distance(aided[self._band], self._weights, self._desired_in_band)
+
     def __call__(self, coefficients: np.ndarray) -> float:
-        aid = magnitude_response(_aided(self._ms, self._through_mic, coefficients), self._grid)
-        return _band_distance(aid[self._band], self._weights, self._desired)
-
-
-def set_distances(
-    scenario: Scenario,
-    g: ImpulseResponse,
-    filt: EqualizerFilter,
-    config: DesignConfig,
-) -> tuple[float, ...]:
-    """Auditory spectral distance of the filter on each measurement set, in dB.
-
-    The grid is the one the config resolves for the scenario. This is the
-    scoring part of evaluate alone, without its spectral traces.
-    """
-    for ms in scenario.sets:
-        _check_filter(ms, filt)
-    grid = _grid(scenario, config)
-    return tuple(SetScorer(ms, g, grid)(filt.coefficients) for ms in scenario.sets)
+        return self.distance(self.aided(coefficients))
 
 
 def evaluate(
@@ -236,19 +231,29 @@ def evaluate(
     leakage ratio and the weight trace are set averages, matching what the
     robust solver looks at.
     """
-    distances = set_distances(scenario, g, filt, config)
+    for ms in scenario.sets:
+        _check_filter(ms, filt)
+        _check_rates(ms, g)
     grid = _grid(scenario, config)
-    mags_aid = [magnitude_response(aided_tf(ms, g, filt), grid) for ms in scenario.sets]
-    mags_des = [magnitude_response(desired_tf(ms, g), grid) for ms in scenario.sets]
-    mags_occ = [magnitude_response(ms.h_occ.samples, grid) for ms in scenario.sets]
-    ratio, weights = frequency_weights(scenario.sets, g, config.reg_beta, grid)
+    # each spectrum once: a scorer's desired magnitudes are the processed
+    # open-ear spectra that the leakage ratio divides by
+    distances, mags_aid, mags_des = [], [], []
+    for ms in scenario.sets:
+        scorer = SetScorer(ms, g, grid)
+        aided = scorer.aided(filt.coefficients)
+        distances.append(scorer.distance(aided))
+        mags_aid.append(aided)
+        mags_des.append(scorer.desired)
+    mag_des = np.mean(mags_des, axis=0)
+    mag_occ = np.mean([magnitude_response(ms.h_occ.samples, grid) for ms in scenario.sets], axis=0)
+    ratio = _ratio_to_open(mag_occ, mag_des)
     return EvaluationReport(
-        distances,
+        tuple(distances),
         grid.frequencies_hz,
         _to_db(np.mean(mags_aid, axis=0)),
-        _to_db(np.mean(mags_des, axis=0)),
-        _to_db(np.mean(mags_occ, axis=0)),
+        _to_db(mag_des),
+        _to_db(mag_occ),
         ratio,
-        weights,
+        weights_from_ratio(ratio, config.reg_beta, grid),
         _config_echo(config, scenario),
     )

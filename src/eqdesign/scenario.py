@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -502,16 +503,71 @@ def _scenario_dict(scenario: Scenario) -> dict:
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Stable hex digest of the scene contents, for tying filters to scenes."""
-    payload = json.dumps(_scenario_dict(scenario), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """Stable hex digest of the scene contents, for tying filters to scenes.
+
+    SHA-256 over the sample bytes, not any text form: the rate as a
+    little-endian float64, the set and loudspeaker counts as little-endian
+    int64, then for every response in file order (h_m, h_open, h_occ, d[0],
+    d[1], ... of each set) its length as little-endian int64 and its samples
+    as little-endian float64. Lengths and counts make the arrangement part of
+    the digest, and every bit of every sample counts, the sign of zero too.
+    """
+    digest = hashlib.sha256(
+        struct.pack("<dqq", scenario.sample_rate_hz, scenario.num_sets, scenario.num_loudspeakers)
+    )
+    for ms in scenario.sets:
+        for _, ir in ms._named_irs():
+            digest.update(struct.pack("<q", len(ir)))
+            digest.update(ir.samples.astype("<f8", copy=False).tobytes())
+    return digest.hexdigest()
+
+
+def _finite_floats(node) -> np.ndarray | None:
+    """node as a float64 array if it is a non-empty list of finite floats, else None.
+
+    JSON numbers with a fraction or an exponent parse to floats, so a file's
+    sample lists pass in one pass of C loops; anything else (ints, booleans,
+    strings, nesting, NaN or ±Infinity) is left to the per-item checks.
+    """
+    if isinstance(node, list) and node and all(type(x) is float for x in node):
+        values = np.array(node)
+        if np.isfinite(values).all():
+            return values
+    return None
+
+
+def _json_text(node, depth: int = 0) -> str:
+    """json.dumps(node, indent=1), with object keys that are strings.
+
+    The json module's indent encoder is pure Python and emits every number as
+    its own chunk. Here a list of finite floats is one join of float.__repr__,
+    the digits json writes for a float, and everything else is composed the
+    way that encoder lays it out.
+    """
+    if isinstance(node, dict) and node:
+        items = [f"{json.dumps(key)}: {_json_text(value, depth + 1)}" for key, value in node.items()]
+        brackets = "{}"
+    elif isinstance(node, (list, tuple)) and node:
+        if _finite_floats(node) is not None:
+            items = map(float.__repr__, node)
+        else:
+            items = [_json_text(item, depth + 1) for item in node]
+        brackets = "[]"
+    else:
+        return json.dumps(node)
+    inner = "\n" + " " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * depth + brackets[1]
+
+
+def _write_json(doc, path) -> None:
+    """Write the bytes json.dump(doc, f, indent=1) then a newline would."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(_json_text(doc) + "\n")
 
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write the scene as JSON; floats keep their exact binary value on reload."""
-    with open(path, "w", encoding="ascii") as f:
-        json.dump(_scenario_dict(scenario), f, indent=1)
-        f.write("\n")
+    _write_json(_scenario_dict(scenario), path)
 
 
 def _load_json(path, what: str) -> dict:
@@ -559,6 +615,9 @@ def _number(node, path: str) -> float:
 
 
 def _number_list(node, path: str) -> np.ndarray:
+    values = _finite_floats(node)
+    if values is not None:
+        return values
     if not isinstance(node, list) or len(node) == 0:
         raise ValidationError(f"{path}: expected a non-empty list of numbers")
     out = np.empty(len(node))

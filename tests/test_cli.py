@@ -29,6 +29,8 @@ from eqdesign import (
 )
 from eqdesign import cli, design
 from eqdesign.cli import EVAL_HEADER, SWEEP_HEADER, main
+from eqdesign.design import EqualizerFilter
+from eqdesign.scenario import _write_json
 
 
 def write_json(path, doc):
@@ -133,6 +135,33 @@ def test_design_produces_filter_file(tmp_path, small_scene_path):
     assert len(doc["coefficients"]) == 1 and len(doc["coefficients"][0]) == 9
     assert doc["config"]["G0_db"] == 0.0 and doc["config"]["d_G"] == 0
     assert len(doc["scenario_fingerprint"]) == 64
+    assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+TAPS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def filters(draw):
+    n, taps = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(TAPS, min_size=taps, max_size=taps), min_size=n, max_size=n))
+    config = draw(st.one_of(st.just({}), st.fixed_dictionaries({
+        "variant": st.sampled_from(design.VARIANTS), "L_A": st.just(taps),
+        "d_H": st.integers(0, 64), "lambda": TAPS, "beta": TAPS, "L_FFT": st.integers(2, 4096),
+        "G0_db": TAPS, "d_G": st.integers(0, 96),
+    })))
+    return EqualizerFilter(rows, config.get("d_H", 0), config, draw(st.text(max_size=64)))
+
+
+@settings(max_examples=60)
+@given(filt=filters())
+def test_filter_file_is_what_json_dump_writes(filt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "filter.json"
+        _write_json(filt.to_dict(), path)
+        expected = io.StringIO()
+        json.dump(filt.to_dict(), expected, indent=1)
+        assert path.read_text(encoding="ascii") == expected.getvalue() + "\n"
 
 
 def test_design_config_errors(tmp_path, small_scene_path, capsys):
@@ -193,6 +222,7 @@ def test_eval_outputs(tmp_path, small_scene_path):
     assert set(summary) == {"delta_h_aud_db", "mean_delta_h_aud_db",
                             "scenario_fingerprint"}
     assert len(summary["delta_h_aud_db"]) == 1
+    assert (tmp_path / "report.json").read_text() == json.dumps(summary, indent=1) + "\n"
 
 
 def test_eval_full_scale_row_count(tmp_path):

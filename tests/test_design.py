@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eqdesign.design import (
@@ -330,6 +330,29 @@ def test_spectral_guard_is_a_lower_bound_and_certifies_levinson(path, n_taps, se
             _fit_rtf(through_mic, v, n_taps)
     else:  # the dense fallback, bit for bit
         assert np.array_equal(_fit_rtf(through_mic, v, n_taps), target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=microphone_paths(), n_taps=st.integers(1, 64), seed=st.integers(0, 1000))
+@example(path=(np.array([1.0, -0.878, 0.25]), False), n_taps=1, seed=290)
+def test_levinson_fit_of_any_target_is_within_the_least_squares_bound(path, n_taps, seed):
+    through_mic, _ = path
+    assume(_spectral_rcond_bound(through_mic) >= NORMAL_RCOND)  # the Levinson path
+    lhs = scipy.linalg.convolution_matrix(through_mic, n_taps, mode="full")
+    # a target the path need not explain at all
+    v = np.random.default_rng(seed).standard_normal(lhs.shape[0])
+    target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
+    residual = np.linalg.norm(v - lhs @ target)
+    # Least-squares perturbation theory bounds a solver's error by
+    # eps * kappa * (||x|| + kappa * ||r|| / ||C||) when it is backward stable
+    # (lstsq) and by eps * kappa^2 * (||x|| + ||r|| / ||C||) when it solves the
+    # normal equations (Levinson); the residual term is what a near-cancelling
+    # right-hand side needs. The constant 10 and the n_taps rounding floor are
+    # those of the explained-target bound above.
+    kappa_squared = (singulars[0] / singulars[-1]) ** 2
+    gap = np.linalg.norm(_fit_rtf(through_mic, v, n_taps) - target)
+    bound = 10 * np.finfo(float).eps * (kappa_squared + n_taps)
+    assert gap <= bound * (np.linalg.norm(target) + residual / singulars[0])
 
 
 # ---------------------------------------------------------------------------

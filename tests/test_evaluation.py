@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqdesign import design, evaluation
 from eqdesign.design import DesignConfig, EqualizerFilter, design_filter, frequency_weights
 from eqdesign.evaluation import (
+    _to_db,
     aided_tf,
     auditory_spectral_distance,
     desired_tf,
@@ -23,7 +25,7 @@ from eqdesign.scenario import (
     forward_path_ir,
     synth_scenario,
 )
-from eqdesign.signals import FrequencyGrid, ImpulseResponse
+from eqdesign.signals import FrequencyGrid, ImpulseResponse, magnitude_response
 
 RATE = 16000.0
 DELTA_G = forward_path_ir(0.0, 0, RATE)
@@ -260,3 +262,40 @@ def test_evaluate_exact_inversion_scene():
     filt = design_filter(scn, DELTA_G, config)
     report = evaluate(scn, DELTA_G, filt, config)
     assert report.delta_h_aud_db[0] < 0.01
+
+
+def test_evaluate_takes_each_spectrum_once(monkeypatch):
+    # the README default scene and operating point
+    scn = synth_scenario(SynthSpec(), seed=0)
+    g = forward_path_ir(0.0, 96, RATE)
+    config = DesignConfig(variant="MFR_DELTA_LS", filter_length=99, acausal_delay=32,
+                          reg_lambda=0.1)
+    filt = design_filter(scn, g, config)
+    grid = FrequencyGrid(1024, RATE)  # default_fft_size(100, 99)
+
+    def mean_db(responses):
+        return _to_db(np.mean([magnitude_response(h, grid) for h in responses], axis=0))
+
+    ratio, weights = frequency_weights(scn.sets, g, config.reg_beta, grid)
+    calls = []
+
+    def counted(h, grid):
+        calls.append(len(h))
+        return magnitude_response(h, grid)
+
+    monkeypatch.setattr(evaluation, "magnitude_response", counted)
+    monkeypatch.setattr(design, "magnitude_response", counted)
+    report = evaluate(scn, g, filt, config)
+    # the aided response, g*h_open and h_occ of each of the 5 sets
+    assert len(calls) == 15
+    assert sorted(set(calls)) == [130, 226, 423]
+    monkeypatch.undo()
+    assert report.delta_h_aud_db == tuple(
+        auditory_spectral_distance(aided_tf(ms, g, filt), desired_tf(ms, g), grid)
+        for ms in scn.sets
+    )
+    assert np.array_equal(report.mag_db_aid, mean_db([aided_tf(ms, g, filt) for ms in scn.sets]))
+    assert np.array_equal(report.mag_db_des, mean_db([desired_tf(ms, g) for ms in scn.sets]))
+    assert np.array_equal(report.mag_db_occ, mean_db([ms.h_occ.samples for ms in scn.sets]))
+    assert np.array_equal(report.leakage_ratio, ratio)
+    assert np.array_equal(report.weight_trace, weights)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqdesign import scenario as scenario_module
@@ -28,10 +30,14 @@ from eqdesign.scenario import (
     _CERTIFIED_RADIUS,
     _ROOT_CEILING,
     _cepstral_min_phase,
+    _number,
+    _number_list,
     _pow2_at_least,
     _pull_roots_inside,
     _random_log_magnitude_db,
     _replace_factor,
+    _scenario_dict,
+    _write_json,
     _zeros_within,
 )
 from eqdesign.signals import FrequencyGrid, ImpulseResponse, magnitude_response
@@ -375,6 +381,119 @@ def test_fingerprint_tracks_content():
     assert scenario_fingerprint(same) == scenario_fingerprint(scene)
     doc["sets"][0]["h_m"][0] += 1e-9
     assert scenario_fingerprint(scenario_from_dict(doc)) != scenario_fingerprint(scene)
+
+
+# every finite double: signed zeros, subnormals and the extremes included
+SAMPLES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def shaped_scene(samples, num_sets, num_loudspeakers, source_length, speaker_length,
+                 rate=RATE):
+    """A scene filled from `samples` in file order: h_m, h_open, h_occ, d[0], ... per set."""
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        pos += n
+        return ImpulseResponse(np.array(samples[pos - n : pos], dtype=float), rate)
+
+    sets = []
+    for _ in range(num_sets):
+        h = [take(source_length) for _ in range(3)]
+        sets.append(MeasurementSet(*h, tuple(take(speaker_length) for _ in range(num_loudspeakers))))
+    assert pos == len(samples)
+    return Scenario(tuple(sets), rate)
+
+
+@st.composite
+def scenes(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+             draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    count = shape[0] * (3 * shape[2] + shape[1] * shape[3])
+    samples = draw(st.lists(SAMPLES, min_size=count, max_size=count))
+    rate = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return shaped_scene(samples, *shape, rate=rate)
+
+
+EDGE_SAMPLES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1]
+
+
+@settings(max_examples=60)
+@given(scene=scenes())
+@example(scene=shaped_scene(EDGE_SAMPLES, 1, 4, 1, 1, rate=1e300))
+@example(scene=shaped_scene(EDGE_SAMPLES[:5], 1, 1, 1, 2))
+def test_save_writes_what_json_dump_writes(scene):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        save_scenario(scene, path)
+        assert path.read_bytes() == (json.dumps(_scenario_dict(scene), indent=1) + "\n").encode()
+        loaded = load_scenario(path)
+    assert scenario_fingerprint(loaded) == scenario_fingerprint(scene)
+
+
+@pytest.mark.parametrize("doc", [
+    {"delta_h_aud_db": [1.5, math.inf], "mean_delta_h_aud_db": math.inf},
+    {"xs": [math.nan, -0.0], "ints": [1, 2.5, True, None], "nested": [[], [{}], [[0.5]]]},
+    {"s": "µs \"quoted\"", "pair": (0.25, -1e-300), "empty": {}, "none": None},
+    [1.0],
+    [],
+    7,
+])
+def test_json_writer_matches_json_dump_off_the_float_path(tmp_path, doc):
+    _write_json(doc, tmp_path / "doc.json")
+    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+# one item a list of numbers may not hold, each with its own message
+BAD_ITEMS = [True, "0.5", None, [1.0], 10**400, *json.loads("[NaN, Infinity, -Infinity]")]
+
+
+@settings(max_examples=100)
+@given(
+    values=st.one_of(
+        st.lists(SAMPLES, min_size=1, max_size=40),
+        st.lists(st.one_of(SAMPLES, st.integers(-(2**53), 2**53)), min_size=1, max_size=40),
+    ),
+    bad=st.sampled_from(BAD_ITEMS),
+    data=st.data(),
+)
+def test_number_list_agrees_with_per_item_checks(values, bad, data):
+    expected = np.array([_number(x, "xs") for x in values])
+    assert _number_list(values, "xs").tobytes() == expected.tobytes()
+    at = data.draw(st.integers(0, len(values)))
+    with pytest.raises(ValidationError) as alone:
+        _number(bad, f"xs[{at}]")
+    with pytest.raises(ValidationError) as listed:
+        _number_list(values[:at] + [bad] + values[at:], "xs")
+    assert str(listed.value) == str(alone.value)
+
+
+# (sets, loudspeakers, source length, speaker length) of every scene of 12 samples
+SHAPES_OF_12 = [
+    (s, n, a, b)
+    for s in range(1, 5) for n in range(1, 5) for a in range(1, 13) for b in range(1, 13)
+    if s * (3 * a + n * b) == 12
+]
+
+
+@settings(max_examples=60)
+@given(
+    samples=st.lists(SAMPLES, min_size=12, max_size=12),
+    shapes=st.lists(st.sampled_from(SHAPES_OF_12), min_size=2, max_size=2, unique=True),
+    at=st.integers(0, 11),
+)
+def test_fingerprint_is_the_arrangement_and_every_bit(samples, shapes, at):
+    digest = scenario_fingerprint(shaped_scene(samples, *shapes[0]))
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert scenario_fingerprint(shaped_scene(list(samples), *shapes[0])) == digest
+    # the same samples in another arrangement
+    assert scenario_fingerprint(shaped_scene(samples, *shapes[1])) != digest
+    # the sign of a zero
+    digests = {
+        scenario_fingerprint(shaped_scene(samples[:at] + [zero] + samples[at + 1 :], *shapes[0]))
+        for zero in (0.0, -0.0)
+    }
+    assert len(digests) == 2
 
 
 def valid_doc():
