@@ -11,7 +11,7 @@ import argparse
 import csv
 import itertools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,9 +40,9 @@ from .design import (
     design_filter,
     forget_forward_path,
 )
-from .evaluation import SetScorer, _grid, evaluate
+from .evaluation import SetScorer, evaluate
 
-__all__ = ["SweepGrid", "cmd_synth", "cmd_design", "cmd_eval", "cmd_sweep", "main"]
+__all__ = ["cmd_synth", "cmd_design", "cmd_eval", "cmd_sweep", "main"]
 
 SWEEP_HEADER = ["variant", "N", "L_A", "d_H", "lambda", "beta", "G0_db", "d_G", "fold", "delta_h_aud_db"]
 EVAL_HEADER = ["freq_hz", "mag_db_aid", "mag_db_des", "mag_db_occ", "V", "W"]
@@ -103,56 +103,31 @@ def _value_list(data: dict, key: str, coerce, path: str) -> tuple:
     return tuple(coerce(item, f"{path}[{i}]") for i, item in enumerate(raw))
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cartesian grid of design settings for cmd_sweep.
+def _grid_points(data: dict) -> tuple[list[tuple], list[DesignConfig]]:
+    """The points of a sweep grid file in row order, and the DesignConfig of each.
 
-    Every field except filter_length and fft_size is a tuple of values; rows
-    come out in the product order variant, N, d_H, lambda, beta, G0_db, d_G
-    (fold varies fastest in leave-one-out mode).
+    variant, N, d_H, lambda, beta, G0_db and d_G each hold a value or a list
+    of values. A point is one value of each, as a tuple in that order, and
+    the points are their Cartesian product with d_G varying fastest (fold
+    varies faster still in leave-one-out mode). L_A and L_FFT are optional
+    scalars that every point shares.
     """
-
-    variants: tuple[str, ...]
-    speaker_counts: tuple[int, ...]
-    acausal_delays: tuple[int, ...]
-    lambdas: tuple[float, ...]
-    betas: tuple[float, ...]
-    gains_db: tuple[float, ...]
-    path_delays: tuple[int, ...]
-    filter_length: int = 99
-    fft_size: int | None = None
-
-    @staticmethod
-    def from_dict(data: dict) -> "SweepGrid":
-        _require_fields(data, _GRID_FIELDS, "grid", ("L_A", "L_FFT"))
-        filter_length = 99
-        if "L_A" in data:
-            filter_length = _as_int(data["L_A"], "grid.L_A")
-        fft_size = None
-        if "L_FFT" in data:
-            fft_size = _as_int(data["L_FFT"], "grid.L_FFT")
-        return SweepGrid(
-            variants=_value_list(data, "variant", _as_variant, "grid.variant"),
-            speaker_counts=_value_list(data, "N", _as_int, "grid.N"),
-            acausal_delays=_value_list(data, "d_H", _as_int, "grid.d_H"),
-            lambdas=_value_list(data, "lambda", _number, "grid.lambda"),
-            betas=_value_list(data, "beta", _number, "grid.beta"),
-            gains_db=_value_list(data, "G0_db", _number, "grid.G0_db"),
-            path_delays=_value_list(data, "d_G", _as_path_delay, "grid.d_G"),
-            filter_length=filter_length,
-            fft_size=fft_size,
-        )
-
-    def points(self):
-        return itertools.product(
-            self.variants,
-            self.speaker_counts,
-            self.acausal_delays,
-            self.lambdas,
-            self.betas,
-            self.gains_db,
-            self.path_delays,
-        )
+    _require_fields(data, _GRID_FIELDS, "grid", ("L_A", "L_FFT"))
+    shared = {
+        name: _as_int(data[key], f"grid.{key}")
+        for key, name in (("L_A", "filter_length"), ("L_FFT", "fft_size"))
+        if key in data
+    }
+    coercers = (_as_variant, _as_int, _as_int, _number, _number, _number, _as_path_delay)
+    points = list(itertools.product(*(
+        _value_list(data, key, coerce, f"grid.{key}")
+        for key, coerce in zip(_GRID_FIELDS, coercers)
+    )))
+    configs = [
+        DesignConfig(variant=variant, acausal_delay=shift, reg_lambda=lam, reg_beta=beta, **shared)
+        for variant, _, shift, lam, beta, _, _ in points
+    ]
+    return points, configs
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +191,14 @@ def cmd_design(scenario_path, config_path, out_path) -> None:
     data = _load_json(config_path, "config")
     config, gain_db, path_delay = _design_inputs_from_dict(data, "config")
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
-    filt = design_filter(scenario, g, config)
-    echo = dict(filt.config)
-    echo["G0_db"] = gain_db
-    echo["d_G"] = path_delay
-    filt = EqualizerFilter(filt.coefficients, filt.acausal_delay, echo, filt.scenario_fingerprint)
-    _write_json(filt.to_dict(), out_path)
+    doc = design_filter(scenario, g, config).to_dict()
+    doc["config"].update(G0_db=gain_db, d_G=path_delay)
+    _write_json(doc, out_path)
 
 
 def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     scenario = load_scenario(scenario_path)
     filt, config, gain_db, path_delay = _filter_from_dict(_load_json(filter_path, "filter"))
-    if filt.num_loudspeakers != scenario.num_loudspeakers:
-        raise ValidationError(
-            f"filter drives {filt.num_loudspeakers} loudspeakers, "
-            f"scenario has {scenario.num_loudspeakers}"
-        )
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     report = evaluate(scenario, g, filt, config)
 
@@ -259,24 +226,11 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     if mode not in ("resubstitution", "leave-one-out"):
         raise ValidationError(f"mode: expected resubstitution or leave-one-out, got {mode!r}")
     scenario = load_scenario(scenario_path)
-    grid = SweepGrid.from_dict(_load_json(grid_path, "grid"))
-    if mode == "leave-one-out" and scenario.num_sets < 2:
-        raise ValidationError("leave-one-out needs a scenario with at least two sets")
-
     # Every point's settings, loudspeaker count and forward path are checked
     # before any design runs, so a bad point exits 2 wherever it sits.
-    points = list(grid.points())
-    configs = [
-        DesignConfig(
-            variant=variant,
-            filter_length=grid.filter_length,
-            acausal_delay=shift,
-            reg_lambda=lam,
-            reg_beta=beta,
-            fft_size=grid.fft_size,
-        )
-        for variant, _, shift, lam, beta, _, _ in points
-    ]
+    points, configs = _grid_points(_load_json(grid_path, "grid"))
+    if mode == "leave-one-out" and scenario.num_sets < 2:
+        raise ValidationError("leave-one-out needs a scenario with at least two sets")
     paths = {}
     for point in points:
         if point[5:] not in paths:
@@ -318,21 +272,17 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
             for index in indices:
                 config = configs[index]
                 # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
-                stem = [*points[index][:2], grid.filter_length, *points[index][2:]]
+                stem = [*points[index][:2], config.filter_length, *points[index][2:]]
                 rows[index] = []
                 for fold, train, held_out in folds:
                     coef = design_coefficients(scene.sets, train, g, config, memo)
                     # equal taps score alike, so each distinct design is scored once a fold
                     key = (path, fold, coef.tobytes())
                     if key not in scores:
-                        # rejects non-finite taps, as design_filter does
-                        filt = EqualizerFilter(coef, config.acausal_delay)
                         if (path, fold) not in scorers:
-                            grid_f = _grid(held_out, config)
-                            scorers[path, fold] = [SetScorer(ms, g, grid_f) for ms in held_out.sets]
-                        scores[key] = float(
-                            np.mean([score(filt.coefficients) for score in scorers[path, fold]])
-                        )
+                            grid = config.grid(held_out.sets)
+                            scorers[path, fold] = [SetScorer(ms, g, grid) for ms in held_out.sets]
+                        scores[key] = float(np.mean([score(coef) for score in scorers[path, fold]]))
                     rows[index].append(stem + [fold, scores[key]])
             forget_forward_path(memo, g)
 

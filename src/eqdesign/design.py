@@ -42,7 +42,6 @@ __all__ = [
     "frequency_weights",
     "weights_from_ratio",
     "normal_equations",
-    "leakage_penalty",
     "solve_normal_equations",
     "solve_regularized",
     "design_coefficients",
@@ -78,6 +77,13 @@ class NumericsError(RuntimeError):
     """The linear algebra gave up: rank-deficient or singular design system."""
 
 
+def _finite(what: str, values: np.ndarray) -> np.ndarray:
+    """values, unless arithmetic on finite samples overflowed into them."""
+    if not np.isfinite(values).all():
+        raise NumericsError(f"{what} overflowed the float range")
+    return values
+
+
 def default_fft_size(speaker_length: int, filter_length: int) -> int:
     """Smallest power of two giving at least 4 bins per modeled tap."""
     n = 4 * (speaker_length + filter_length - 1)
@@ -92,7 +98,7 @@ class DesignConfig:
     variants (LS_ATF, RLS) get 0 slack, RLS gets a tiny stability ridge,
     and the delayed variants get the delay-32 / lambda-0.1 operating point
     that behaves well at the default scene dimensions. fft_size None means
-    "derive from the scenario when needed".
+    "derive from the measurement sets"; grid() resolves it.
     """
 
     variant: str = "MFR_DELTA_LS"
@@ -127,6 +133,17 @@ class DesignConfig:
         for name in ("filter_length", "acausal_delay", "fft_size"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, int(getattr(self, name)))
+
+    def grid(self, sets) -> FrequencyGrid:
+        """The analysis grid of this config on these measurement sets.
+
+        fft_size is taken as given; None gives default_fft_size of the sets'
+        loudspeaker response length and filter_length. The rate is the sets'.
+        """
+        fft_size = self.fft_size
+        if fft_size is None:
+            fft_size = default_fft_size(sets[0].speaker_length, self.filter_length)
+        return FrequencyGrid(fft_size, sets[0].sample_rate_hz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,10 +261,13 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
 
 
 def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
-    """Minimum-norm least-squares solution of the full-ATF system."""
+    """Minimum-norm least-squares solution of the full-ATF system.
+
+    Raises NumericsError when the taps overflow the float range.
+    """
     coef, _, _, _ = np.linalg.lstsq(system.matrix, system.target, rcond=RANK_RTOL)
     return EqualizerFilter(
-        coef.reshape(system.num_loudspeakers, system.filter_length),
+        _finite("taps", coef).reshape(system.num_loudspeakers, system.filter_length),
         system.acausal_delay,
     )
 
@@ -303,14 +323,19 @@ def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
     matrix; Levinson is weakly stable on positive definite Toeplitz
     matrices, and squaring the condition number is harmless there. Otherwise
     the fit falls back to dense lstsq on the convolution matrix, whose
-    singular values decide rank deficiency.
+    singular values decide rank deficiency. Correlations that overflow raise
+    NumericsError.
     """
+    acorr = _finite(
+        "RTF autocorrelation",
+        np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :],
+    )
+    xcorr = _finite("RTF cross-correlation", np.correlate(v, through_mic, "valid"))
     rcond_bound = _spectral_rcond_bound(through_mic)
     if rcond_bound >= NORMAL_RCOND:
-        acorr = np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :]
         column = np.zeros(n_taps)
         column[: min(acorr.size, n_taps)] = acorr[:n_taps]
-        return scipy.linalg.solve_toeplitz(column, np.correlate(v, through_mic, "valid"))
+        return scipy.linalg.solve_toeplitz(column, xcorr)
     lhs = convolution_matrix(through_mic, n_taps)
     target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
     if singulars[0] == 0.0 or singulars[-1] <= RANK_RTOL * singulars[0]:
@@ -463,32 +488,6 @@ def normal_equations(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     return m.T @ m, m.T @ system.target
 
 
-def _design_grid(sets, config: DesignConfig) -> FrequencyGrid:
-    """The analysis grid config resolves for these sets."""
-    return FrequencyGrid(
-        _resolve_fft_size(config, sets[0].speaker_length), sets[0].sample_rate_hz
-    )
-
-
-def _weighted_penalty(smoothed, config: DesignConfig, grid: FrequencyGrid) -> np.ndarray:
-    """Penalty block at config.reg_beta from a smoothed leakage ratio on grid."""
-    return _penalty_block(
-        _log_normal_weight(smoothed, config.reg_beta), config.filter_length, grid.fft_size
-    )
-
-
-def leakage_penalty(sets, g: ImpulseResponse, config: DesignConfig) -> np.ndarray:
-    """Weighted-spectrum penalty block of the weighted variants, before scaling by lambda.
-
-    The weight comes from the set-averaged spectra of `sets` at config.reg_beta;
-    the grid is the one the config resolves for these sets. The block is
-    filter_length square and applies to every loudspeaker's taps alike.
-    """
-    grid = _design_grid(sets, config)
-    smoothed = fractional_octave_smooth(_leakage_ratio(sets, g, grid), grid)
-    return _weighted_penalty(smoothed, config, grid)
-
-
 def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
     """Averaged, regularized normal equations solved by Cholesky, else LDLᵀ.
 
@@ -556,12 +555,6 @@ def solve_regularized(
     )
 
 
-def _resolve_fft_size(config: DesignConfig, speaker_length: int) -> int:
-    if config.fft_size is not None:
-        return config.fft_size
-    return default_fft_size(speaker_length, config.filter_length)
-
-
 def design_coefficients(
     sets, train: tuple, g: ImpulseResponse, config: DesignConfig, memo: dict
 ) -> np.ndarray:
@@ -585,6 +578,8 @@ def design_coefficients(
     that pose the same problem therefore share one solve: RLS and R_DELTA_LS
     at equal lambda, and the ridge variants across beta. forget_forward_path
     drops the entries of one g. Pass a new {} for a one-off design.
+
+    A Gram, right-hand side or tap vector that overflows raises NumericsError.
     """
     path = memo.setdefault(g.samples.tobytes(), {})
     if config.variant == "LS_ATF":
@@ -605,21 +600,23 @@ def design_coefficients(
             if ("rhs", i) not in path:
                 system = reduce_to_rtf(sets[i], g, config.filter_length, config.acausal_delay)
                 m = system.matrix
-                if ("gram", i) not in memo:
-                    memo["gram", i] = m.T @ m
-                path["rhs", i] = m.T @ system.target
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if ("gram", i) not in memo:
+                        memo["gram", i] = _finite(f"Gram of set {i}", m.T @ m)
+                    path["rhs", i] = _finite(f"right-hand side of set {i}", m.T @ system.target)
                 del system, m  # one reduced matrix alive at a time, none in the solve
             pairs.append((memo["gram", i], path["rhs", i]))
         penalty = None
         if penalty_key is not None:
             if penalty_key not in path:
-                grid = _design_grid(sets, config)
+                grid = config.grid(sets)
                 if ("ratio", train) not in path:
                     ratio = _leakage_ratio([sets[i] for i in train], g, grid)
                     path["ratio", train] = fractional_octave_smooth(ratio, grid)
-                path[penalty_key] = _weighted_penalty(path["ratio", train], config, grid)
+                weight = _log_normal_weight(path["ratio", train], config.reg_beta)
+                path[penalty_key] = _penalty_block(weight, config.filter_length, grid.fft_size)
             penalty = path[penalty_key]
-        coef = solve_normal_equations(pairs, config.reg_lambda, penalty)
+        coef = _finite("taps", solve_normal_equations(pairs, config.reg_lambda, penalty))
         path[key] = coef.reshape(sets[0].num_loudspeakers, config.filter_length)
     return path[key]
 
@@ -636,7 +633,7 @@ def _config_echo(config: DesignConfig, scenario: Scenario) -> dict:
         "d_H": config.acausal_delay,
         "lambda": config.reg_lambda,
         "beta": config.reg_beta,
-        "L_FFT": _resolve_fft_size(config, scenario.sets[0].speaker_length),
+        "L_FFT": config.grid(scenario.sets).fft_size,
     }
 
 

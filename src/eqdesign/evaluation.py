@@ -20,8 +20,8 @@ from .design import (
     EqualizerFilter,
     _check_rates,
     _config_echo,
+    _finite,
     _ratio_to_open,
-    _resolve_fft_size,
     weights_from_ratio,
 )
 
@@ -181,12 +181,6 @@ def _to_db(mag: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(mag, _MAG_FLOOR))
 
 
-def _grid(scenario: Scenario, config: DesignConfig) -> FrequencyGrid:
-    return FrequencyGrid(
-        _resolve_fft_size(config, scenario.sets[0].speaker_length), scenario.sample_rate_hz
-    )
-
-
 class SetScorer:
     """Auditory spectral distance of any filter on one set under one forward path.
 
@@ -208,8 +202,13 @@ class SetScorer:
         )
 
     def aided(self, coefficients: np.ndarray) -> np.ndarray:
-        """Magnitude of the aided response under these taps, on all one-sided bins."""
-        return magnitude_response(_aided(self._ms, self._through_mic, coefficients), self._grid)
+        """Magnitude of the aided response under these taps, on all one-sided bins.
+
+        Raises NumericsError when finite taps drive it past the float range.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            aided = magnitude_response(_aided(self._ms, self._through_mic, coefficients), self._grid)
+        return _finite("aided response", aided)
 
     def distance(self, aided: np.ndarray) -> float:
         """Distance in dB of the aided magnitudes `aided` from the desired ones."""
@@ -234,7 +233,7 @@ def evaluate(
     for ms in scenario.sets:
         _check_filter(ms, filt)
         _check_rates(ms, g)
-    grid = _grid(scenario, config)
+    grid = config.grid(scenario.sets)
     # each spectrum once: a scorer's desired magnitudes are the processed
     # open-ear spectra that the leakage ratio divides by
     distances, mags_aid, mags_des = [], [], []

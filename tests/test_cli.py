@@ -633,6 +633,8 @@ def test_sweep_operating_point_study_under_a_minute(tmp_path):
     assert time.perf_counter() - start < 60.0
     rows = read_csv(out)[1:]
     assert len(rows) == 4 * 6 * 5
+    # a grid without L_A designs at the default 99 taps
+    assert all(r[2] == "99" for r in rows)
     # the delayed, regularized operating points must not be degenerate
     scores = [float(r[9]) for r in rows]
     assert all(math.isfinite(s) for s in scores)

@@ -19,7 +19,6 @@ from eqdesign.design import (
     default_fft_size,
     design_filter,
     frequency_weights,
-    leakage_penalty,
     normal_equations,
     reduce_to_rtf,
     solve_normal_equations,
@@ -106,6 +105,20 @@ def test_design_config_validation():
         DesignConfig(reg_beta=0.0)
     with pytest.raises(ValueError, match="fft_size"):
         DesignConfig(fft_size=1)
+
+
+@pytest.mark.parametrize("fft_size", [None, 48, 65])
+@pytest.mark.parametrize("rate", [RATE, 8000.0])
+def test_design_config_grid(fft_size, rate):
+    scene = small_scene(seed=6, sample_rate_hz=rate)
+    config = DesignConfig(variant="R_DELTA_LS", filter_length=9, acausal_delay=4,
+                          fft_size=fft_size)
+    grid = config.grid(scene.sets)
+    if fft_size is None:
+        fft_size = default_fft_size(scene.sets[0].speaker_length, 9)
+    assert grid == FrequencyGrid(fft_size, rate)
+    filt = design_filter(scene, forward_path_ir(0.0, 8, rate), config)
+    assert filt.config["L_FFT"] == grid.fft_size
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +544,10 @@ def test_rounding_level_indefinite_system_solves_by_ldl():
 def test_penalty_block_is_added_per_loudspeaker():
     scene = small_scene(seed=4, num_loudspeakers=3, source_ir_length=10, speaker_ir_length=6)
     g = forward_path_ir(0.0, 2, RATE)
-    config = DesignConfig(variant="FR_DELTA_LS", filter_length=5, acausal_delay=2,
-                          reg_lambda=0.3, fft_size=64)
-    block = leakage_penalty(scene.sets, g, config)
+    _, w = frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE))
+    block = _penalty_block(w, 5, 64)
     assert block.shape == (5, 5)
     gram, rhs = normal_equations(reduce_to_rtf(scene.sets[0], g, 5, 2))
-    _, w = frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE))
     full = gram + 0.3 * spectral_penalty(w, 3, 5, FrequencyGrid(64, RATE))
     assert np.array_equal(
         solve_normal_equations([(gram, rhs)], 0.3, block),

@@ -62,18 +62,20 @@ def valid_docs() -> dict:
         }
 
 
-def run_with(kind: str, doc, tmp: Path):
-    """Run the command that reads a `kind` file on `doc`, every other input valid."""
+def run_with(kind: str, doc, tmp: Path, command: str | None = None):
+    """Run `command`, by default the one that reads a `kind` file, with `doc` as
+    its `kind` file and every other input valid."""
     files = {}
     for name, valid in valid_docs().items():
         files[name] = tmp / f"{name}.json"
         files[name].write_text(json.dumps(doc if name == kind else valid))
-    if kind == "synth":
+    command = command or {"synth": "synth", "grid": "sweep", "filter": "eval"}.get(kind)
+    if command == "synth":
         return run("synth", "--config", files["synth"], "--out", tmp / "out.json")
-    if kind == "grid":
+    if command == "sweep":
         return run("sweep", "--scenario", files["scene"], "--grid", files["grid"],
                    "--out", tmp / "out.csv")
-    if kind == "filter":
+    if command == "eval":
         return run("eval", "--scenario", files["scene"], "--filter", files["filter"],
                    "--out", tmp / "report")
     return run("design", "--scenario", files["scene"], "--config", files["config"],
@@ -154,6 +156,26 @@ def test_gain_past_float_range_is_config_error(tmp_path, kind, path, value):
     code, err = run_with(kind, mutate(kind, path, "set", value), tmp_path)
     assert code == 2
     assert err.startswith("error: ") and "1e+308 dB" in err
+
+
+@pytest.mark.parametrize("command", ["design", "sweep"])
+@pytest.mark.parametrize("path", [
+    ("sets", 0, "h_m", 0),
+    ("sets", 0, "h_open", 0),
+    ("sets", 0, "h_occ", 0),
+    ("sets", 0, "d", 0, 0),
+    ("sets", 0, "d", 1, 0),
+], ids=["h_m", "h_open", "h_occ", "d0", "d1"])
+def test_overflow_on_finite_samples_is_numerical_failure(tmp_path, command, path):
+    code, err = run_with("scene", mutate("scene", path, "set", 1e308), tmp_path, command)
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_overflowing_aided_response_is_numerical_failure(tmp_path):
+    doc = mutate("filter", ("coefficients", 0, 0), "set", 1e308)
+    code, err = run_with("filter", doc, tmp_path)
+    assert (code, err) == (3, "numerical failure: aided response overflowed the float range\n")
 
 
 @pytest.mark.parametrize("tap", ["0.5", True, {}], ids=["string", "bool", "object"])
