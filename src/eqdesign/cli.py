@@ -8,7 +8,6 @@ go to stderr; all output files are deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import sys
 from dataclasses import fields
@@ -181,6 +180,17 @@ def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float,
 # commands
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """Write the header and rows of strs, ints and floats as csv.writer does.
+
+    A float's str is its repr, so every float round-trips. No field holds a
+    comma, quote or line break, so none needs quoting.
+    """
+    lines = (",".join(map(str, row)) for row in itertools.chain([header], rows))
+    with open(path, "w", encoding="ascii", newline="") as f:
+        f.write("\r\n".join(lines) + "\r\n")
+
+
 def cmd_synth(config_path, seed: int, out_path) -> None:
     spec = _synth_spec_from_dict(_load_json(config_path, "synth config"))
     save_scenario(synth_scenario(spec, seed), out_path)
@@ -202,18 +212,15 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     report = evaluate(scenario, g, filt, config)
 
-    with open(f"{out_prefix}.csv", "w", encoding="ascii", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(EVAL_HEADER)
-        for row in zip(
-            report.frequencies_hz,
-            report.mag_db_aid,
-            report.mag_db_des,
-            report.mag_db_occ,
-            report.leakage_ratio,
-            report.weight_trace,
-        ):
-            writer.writerow([repr(float(x)) for x in row])
+    columns = np.column_stack([
+        report.frequencies_hz,
+        report.mag_db_aid,
+        report.mag_db_des,
+        report.mag_db_occ,
+        report.leakage_ratio,
+        report.weight_trace,
+    ])
+    _write_csv(f"{out_prefix}.csv", EVAL_HEADER, columns.tolist())
     summary = {
         "delta_h_aud_db": [float(x) for x in report.delta_h_aud_db],
         "mean_delta_h_aud_db": report.mean_delta_h_aud_db,
@@ -286,11 +293,7 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
                     rows[index].append(stem + [fold, scores[key]])
             forget_forward_path(memo, g)
 
-    with open(out_path, "w", encoding="ascii", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SWEEP_HEADER)
-        for row in itertools.chain.from_iterable(rows):
-            writer.writerow([x if isinstance(x, (str, int)) else repr(float(x)) for x in row])
+    _write_csv(out_path, SWEEP_HEADER, itertools.chain.from_iterable(rows))
 
 
 # ---------------------------------------------------------------------------

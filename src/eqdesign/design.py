@@ -8,6 +8,9 @@ practical route divides it out and fits the relative transfer function with
 the loudspeaker responses alone. A slack delay on the target absorbs
 acausal components, and a log-normal spectral weight concentrates the
 regularization where vent leakage dominates anyway.
+
+scipy.linalg is imported inside the three functions that solve, so that
+importing this module, and the commands that never solve, do not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .signals import (
     FrequencyGrid,
@@ -280,6 +282,8 @@ def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray):
     matches it bit for bit, without its LinAlgWarning on an ill-conditioned
     matrix.
     """
+    import scipy.linalg
+
     factor, info = scipy.linalg.lapack.dpotrf(matrix)
     if info != 0:
         return None
@@ -335,6 +339,8 @@ def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
     if rcond_bound >= NORMAL_RCOND:
         column = np.zeros(n_taps)
         column[: min(acorr.size, n_taps)] = acorr[:n_taps]
+        import scipy.linalg
+
         return scipy.linalg.solve_toeplitz(column, xcorr)
     lhs = convolution_matrix(through_mic, n_taps)
     target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
@@ -479,7 +485,8 @@ def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np
         raise ValueError(f"fft_size {fft_size} cannot constrain {filter_length} taps")
     w2 = w**2
     acorr = np.fft.ifft(np.concatenate([w2, w2[1 : fft_size - w2.size + 1][::-1]])).real
-    return scipy.linalg.toeplitz(acorr[:filter_length])
+    lags = np.arange(filter_length)
+    return acorr[np.abs(lags[:, None] - lags)]
 
 
 def normal_equations(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -519,9 +526,11 @@ def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None 
     coef = _cholesky_solve(gram, rhs)
     if coef is not None:
         return coef
+    import scipy.linalg
+
     try:
         return scipy.linalg.solve(gram, rhs, assume_a="sym")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise NumericsError(
             "regularized normal equations are singular; the scene is not "
             "invertible at this regularization strength"

@@ -197,7 +197,9 @@ class SynthSpec:
     the open ear by the Nyquist frequency; the leakage matches the open-ear
     level at DC and rolls off linearly in dB across the band, the way a vent
     passes low frequencies and blocks high ones. inf silences the leakage
-    entirely. reinsertion_level_db drives per-set multiplicative tap noise,
+    entirely; a finite attenuation whose occluded response would overflow a
+    float is refused (beyond about 6094 dB either way at the default
+    lengths). reinsertion_level_db drives per-set multiplicative tap noise,
     None disables all perturbation and yields identical sets.
     """
 
@@ -231,15 +233,27 @@ class SynthSpec:
             raise ValidationError("co-prime-pair needs at least two loudspeakers")
         if self.phase_family != "minimum-phase" and self.speaker_ir_length < 2:
             raise ValidationError(f"{self.phase_family} needs speaker_ir_length of at least 2")
-        # +inf silences the leakage and None disables the scatter
-        if self.leakage_attenuation_db != math.inf:
-            _number(self.leakage_attenuation_db, "leakage_attenuation_db")
+        # None disables the scatter and +inf silences the leakage
         if self.reinsertion_level_db is not None:
             _number(self.reinsertion_level_db, "reinsertion_level_db")
         if not 0.0 <= _number(self.correlation, "correlation") <= 1.0:
             raise ValidationError("correlation must lie in [0, 1]")
         if not 0.0 <= _number(self.spectral_range_db, "spectral_range_db") < 200.0:
             raise ValidationError("spectral_range_db must lie in [0, 200)")
+        if self.leakage_attenuation_db != math.inf:
+            level = _number(self.leakage_attenuation_db, "leakage_attenuation_db")
+            # The occluded curve lies within spectral_range_db / 2 of a line from
+            # 0 dB to -level. The cepstral method exponentiates it and sums
+            # fft_size of the gains, so fft_size times the gain at its farthest
+            # reach must be a float, and so must fft_size over that gain.
+            reach_db = 0.5 * self.spectral_range_db + abs(level)
+            if not reach_db / 20.0 + math.log10(self.fft_size) < math.log10(np.finfo(float).max):
+                raise ValidationError(f"leakage_attenuation_db {level} dB overflows a float")
+
+    @property
+    def fft_size(self) -> int:
+        """DFT size of the magnitude curves the generator draws."""
+        return _pow2_at_least(max(8 * self.source_ir_length, 8 * self.speaker_ir_length, 512))
 
 
 def _pow2_at_least(n: int) -> int:
@@ -436,7 +450,7 @@ def synth_scenario(spec: SynthSpec, seed: int) -> Scenario:
     phase a little. Identical seeds give bit-identical scenarios.
     """
     rng = np.random.default_rng(seed)
-    fft_size = _pow2_at_least(max(8 * spec.source_ir_length, 8 * spec.speaker_ir_length, 512))
+    fft_size = spec.fft_size
 
     shared = _random_log_magnitude_db(rng, fft_size, spec.spectral_range_db)
 

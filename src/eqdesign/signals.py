@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import convolution_matrix as _scipy_convolution_matrix
 
 __all__ = [
     "ImpulseResponse",
@@ -122,11 +121,17 @@ def convolution_matrix(h, num_cols: int) -> np.ndarray:
     """Tall Toeplitz matrix T with T @ x == convolve(h, x) for len(x) == num_cols.
 
     Column j holds h delayed by j samples; the shape is
-    (len(h) + num_cols - 1, num_cols).
+    (len(h) + num_cols - 1, num_cols). Row i is the window of h zero-padded
+    by num_cols - 1 on each side that ends at sample i, reversed. The array
+    is a C-contiguous float64 copy, because Gram products take their BLAS
+    route, and so their rounding, from its memory layout.
     """
     if not _is_whole(num_cols, 1):
         raise ValueError("num_cols must be a positive integer")
-    return _scipy_convolution_matrix(_payload(h), int(num_cols), mode="full")
+    num_cols = int(num_cols)
+    pad = np.zeros(num_cols - 1)
+    padded = np.concatenate([pad, _payload(h), pad])
+    return np.lib.stride_tricks.sliding_window_view(padded, num_cols)[:, ::-1].copy()
 
 
 def delay(h, num_samples: int):

@@ -5,13 +5,16 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
@@ -29,7 +32,7 @@ from eqdesign import (
 )
 from eqdesign import cli, design
 from eqdesign.cli import EVAL_HEADER, SWEEP_HEADER, main
-from eqdesign.design import EqualizerFilter
+from eqdesign.design import VARIANTS, EqualizerFilter
 from eqdesign.scenario import _write_json
 
 
@@ -223,6 +226,52 @@ def test_eval_outputs(tmp_path, small_scene_path):
                             "scenario_fingerprint"}
     assert len(summary["delta_h_aud_db"]) == 1
     assert (tmp_path / "report.json").read_text() == json.dumps(summary, indent=1) + "\n"
+
+
+# Each step's argv comes as one argument; the script prints whether scipy is
+# loaded after the import and after each step.
+FRESH_CLI = """
+import json, sys
+from eqdesign import cli
+loaded = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_fresh_cli_loads_scipy_only_to_solve(tmp_path):
+    # pytest has loaded scipy here, so the check runs in a fresh interpreter
+    scene, filt = designed_pair(tmp_path, SMALL_SYNTH, SMALL_CONFIG)
+    steps = [
+        ["synth", "--config", str(tmp_path / "spec.json"), "--out", str(tmp_path / "s.json")],
+        ["eval", "--scenario", str(scene), "--filter", str(filt), "--out", str(tmp_path / "r")],
+        ["design", "--scenario", str(scene), "--config", str(tmp_path / "config.json"),
+         "--out", str(tmp_path / "f.json")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, json.dumps(steps)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # import, synth and eval leave scipy out; design's solve loads it
+    assert json.loads(proc.stdout) == [False, False, False, True]
+
+
+@settings(max_examples=100)
+@given(rows=st.lists(
+    st.lists(st.one_of(st.floats(), st.integers(-2**63, 2**63), st.sampled_from(VARIANTS)),
+             min_size=1, max_size=10),
+    max_size=6,
+))
+@example(rows=[[-math.inf, math.nan, -0.0, 5e-324, 1e308], [0, -7, math.inf, 0.1, "RLS"]])
+def test_csv_writer_writes_what_csv_module_writes(rows):
+    expected = io.StringIO()
+    csv.writer(expected).writerows([SWEEP_HEADER, *rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        cli._write_csv(path, SWEEP_HEADER, rows)
+        assert path.read_bytes() == expected.getvalue().encode("ascii")
 
 
 def test_eval_full_scale_row_count(tmp_path):

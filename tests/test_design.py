@@ -459,6 +459,8 @@ def test_penalty_guard_counts_the_two_sided_size():
     filter_length=st.integers(1, 600),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(fft_size=2, filter_length=1, seed=0)
+@example(fft_size=600, filter_length=600, seed=1)
 def test_penalty_block_matches_two_sided_spectrum(fft_size, filter_length, seed):
     assume(filter_length <= fft_size)
     rng = np.random.default_rng(seed)

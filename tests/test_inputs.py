@@ -151,11 +151,15 @@ def test_eval_reads_scene_samples_as_numbers(tmp_path):
     ("grid", ("G0_db",), [0.0, 1e308]),
     ("filter", ("config", "G0_db"), 1e308),
     ("synth", ("reinsertion_level_db",), 1e308),
+    ("synth", ("leakage_attenuation_db",), 1e308),
+    ("synth", ("leakage_attenuation_db",), -7000.0),
 ])
 def test_gain_past_float_range_is_config_error(tmp_path, kind, path, value):
     code, err = run_with(kind, mutate(kind, path, "set", value), tmp_path)
-    assert code == 2
-    assert err.startswith("error: ") and "1e+308 dB" in err
+    # a synth field names itself; a forward path gain is named as such
+    name = path[-1] if kind == "synth" else "forward path gain"
+    level = value[-1] if isinstance(value, list) else value
+    assert (code, err) == (2, f"error: {name} {level!r} dB overflows a float\n")
 
 
 @pytest.mark.parametrize("command", ["design", "sweep"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,21 @@ def test_convolution_matrix_matches_convolve():
         assert np.allclose(convolution_matrix(h, x.size) @ x, convolve(h, x), atol=1e-12)
     with pytest.raises(ValueError):
         convolution_matrix([1.0], 0)
+
+
+@settings(max_examples=80)
+@given(h_length=st.integers(1, 800), num_cols=st.integers(1, 450), seed=st.integers(0, 2**32 - 1))
+@example(h_length=1, num_cols=1, seed=0)
+@example(h_length=1, num_cols=450, seed=1)
+@example(h_length=800, num_cols=1, seed=2)
+@example(h_length=800, num_cols=450, seed=3)
+def test_convolution_matrix_is_scipys(h_length, num_cols, seed):
+    h = np.random.default_rng(seed).standard_normal(h_length)
+    h[::7] = -0.0
+    out = convolution_matrix(h, num_cols)
+    expected = scipy.linalg.convolution_matrix(h, num_cols, mode="full")
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tobytes() == expected.tobytes() and out.shape == expected.shape
 
 
 def test_delay():
