@@ -15,7 +15,6 @@ from dataclasses import fields
 import numpy as np
 
 from .scenario import (
-    Scenario,
     SynthSpec,
     ValidationError,
     _as_int,
@@ -37,7 +36,6 @@ from .design import (
     NumericsError,
     design_coefficients,
     design_filter,
-    forget_forward_path,
 )
 from .evaluation import SetScorer, evaluate
 
@@ -122,10 +120,13 @@ def _grid_points(data: dict) -> tuple[list[tuple], list[DesignConfig]]:
         _value_list(data, key, coerce, f"grid.{key}")
         for key, coerce in zip(_GRID_FIELDS, coercers)
     )))
-    configs = [
-        DesignConfig(variant=variant, acausal_delay=shift, reg_lambda=lam, reg_beta=beta, **shared)
-        for variant, _, shift, lam, beta, _, _ in points
-    ]
+    try:
+        configs = [
+            DesignConfig(variant=variant, acausal_delay=shift, reg_lambda=lam, reg_beta=beta, **shared)
+            for variant, _, shift, lam, beta, _, _ in points
+        ]
+    except ValueError as exc:
+        raise ValidationError(f"grid: {exc}") from exc
     return points, configs
 
 
@@ -238,60 +239,51 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     points, configs = _grid_points(_load_json(grid_path, "grid"))
     if mode == "leave-one-out" and scenario.num_sets < 2:
         raise ValidationError("leave-one-out needs a scenario with at least two sets")
-    paths = {}
-    for point in points:
-        if point[5:] not in paths:
-            paths[point[5:]] = forward_path_ir(*point[5:], scenario.sample_rate_hz)
-    # A set's Gram depends on (N, d_H) alone, so the points sharing those two
-    # form a bucket wherever they sit in the grid, with its own scene, folds,
-    # memo, scorers and scores. Within a bucket the points run grouped by
-    # forward path, and the memo drops what a path shapes (right-hand sides,
-    # penalties, solutions) when its group ends; scorers and scores are a few
-    # kB a path. G0_db 0.0 and -0.0 share a path. LS_ATF points, which need
-    # no Gram, run first: their dense lstsq is the largest transient, and no
-    # Gram is held yet then.
+    rate = scenario.sample_rate_hz
+    paths = {path: forward_path_ir(*path, rate) for path in dict.fromkeys(p[5:] for p in points)}
+    try:
+        scenes = {n: select_loudspeakers(scenario, n).sets for n in dict.fromkeys(p[1] for p in points)}
+    except ValidationError as exc:
+        raise ValidationError(f"grid.N: {exc}") from exc
+    everything = tuple(range(scenario.num_sets))
+    if mode == "resubstitution":
+        folds = [(-1, everything, everything)]
+    else:
+        folds = [(k, everything[:k] + everything[k + 1 :], (k,)) for k in everything]
+    # A set's Gram depends on N and d_H alone, and what a forward path shapes
+    # (RTF targets, leakage ratios, penalties) does not depend on N, so the
+    # points sharing d_H form a bucket wherever they sit in the grid, with its
+    # own Grams, scorers and scores. Within a bucket the points run grouped by
+    # forward path across every N, each group with a fresh memo; scorers and
+    # scores are a few kB a path. G0_db 0.0 and -0.0 share a path. LS_ATF
+    # points, which need no Gram, run first: their dense lstsq is the largest
+    # transient, and no Gram is held yet then.
     buckets = {}
     for index, point in enumerate(points):
         group = (point[0] != "LS_ATF", point[5:])
-        buckets.setdefault(point[1:3], {}).setdefault(group, []).append(index)
-    plans = []
-    for (n_spk, _), groups in buckets.items():
-        scene = select_loudspeakers(scenario, n_spk)
-        everything = tuple(range(scene.num_sets))
-        if mode == "resubstitution":
-            folds = [(-1, everything, scene)]
-        else:
-            folds = [
-                (
-                    fold,
-                    everything[:fold] + everything[fold + 1 :],
-                    Scenario((scene.sets[fold],), scene.sample_rate_hz),
-                )
-                for fold in everything
-            ]
-        plans.append((scene, folds, groups))
+        buckets.setdefault(point[2], {}).setdefault(group, []).append(index)
 
     rows = [None] * len(points)
-    for scene, folds, groups in plans:
-        memo, scorers, scores = {}, {}, {}
+    for groups in buckets.values():
+        grams, scorers, scores = {}, {}, {}
         for (_, path), indices in sorted(groups.items(), key=lambda item: item[0][0]):
-            g = paths[path]
+            g, memo = paths[path], {}
             for index in indices:
-                config = configs[index]
+                config, n_spk = configs[index], points[index][1]
+                sets = scenes[n_spk]
                 # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
                 stem = [*points[index][:2], config.filter_length, *points[index][2:]]
                 rows[index] = []
                 for fold, train, held_out in folds:
-                    coef = design_coefficients(scene.sets, train, g, config, memo)
+                    coef = design_coefficients(sets, train, g, config, grams, memo)
+                    where = (n_spk, path, fold)
+                    if where not in scorers:
+                        scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
                     # equal taps score alike, so each distinct design is scored once a fold
-                    key = (path, fold, coef.tobytes())
+                    key = (*where, coef.tobytes())
                     if key not in scores:
-                        if (path, fold) not in scorers:
-                            grid = config.grid(held_out.sets)
-                            scorers[path, fold] = [SetScorer(ms, g, grid) for ms in held_out.sets]
-                        scores[key] = float(np.mean([score(coef) for score in scorers[path, fold]]))
+                        scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
                     rows[index].append(stem + [fold, scores[key]])
-            forget_forward_path(memo, g)
 
     _write_csv(out_path, SWEEP_HEADER, itertools.chain.from_iterable(rows))
 

@@ -23,6 +23,7 @@ from .signals import (
     FrequencyGrid,
     ImpulseResponse,
     _is_whole,
+    _pow2_at_least,
     convolution_matrix,
     fractional_octave_smooth,
     magnitude_response,
@@ -47,7 +48,6 @@ __all__ = [
     "solve_normal_equations",
     "solve_regularized",
     "design_coefficients",
-    "forget_forward_path",
     "design_filter",
 ]
 
@@ -88,8 +88,7 @@ def _finite(what: str, values: np.ndarray) -> np.ndarray:
 
 def default_fft_size(speaker_length: int, filter_length: int) -> int:
     """Smallest power of two giving at least 4 bins per modeled tap."""
-    n = 4 * (speaker_length + filter_length - 1)
-    return 1 << max(n - 1, 1).bit_length()
+    return _pow2_at_least(4 * (speaker_length + filter_length - 1))
 
 
 @dataclass(frozen=True)
@@ -217,13 +216,6 @@ class EqualizerFilter:
         }
 
 
-def _chain(*irs: np.ndarray) -> np.ndarray:
-    out = irs[0]
-    for nxt in irs[1:]:
-        out = np.convolve(out, nxt)
-    return out
-
-
 def _raw_target(ms: MeasurementSet, g: ImpulseResponse, rows: int, shift: int) -> np.ndarray:
     """Processed open-ear response minus leakage, delayed by `shift`, zero-padded."""
     open_branch = np.convolve(g.samples, ms.h_open.samples)
@@ -253,11 +245,9 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
         raise ValueError("filter_length must be a positive integer")
     _check_rates(ms, g)
     filter_length = int(filter_length)
-    blocks = [
-        convolution_matrix(_chain(g.samples, ms.h_m.samples, d_n.samples), filter_length)
-        for d_n in ms.d
-    ]
-    matrix = np.hstack(blocks)
+    through_mic = np.convolve(g.samples, ms.h_m.samples)
+    chains = [np.convolve(through_mic, d_n.samples) for d_n in ms.d]
+    matrix = np.hstack([convolution_matrix(chain, filter_length) for chain in chains])
     target = _raw_target(ms, g, matrix.shape[0], 0)
     return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length, 0)
 
@@ -355,6 +345,29 @@ def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
     return target
 
 
+def _speaker_matrix(ms: MeasurementSet, filter_length: int, shift: int) -> np.ndarray:
+    """The loudspeaker convolution matrices side by side, with `shift` zero rows below."""
+    body = ms.speaker_length + filter_length - 1
+    matrix = np.zeros((body + shift, ms.num_loudspeakers * filter_length))
+    for n, d_n in enumerate(ms.d):
+        columns = slice(n * filter_length, (n + 1) * filter_length)
+        matrix[:body, columns] = convolution_matrix(d_n.samples, filter_length)
+    return matrix
+
+
+def _rtf_target(ms: MeasurementSet, g: ImpulseResponse, filter_length: int, shift: int) -> np.ndarray:
+    """The RTF fit of one set under forward path g, one tap per row of _speaker_matrix.
+
+    The target does not depend on the loudspeakers, nor the matrix on g. A g
+    at another sample rate than the set's raises ValueError.
+    """
+    _check_rates(ms, g)
+    n_taps = ms.speaker_length + filter_length - 1 + shift
+    through_mic = np.convolve(g.samples, ms.h_m.samples)
+    v = _raw_target(ms, g, through_mic.size + n_taps - 1, shift)
+    return _fit_rtf(through_mic, v, n_taps)
+
+
 def reduce_to_rtf(
     ms: MeasurementSet,
     g: ImpulseResponse,
@@ -377,22 +390,10 @@ def reduce_to_rtf(
         raise ValueError("filter_length must be a positive integer")
     if not _is_whole(acausal_delay, 0):
         raise ValueError("acausal_delay must be a nonnegative integer")
-    _check_rates(ms, g)
     filter_length = int(filter_length)
     acausal_delay = int(acausal_delay)
-
-    n_taps = ms.speaker_length + filter_length - 1 + acausal_delay
-    through_mic = np.convolve(g.samples, ms.h_m.samples)
-    v = _raw_target(ms, g, through_mic.size + n_taps - 1, acausal_delay)
-    target = _fit_rtf(through_mic, v, n_taps)
-
-    rows = n_taps
-    matrix = np.zeros((rows, ms.num_loudspeakers * filter_length))
-    body = ms.speaker_length + filter_length - 1
-    for n, d_n in enumerate(ms.d):
-        matrix[:body, n * filter_length : (n + 1) * filter_length] = convolution_matrix(
-            d_n.samples, filter_length
-        )
+    target = _rtf_target(ms, g, filter_length, acausal_delay)
+    matrix = _speaker_matrix(ms, filter_length, acausal_delay)
     return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length, acausal_delay)
 
 
@@ -565,7 +566,7 @@ def solve_regularized(
 
 
 def design_coefficients(
-    sets, train: tuple, g: ImpulseResponse, config: DesignConfig, memo: dict
+    sets, train: tuple, g: ImpulseResponse, config: DesignConfig, grams: dict, memo: dict
 ) -> np.ndarray:
     """Taps of config.variant trained on the sets indexed by train, shape (N, L_A).
 
@@ -574,65 +575,54 @@ def design_coefficients(
     equations of every training set. The weighted variants regularize by the
     leakage penalty of the sets they train on, the others by a ridge.
 
-    memo collects what other designs can reuse, each piece keyed by what it
-    depends on. It stays valid while the sets, filter_length, acausal_delay
-    and fft_size stay the same; g, the variant, reg_lambda and reg_beta may
-    change between calls. The Gram MᵀM of set i does not depend on g and
-    sits under ("gram", i). Everything else sits in memo[g.samples.tobytes()]:
-    Mᵀt of set i under ("rhs", i), the smoothed leakage ratio of training
-    sets train under ("ratio", train), which every beta shares, the penalty
-    built on it at beta under ("penalty", train, beta), the LS_ATF taps of
-    set i under ("LS_ATF", i), and the taps solved for training sets train
-    at lambda under ("taps", train, lambda, penalty key or None). Variants
-    that pose the same problem therefore share one solve: RLS and R_DELTA_LS
-    at equal lambda, and the ridge variants across beta. forget_forward_path
-    drops the entries of one g. Pass a new {} for a one-off design.
+    grams and memo collect what other designs can reuse, each piece keyed by
+    what it depends on, with N = sets[0].num_loudspeakers. Both stay valid
+    while the measurements, filter_length, acausal_delay and fft_size stay.
+    grams holds the g-free Gram MᵀM of set i under (N, i). memo serves one g:
+    set i's RTF target under ("target", i), the smoothed leakage ratio of
+    sets train under ("ratio", train), its penalty at beta under ("penalty",
+    train, beta), Mᵀt under ("rhs", N, i), LS_ATF taps under ("LS_ATF", N,
+    i), and the taps solved at lambda under ("taps", N, train, lambda,
+    penalty key or None). So RLS and R_DELTA_LS at equal lambda share one
+    solve, as do the ridge variants across beta. Pass {}, {} for a one-off.
 
     A Gram, right-hand side or tap vector that overflows raises NumericsError.
     """
-    path = memo.setdefault(g.samples.tobytes(), {})
+    n_spk, taps, shift = sets[0].num_loudspeakers, config.filter_length, config.acausal_delay
     if config.variant == "LS_ATF":
-        key = ("LS_ATF", train[0])
-        if key not in path:
-            system = assemble_atf_system(sets[train[0]], g, config.filter_length)
-            path[key] = solve_ls_atf(system).coefficients
-        return path[key]
+        key = ("LS_ATF", n_spk, train[0])
+        if key not in memo:
+            memo[key] = solve_ls_atf(assemble_atf_system(sets[train[0]], g, taps)).coefficients
+        return memo[key]
     if config.variant != "MFR_DELTA_LS":
         train = train[:1]
-    penalty_key = None
-    if config.variant in WEIGHTED_VARIANTS:
-        penalty_key = ("penalty", train, config.reg_beta)
-    key = ("taps", train, config.reg_lambda, penalty_key)
-    if key not in path:
+    penalty_key = ("penalty", train, config.reg_beta) if config.variant in WEIGHTED_VARIANTS else None
+    key = ("taps", n_spk, train, config.reg_lambda, penalty_key)
+    if key not in memo:
         pairs = []
         for i in train:
-            if ("rhs", i) not in path:
-                system = reduce_to_rtf(sets[i], g, config.filter_length, config.acausal_delay)
-                m = system.matrix
+            if ("rhs", n_spk, i) not in memo:
+                if ("target", i) not in memo:
+                    memo["target", i] = _rtf_target(sets[i], g, taps, shift)
+                m = _speaker_matrix(sets[i], taps, shift)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if ("gram", i) not in memo:
-                        memo["gram", i] = _finite(f"Gram of set {i}", m.T @ m)
-                    path["rhs", i] = _finite(f"right-hand side of set {i}", m.T @ system.target)
-                del system, m  # one reduced matrix alive at a time, none in the solve
-            pairs.append((memo["gram", i], path["rhs", i]))
-        penalty = None
-        if penalty_key is not None:
-            if penalty_key not in path:
-                grid = config.grid(sets)
-                if ("ratio", train) not in path:
-                    ratio = _leakage_ratio([sets[i] for i in train], g, grid)
-                    path["ratio", train] = fractional_octave_smooth(ratio, grid)
-                weight = _log_normal_weight(path["ratio", train], config.reg_beta)
-                path[penalty_key] = _penalty_block(weight, config.filter_length, grid.fft_size)
-            penalty = path[penalty_key]
+                    if (n_spk, i) not in grams:
+                        grams[n_spk, i] = _finite(f"Gram of set {i}", m.T @ m)
+                    rhs = m.T @ memo["target", i]
+                    memo["rhs", n_spk, i] = _finite(f"right-hand side of set {i}", rhs)
+                del m  # one speaker matrix alive at a time, none in the solve
+            pairs.append((grams[n_spk, i], memo["rhs", n_spk, i]))
+        if penalty_key is not None and penalty_key not in memo:
+            grid = config.grid(sets)
+            if ("ratio", train) not in memo:
+                ratio = _leakage_ratio([sets[i] for i in train], g, grid)
+                memo["ratio", train] = fractional_octave_smooth(ratio, grid)
+            weight = _log_normal_weight(memo["ratio", train], config.reg_beta)
+            memo[penalty_key] = _penalty_block(weight, taps, grid.fft_size)
+        penalty = memo.get(penalty_key)  # None for the ridge variants
         coef = _finite("taps", solve_normal_equations(pairs, config.reg_lambda, penalty))
-        path[key] = coef.reshape(sets[0].num_loudspeakers, config.filter_length)
-    return path[key]
-
-
-def forget_forward_path(memo: dict, g: ImpulseResponse) -> None:
-    """Drop what a design_coefficients memo holds for forward path g; Grams stay."""
-    memo.pop(g.samples.tobytes(), None)
+        memo[key] = coef.reshape(n_spk, taps)
+    return memo[key]
 
 
 def _config_echo(config: DesignConfig, scenario: Scenario) -> dict:
@@ -653,7 +643,7 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     first measurement set of the scenario; the multi-set variant averages
     over all of them.
     """
-    coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {})
+    coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {}, {})
     return EqualizerFilter(
         coef,
         config.acausal_delay,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ImpulseResponse, _is_whole
+from .signals import ImpulseResponse, _is_whole, _pow2_at_least
 
 __all__ = [
     "ValidationError",
@@ -254,10 +254,6 @@ class SynthSpec:
     def fft_size(self) -> int:
         """DFT size of the magnitude curves the generator draws."""
         return _pow2_at_least(max(8 * self.source_ir_length, 8 * self.speaker_ir_length, 512))
-
-
-def _pow2_at_least(n: int) -> int:
-    return 1 << max(int(n) - 1, 1).bit_length()
 
 
 def _random_log_magnitude_db(rng, fft_size: int, range_db: float, num_knots: int = 9) -> np.ndarray:

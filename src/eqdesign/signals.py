@@ -39,6 +39,11 @@ def _is_whole(value, least: int) -> bool:
         return False
 
 
+def _pow2_at_least(n: int) -> int:
+    """Smallest power of two, at least 2, that is no smaller than n."""
+    return 1 << max(int(n) - 1, 1).bit_length()
+
+
 def _clean_samples(samples, what: str = "impulse response") -> np.ndarray:
     arr = np.array(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:

@@ -491,6 +491,20 @@ def test_sweep_grid_validation(tmp_path, sweep_scene_path, capsys):
                "--out", tmp_path / "s.csv") == 2
     assert "empty value list" in capsys.readouterr().err
 
+    # the error of a bad setting names the grid; the whole message is checked
+    valid = {"variant": "RLS", "N": 1, "d_H": 0, "lambda": 1e-8, "beta": 1.0,
+             "G0_db": 0.0, "d_G": 0, "L_A": 9}
+    for change, message in [
+        ({"d_H": [0, 4]}, "error: grid: variant RLS does not take an acausal delay\n"),
+        ({"L_A": 0}, "error: grid: filter_length must be a positive integer\n"),
+        ({"N": [1, 3]}, "error: grid.N: requested 3 loudspeakers, scenario has 2\n"),
+    ]:
+        grid = write_json(tmp_path / "grid.json", {**valid, **change})
+        assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid,
+                   "--out", tmp_path / "s.csv") == 2
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "s.csv").exists()
+
 
 def test_negative_path_delay_names_its_field(tmp_path, small_scene_path, capsys):
     config = write_json(tmp_path / "config.json", dict(SMALL_CONFIG, d_G=-1))
@@ -529,7 +543,7 @@ def test_sweep_checks_every_point_before_any_design(tmp_path, sweep_scene_path, 
 
 
 def test_sweep_reuses_work_across_the_whole_grid(tmp_path, sweep_scene_path, monkeypatch):
-    calls = {"reduce_to_rtf": 0, "assemble_atf_system": 0}
+    calls = {"_rtf_target": 0, "assemble_atf_system": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(design, name)):
             calls[_name] += 1
@@ -546,9 +560,11 @@ def test_sweep_reuses_work_across_the_whole_grid(tmp_path, sweep_scene_path, mon
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid, "--out", out) == 0
     assert len(read_csv(out)) == 1 + 4 * 2 * 2 * 2 * 2 * 2
-    buckets = 2 * 2 * 2  # N x G0_db x d_G
-    assert calls == {"reduce_to_rtf": buckets * SWEEP_SYNTH["num_sets"],
-                     "assemble_atf_system": buckets}
+    # one RTF target per forward path and set, shared across N; one LS_ATF
+    # system per N and forward path
+    paths = 2 * 2  # G0_db x d_G
+    assert calls == {"_rtf_target": paths * SWEEP_SYNTH["num_sets"],
+                     "assemble_atf_system": 2 * paths}
 
 
 def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monkeypatch):
@@ -601,8 +617,8 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     assert counts == {"scorers": paths * sets, "scored": designs * sets}
 
 
-def test_sweep_smooths_each_leakage_ratio_once_per_bucket(tmp_path, sweep_scene_path,
-                                                          monkeypatch):
+def test_sweep_smooths_each_leakage_ratio_once_per_forward_path_across_every_n(
+        tmp_path, sweep_scene_path, monkeypatch):
     calls = []
 
     def counted(values, grid, *args):
@@ -621,10 +637,9 @@ def test_sweep_smooths_each_leakage_ratio_once_per_bucket(tmp_path, sweep_scene_
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid, "--out", out) == 0
     assert len(read_csv(out)) == 1 + 80
-    # per (N, d_H) bucket and forward path, FR_DELTA_LS and MFR_DELTA_LS each
-    # smooth the ratio of their training sets once, whatever beta is
-    buckets = 2  # N x d_H
-    assert len(calls) == buckets * len(gains) * len(delays) * 2 == 16
+    # per forward path, FR_DELTA_LS and MFR_DELTA_LS each smooth the ratio of
+    # their training sets once, whatever N and beta are
+    assert len(calls) == len(gains) * len(delays) * 2 == 8
 
 
 def test_variant_grid_solves_without_linalg_warnings(tmp_path):
@@ -744,6 +759,15 @@ def sweep_cases(draw):
 
 @settings(max_examples=40)
 @given(sweep_cases())
+# one d_H bucket holds two N, whose designs share RTF targets, ratios and penalties
+@example((
+    SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=12, speaker_ir_length=8,
+              reinsertion_level_db=-20.0),
+    0,
+    {"variant": ["FR_DELTA_LS", "MFR_DELTA_LS"], "N": [1, 2], "d_H": [0, 1],
+     "lambda": [0.05], "beta": [0.5, 3.0], "G0_db": [0.0, -6.0], "d_G": [2], "L_A": 6},
+    "leave-one-out",
+))
 def test_sweep_rows_match_per_row_designs(case):
     spec, seed, grid, mode = case
     scene = synth_scenario(spec, seed)

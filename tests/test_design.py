@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eqdesign.design import (
     NORMAL_RCOND,
     RANK_RTOL,
+    VARIANTS,
     DesignConfig,
     EqualizerFilter,
     LinearSystem,
@@ -39,6 +40,7 @@ from eqdesign.scenario import (
     scenario_fingerprint,
     synth_scenario,
 )
+from eqdesign.evaluation import evaluate
 from eqdesign.signals import FrequencyGrid, ImpulseResponse
 
 RATE = 16000.0
@@ -675,6 +677,27 @@ def test_single_set_variants_use_first_set():
         multi = design_filter(scene, g, config)
         single = design_filter(first_only, g, config)
         assert np.array_equal(multi.coefficients, single.coefficients)
+
+
+@pytest.mark.parametrize("call", [
+    *(pytest.param(
+        lambda scene, g, variant=variant: design_filter(
+            scene, g, DesignConfig(variant=variant, filter_length=9)),
+        id=f"design_filter-{variant}") for variant in VARIANTS),
+    pytest.param(lambda scene, g: reduce_to_rtf(scene.sets[0], g, 9, 4), id="reduce_to_rtf"),
+    pytest.param(lambda scene, g: assemble_atf_system(scene.sets[0], g, 9),
+                 id="assemble_atf_system"),
+    pytest.param(lambda scene, g: frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE)),
+                 id="frequency_weights"),
+    pytest.param(lambda scene, g: evaluate(scene, g, EqualizerFilter(np.zeros((2, 9))),
+                                           DesignConfig(filter_length=9)),
+                 id="evaluate"),
+])
+def test_forward_path_at_another_rate_is_refused(call):
+    scene = small_scene(seed=6)
+    g = forward_path_ir(0.0, 8, RATE / 2)
+    with pytest.raises(ValueError, match="sample rate mismatch"):
+        call(scene, g)
 
 
 def test_equalizer_filter_validation():
