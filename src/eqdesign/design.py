@@ -24,6 +24,7 @@ from .signals import (
     ImpulseResponse,
     _is_whole,
     _pow2_at_least,
+    _sampling_margin,
     convolution_matrix,
     fractional_octave_smooth,
     magnitude_response,
@@ -287,22 +288,18 @@ def _spectral_rcond_bound(through_mic: np.ndarray) -> float:
     For any number of taps that matrix is CᵀC, with C the full convolution
     matrix of through_mic = tm. Its Rayleigh quotients are averages of
     P(w) = |TM(e^jw)|², so its eigenvalues lie in [min P, max P]. |TM| is
-    sampled by one rfft, and every w lies within pi/nfft of a sample. For
-    any centre c, |TM| is Lipschitz with constant sum |n - c| |tm[n]|; the
-    centre is the weighted median, so a leading delay widens nothing.
-    Widening the sampled extremes by that margin, plus a rounding allowance
-    for the FFT, brackets |TM|, and the bound is (low / high)². It is 0 when
-    the bracket reaches 0, as for a zero on the unit circle or a dead path.
+    sampled by one rfft, and every w lies within pi/nfft of a sample.
+    Widening the sampled extremes by signals._sampling_margin, which adds a
+    rounding allowance for the FFT, brackets |TM|, and the bound is
+    (low / high)². It is 0 when the bracket reaches 0, as for a zero on the
+    unit circle or a dead path.
     """
     a = np.abs(through_mic)
-    total = a.sum()
-    if not total > 0:
+    if not a.sum() > 0:
         return 0.0
-    centre = np.searchsorted(np.cumsum(a), 0.5 * total)
     nfft = 8 << (a.size - 1).bit_length()
     mag = np.abs(np.fft.rfft(through_mic, nfft))
-    margin = np.pi / nfft * (np.abs(np.arange(a.size) - centre) @ a)
-    margin += 8 * np.log2(nfft) * np.finfo(float).eps * total
+    _, margin = _sampling_margin(a, nfft)
     return (max(mag.min() - margin, 0.0) / (mag.max() + margin)) ** 2
 
 

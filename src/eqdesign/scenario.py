@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ImpulseResponse, _is_whole, _pow2_at_least
+from .signals import ImpulseResponse, _is_whole, _pow2_at_least, _sampling_margin
 
 __all__ = [
     "ValidationError",
@@ -279,9 +279,76 @@ def _replace_factor(h: np.ndarray, r_old: complex, r_new: complex) -> np.ndarray
 # _pull_roots_inside reflects zeros at or past _ROOT_CEILING to at most
 # _ROOT_SQUEEZE. _CERTIFIED_RADIUS sits a margin below the ceiling, so that a
 # response certified inside it has no zero np.roots could place at or past it.
+# Three tiers decide, in turn, whether a response needs that: one FFT winding
+# count (_winding_certificate), then, where it cannot tell, the Schur–Cohn
+# step-down (_zeros_within), and, where neither certifies the response,
+# np.roots. The first two only ever return the response unchanged, and only
+# when it has no zero at or past the radius. np.roots then finds no zero at or
+# past the ceiling either, so the roots-only loop returned it unchanged too,
+# and the output does not depend on which tier decides.
 _ROOT_CEILING = 0.999
 _ROOT_SQUEEZE = 0.99
 _CERTIFIED_RADIUS = 0.99
+
+# synth refuses to build a dense float64 matrix larger than this: np.roots's
+# companion matrix or the Sylvester matrix of a co-prime check. 1 GiB allows
+# an 11585 x 11585 companion matrix, the zeros of an 11586-tap response.
+_DENSE_BYTE_BUDGET = 1 << 30
+
+
+def _refuse_dense(size: int, taps: int, purpose: str) -> None:
+    """Raise ValidationError if a size x size float64 matrix exceeds the budget."""
+    if 8 * size * size > _DENSE_BYTE_BUDGET:
+        raise ValidationError(
+            f"a response of {taps} taps needs a {size} x {size} matrix to {purpose}: "
+            f"{8 * size * size:,} bytes, over synth's budget of {_DENSE_BYTE_BUDGET:,} "
+            "(1 GiB); lower source_ir_length or speaker_ir_length"
+        )
+
+
+def _roots(h: np.ndarray) -> np.ndarray:
+    _refuse_dense(h.size - 1, h.size, "find its zeros")
+    return np.roots(h)
+
+
+def _winding_certificate(h: np.ndarray, radius: float) -> bool | None:
+    """Decide from one FFT whether every zero of h lies strictly inside `radius`.
+
+    The scaled taps a[k] = h[k] / radius**k have their zeros at z / radius.
+    Factoring out w**-c, with c the weighted-median index of |a|, the rfft
+    of a rolled left by c samples A(w) = sum a[k] w**(c - k) at N = 16 * 2**
+    ceil(log2 n) points of the upper unit half circle. Between neighbouring
+    samples A moves by at most twice signals._sampling_margin, so where
+    every sample exceeds that, no increment between samples reaches a
+    quarter turn, and the principal angles of the sample ratios sum to the
+    exact phase change: pi * (c - K), with K the zeros at or past the
+    radius. Returns True if K is 0, False if not, and None where it cannot
+    tell: a sample within the margin, a zero leading tap (a zero at
+    infinity that np.roots drops), a non-finite tap, or scaled taps that
+    overflow. h is scaled to a largest tap of 1 first, so with a radius of at
+    most 1 the largest scaled tap is at least 1, and a tap that underflows
+    moves A by far less than the margin; a larger radius is declined where
+    the largest scaled tap falls below 1.
+    """
+    if not h[0] != 0.0:
+        return None
+    with np.errstate(all="ignore"):
+        a = h / np.abs(h).max() * radius ** -np.arange(h.size)
+        peak = np.abs(a).max()
+        if not 1.0 <= peak < math.inf:
+            return None
+        a = a / peak
+        magnitudes = np.abs(a)
+        nfft = 16 << (h.size - 1).bit_length()
+        centre, margin = _sampling_margin(magnitudes, nfft)
+        rolled = np.zeros(nfft)
+        rolled[: h.size - centre] = a[centre:]
+        rolled[nfft - centre :] = a[:centre]
+        spectrum = np.fft.rfft(rolled)
+        if not np.abs(spectrum).min() > 2.0 * margin:
+            return None
+        turns = np.angle(spectrum[1:] * spectrum[:-1].conj()).sum() / np.pi
+    return round(turns) == centre
 
 
 def _zeros_within(h: np.ndarray, radius: float) -> bool:
@@ -310,15 +377,19 @@ def _pull_roots_inside(h: np.ndarray) -> np.ndarray:
 
     Truncating a cepstrally built response can push isolated zeros onto or
     past the circle; this restores a strict minimum-phase layout without
-    touching the rest of the zeros. Roots are computed only when the
-    Schur–Cohn test cannot certify the response as it stands.
+    touching the rest of the zeros. Roots are computed only when neither
+    the winding certificate nor the Schur–Cohn test certifies the response
+    as it stands.
     """
     if h.size < 2:
         return h
     for _ in range(6):
-        if _zeros_within(h, _CERTIFIED_RADIUS):
+        certified = _winding_certificate(h, _CERTIFIED_RADIUS)
+        if certified is None:
+            certified = _zeros_within(h, _CERTIFIED_RADIUS)
+        if certified:
             return h
-        roots = np.roots(h)
+        roots = _roots(h)
         offenders = [r for r in roots if abs(r) >= _ROOT_CEILING and r.imag >= -1e-12]
         if not offenders:
             return h
@@ -362,7 +433,7 @@ def _flip_one_zero(h: np.ndarray) -> np.ndarray:
     response while their roots are mutual reflections, so swapping in the
     reversed factor makes the result non-minimum-phase without changing |H|.
     """
-    roots = np.roots(h)
+    roots = _roots(h)
     candidates = [r for r in roots if 0.05 < abs(r) < 0.995 and r.imag >= -1e-12]
     if not candidates:
         raise ValidationError(
@@ -400,6 +471,8 @@ def _coprimality_margin(p: np.ndarray, q: np.ndarray) -> float:
     Zero means a shared root; small values mean nearly shared roots, which
     would make an exact multichannel inverse ill-conditioned.
     """
+    size = p.size + q.size - 2
+    _refuse_dense(size, max(p.size, q.size), "check that the loudspeakers are co-prime")
     pu = p / np.linalg.norm(p)
     qu = q / np.linalg.norm(q)
     return float(np.linalg.svd(_sylvester_matrix(pu, qu), compute_uv=False)[-1])

@@ -12,7 +12,9 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,30 @@ def test_synth_unsatisfiable_family_is_config_error(tmp_path, capsys, family):
     err = capsys.readouterr().err
     assert "phase_family" in err and "spectral_range_db" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("spec, taps", [
+    # np.roots on the minimum-phase cleanup: 3.2 GB
+    ({"source_ir_length": 20000, "spectral_range_db": 199, "leakage_attenuation_db": -5800},
+     20000),
+    # a flat spectrum certifies at once, then np.roots on the zero reflection,
+    # one tap past the budget
+    ({"phase_family": "non-minimum-phase", "speaker_ir_length": 11587, "spectral_range_db": 0},
+     11587),
+    # the Sylvester matrix of two 5794-tap responses, 11586 rows
+    ({"phase_family": "co-prime-pair", "speaker_ir_length": 5794, "spectral_range_db": 0},
+     5794),
+], ids=["min-phase-cleanup", "non-minimum-phase", "co-prime-pair"])
+def test_synth_refuses_a_dense_matrix_past_its_budget(tmp_path, capsys, spec, taps):
+    config = write_json(tmp_path / "spec.json", {**spec, "num_sets": 1})
+    ran = AssertionError("a dense matrix past the budget was built")
+    with mock.patch.object(np, "roots", side_effect=ran), \
+            mock.patch.object(np.linalg, "svd", side_effect=ran):
+        assert run("synth", "--config", config, "--seed", 0, "--out", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert f"a response of {taps} taps needs a" in err
+    assert "lower source_ir_length or speaker_ir_length" in err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -35,8 +35,10 @@ from eqdesign.scenario import (
     _pow2_at_least,
     _pull_roots_inside,
     _random_log_magnitude_db,
+    _refuse_dense,
     _replace_factor,
     _scenario_dict,
+    _winding_certificate,
     _write_json,
     _zeros_within,
 )
@@ -258,6 +260,89 @@ def test_zeros_within_rejects_non_finite():
             spoiled = h.copy()
             spoiled[where] = bad
             assert not _zeros_within(spoiled, _CERTIFIED_RADIUS)
+
+
+def check_winding_certificate(h, radius=_CERTIFIED_RADIUS):
+    """The certificate's verdict on h, checked against np.roots and the step-down."""
+    verdict = _winding_certificate(h, radius)
+    if verdict is not None:
+        largest = np.max(np.abs(np.roots(h)), initial=0.0)
+        assert verdict == (largest < radius), largest
+        with np.errstate(all="ignore"):  # the step-down's own overflow is not under test
+            assert verdict == _zeros_within(h, radius)
+    return verdict
+
+
+@settings(max_examples=300)
+@given(
+    largest=st.floats(0.3, 1.5),
+    pairs=st.integers(0, 60),
+    conjugate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(largest=_CERTIFIED_RADIUS, pairs=12, conjugate=False, seed=0)
+@example(largest=0.995, pairs=60, conjugate=True, seed=1)
+def test_winding_certificate_is_sound(largest, pairs, conjugate, seed):
+    h = poly_with_zeros(largest, seed, pairs, conjugate)
+    check_winding_certificate(h)
+    # zeros at the origin are inside any radius; 1e-300 ** -2 overflows
+    check_winding_certificate(np.concatenate([h, [0.0, 0.0]]))
+    assert _winding_certificate(np.concatenate([h, [0.0]]), 1e-300) is None
+    # a zero leading coefficient is a zero at infinity that np.roots drops
+    assert _winding_certificate(np.concatenate([[0.0], h]), _CERTIFIED_RADIUS) is None
+    for where in (0, h.size // 2, h.size - 1):
+        for bad in (math.nan, math.inf, -math.inf):
+            spoiled = h.copy()
+            spoiled[where] = bad
+            assert _winding_certificate(spoiled, _CERTIFIED_RADIUS) is None
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3).filter(lambda h: abs(h[0]) >= 1e-6))
+@example([1.0])
+@example([1.0, -_CERTIFIED_RADIUS])
+@example([1.0, 0.0, 0.0])
+@example([1e-6, 1e3, -1e3])
+def test_winding_certificate_is_sound_on_short_responses(h):
+    check_winding_certificate(np.array(h))
+
+
+def test_dense_matrix_budget_is_one_gibibyte():
+    _refuse_dense(11585, 11586, "find its zeros")
+    with pytest.raises(ValidationError, match="a response of 11587 taps needs a 11586 x 11586 matrix"):
+        _refuse_dense(11586, 11587, "find its zeros")
+
+
+# scenario_fingerprint of the README default scene and the perfbench long
+# scene, seeds 0-4, as np.roots alone produced them
+PINNED_FINGERPRINTS = {
+    "default": [
+        "9ad2f315607e8bf876100ea9b521a2e0a3d6d71cef58292c8679f8935fbe8371",
+        "c8bc84dd80afc342d99b5165106661b1db7c8df43bb72a84ef79b72e2b92ad11",
+        "e2d0c08c7dc2a1396fec8fc5748fad6c3efd82dd77f59db8654310874b6f4d81",
+        "6a61a1cb3ccc3cee4ecb755c8aa09082d6b78785cfdd2f0cdebe10dd4cb941ac",
+        "e8b02c7aec1c29e50ba036d7e7ecbd6632517d7419521589722e863e38980540",
+    ],
+    "long": [
+        "5a86677f9759e29e252ccedcd8da967b12e1b49424d9801bd42fc9da58be772c",
+        "49597c73cea1dac43fe6cb473a73238f58bdd0ab2a091b3bde981598ddd75dc3",
+        "b41a71582c8a5d9f952490b4eb2b47814c7fe9fe6c683f55d719bf6629041a5a",
+        "59ed36a3a36ba0ed328a26d4a72a94fe8e1dacb2bdd15c79c74af1b94cd0d6bd",
+        "d62f97d4bc1d064cb193465ea0fca28fec5967b982f33b2ef9d038a5d8c1e66b",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("default", SynthSpec()),
+    ("long", SynthSpec(num_sets=3, source_ir_length=256, speaker_ir_length=200)),
+])
+def test_synth_is_certified_by_one_fft_per_response(name, spec):
+    with mock.patch.object(scenario_module, "_zeros_within", wraps=_zeros_within) as step_down, \
+            mock.patch.object(np, "roots", wraps=np.roots) as roots:
+        digests = [scenario_fingerprint(synth_scenario(spec, seed)) for seed in range(5)]
+    assert digests == PINNED_FINGERPRINTS[name]
+    assert step_down.call_count == 0 and roots.call_count == 0
 
 
 def test_non_minimum_phase_sibling_keeps_magnitude():
