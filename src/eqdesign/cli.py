@@ -34,6 +34,7 @@ from .design import (
     DesignConfig,
     EqualizerFilter,
     NumericsError,
+    _check_grid_holds,
     design_coefficients,
     design_filter,
 )
@@ -234,8 +235,9 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     if mode not in ("resubstitution", "leave-one-out"):
         raise ValidationError(f"mode: expected resubstitution or leave-one-out, got {mode!r}")
     scenario = load_scenario(scenario_path)
-    # Every point's settings, loudspeaker count and forward path are checked
-    # before any design runs, so a bad point exits 2 wherever it sits.
+    # Every point's settings, loudspeaker count and forward path, and the grid
+    # that every point shares, are checked before any design runs, so a bad
+    # point exits 2 wherever it sits.
     points, configs = _grid_points(_load_json(grid_path, "grid"))
     if mode == "leave-one-out" and scenario.num_sets < 2:
         raise ValidationError("leave-one-out needs a scenario with at least two sets")
@@ -245,45 +247,44 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
         scenes = {n: select_loudspeakers(scenario, n).sets for n in dict.fromkeys(p[1] for p in points)}
     except ValidationError as exc:
         raise ValidationError(f"grid.N: {exc}") from exc
+    # every point shares L_A and L_FFT, so the longest forward path decides
+    longest = max(paths.values(), key=len)
+    _check_grid_holds(configs[0].grid(scenario.sets), scenario.sets, longest, configs[0].filter_length)
     everything = tuple(range(scenario.num_sets))
     if mode == "resubstitution":
         folds = [(-1, everything, everything)]
     else:
         folds = [(k, everything[:k] + everything[k + 1 :], (k,)) for k in everything]
-    # A set's Gram depends on N and d_H alone, and what a forward path shapes
-    # (RTF targets, leakage ratios, penalties) does not depend on N, so the
-    # points sharing d_H form a bucket wherever they sit in the grid, with its
-    # own Grams, scorers and scores. Within a bucket the points run grouped by
-    # forward path across every N, each group with a fresh memo; scorers and
-    # scores are a few kB a path. G0_db 0.0 and -0.0 share a path. LS_ATF
-    # points, which need no Gram, run first: their dense lstsq is the largest
-    # transient, and no Gram is held yet then.
-    buckets = {}
+    # One grams dict serves the whole sweep: a set's Gram depends on N alone.
+    # The points run grouped by forward path across every N and d_H, each
+    # group with a fresh memo for what the path shapes; scorers and scores are
+    # a few kB a path. G0_db 0.0 and -0.0 share a path. LS_ATF points, which
+    # need no Gram, run first: their dense lstsq is the largest transient,
+    # and no Gram is held yet then.
+    groups = {}
     for index, point in enumerate(points):
-        group = (point[0] != "LS_ATF", point[5:])
-        buckets.setdefault(point[2], {}).setdefault(group, []).append(index)
+        groups.setdefault((point[0] != "LS_ATF", point[5:]), []).append(index)
 
     rows = [None] * len(points)
-    for groups in buckets.values():
-        grams, scorers, scores = {}, {}, {}
-        for (_, path), indices in sorted(groups.items(), key=lambda item: item[0][0]):
-            g, memo = paths[path], {}
-            for index in indices:
-                config, n_spk = configs[index], points[index][1]
-                sets = scenes[n_spk]
-                # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
-                stem = [*points[index][:2], config.filter_length, *points[index][2:]]
-                rows[index] = []
-                for fold, train, held_out in folds:
-                    coef = design_coefficients(sets, train, g, config, grams, memo)
-                    where = (n_spk, path, fold)
-                    if where not in scorers:
-                        scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
-                    # equal taps score alike, so each distinct design is scored once a fold
-                    key = (*where, coef.tobytes())
-                    if key not in scores:
-                        scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
-                    rows[index].append(stem + [fold, scores[key]])
+    grams, scorers, scores = {}, {}, {}
+    for (_, path), indices in sorted(groups.items(), key=lambda item: item[0][0]):
+        g, memo = paths[path], {}
+        for index in indices:
+            config, n_spk = configs[index], points[index][1]
+            sets = scenes[n_spk]
+            # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
+            stem = [*points[index][:2], config.filter_length, *points[index][2:]]
+            rows[index] = []
+            for fold, train, held_out in folds:
+                coef = design_coefficients(sets, train, g, config, grams, memo)
+                where = (n_spk, path, fold)
+                if where not in scorers:
+                    scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
+                # equal taps score alike, so each distinct design is scored once a fold
+                key = (*where, coef.tobytes())
+                if key not in scores:
+                    scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
+                rows[index].append(stem + [fold, scores[key]])
 
     _write_csv(out_path, SWEEP_HEADER, itertools.chain.from_iterable(rows))
 

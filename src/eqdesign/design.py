@@ -45,7 +45,6 @@ __all__ = [
     "reduce_to_rtf",
     "frequency_weights",
     "weights_from_ratio",
-    "normal_equations",
     "solve_normal_equations",
     "solve_regularized",
     "design_coefficients",
@@ -146,6 +145,21 @@ class DesignConfig:
         if fft_size is None:
             fft_size = default_fft_size(sets[0].speaker_length, self.filter_length)
         return FrequencyGrid(fft_size, sets[0].sample_rate_hz)
+
+
+def _check_grid_holds(grid: FrequencyGrid, sets, g: ImpulseResponse, filter_length: int) -> None:
+    """Raise ValueError unless the grid holds every spectrum a design and its eval take.
+
+    The longest is the aided response, L_D + L_A + d_G + L_S − 2 samples for
+    loudspeaker responses of L_D taps, a forward path of d_G + 1 taps and
+    source responses of L_S taps; the desired and leakage responses are shorter.
+    """
+    length = sets[0].speaker_length + filter_length + len(g) + sets[0].source_length - 3
+    if grid.fft_size < length:
+        raise ValueError(
+            f"L_FFT {grid.fft_size} cannot hold the aided response at d_G {len(g) - 1} "
+            f"and L_A {filter_length}: it has {length} samples, so L_FFT must be at least {length}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,21 +356,22 @@ def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
     return target
 
 
-def _speaker_matrix(ms: MeasurementSet, filter_length: int, shift: int) -> np.ndarray:
-    """The loudspeaker convolution matrices side by side, with `shift` zero rows below."""
-    body = ms.speaker_length + filter_length - 1
-    matrix = np.zeros((body + shift, ms.num_loudspeakers * filter_length))
+def _speaker_matrix(ms: MeasurementSet, filter_length: int) -> np.ndarray:
+    """The loudspeaker convolution matrices side by side."""
+    rows, width = ms.speaker_length + filter_length - 1, ms.num_loudspeakers * filter_length
+    # a block of at least width rows, freed, fits the Gram-sized arrays a design
+    # allocates next; a smaller one doubled a long-scene design's page faults
+    matrix = np.empty((max(rows, width), width))[:rows]
     for n, d_n in enumerate(ms.d):
-        columns = slice(n * filter_length, (n + 1) * filter_length)
-        matrix[:body, columns] = convolution_matrix(d_n.samples, filter_length)
+        matrix[:, n * filter_length : (n + 1) * filter_length] = convolution_matrix(d_n.samples, filter_length)
     return matrix
 
 
 def _rtf_target(ms: MeasurementSet, g: ImpulseResponse, filter_length: int, shift: int) -> np.ndarray:
-    """The RTF fit of one set under forward path g, one tap per row of _speaker_matrix.
+    """The RTF fit of one set under g, delayed by `shift`, free of the loudspeakers.
 
-    The target does not depend on the loudspeakers, nor the matrix on g. A g
-    at another sample rate than the set's raises ValueError.
+    Its first taps meet the rows of _speaker_matrix, which depends on neither g
+    nor shift. A g at another sample rate than the set's raises ValueError.
     """
     _check_rates(ms, g)
     n_taps = ms.speaker_length + filter_length - 1 + shift
@@ -390,7 +405,7 @@ def reduce_to_rtf(
     filter_length = int(filter_length)
     acausal_delay = int(acausal_delay)
     target = _rtf_target(ms, g, filter_length, acausal_delay)
-    matrix = _speaker_matrix(ms, filter_length, acausal_delay)
+    matrix = np.pad(_speaker_matrix(ms, filter_length), ((0, acausal_delay), (0, 0)))
     return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length, acausal_delay)
 
 
@@ -487,21 +502,15 @@ def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np
     return acorr[np.abs(lags[:, None] - lags)]
 
 
-def normal_equations(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix MᵀM and right-hand side Mᵀt of one design system."""
-    m = system.matrix
-    return m.T @ m, m.T @ system.target
-
-
 def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
     """Averaged, regularized normal equations solved by Cholesky, else LDLᵀ.
 
-    pairs holds one (MᵀM, Mᵀt) per training set, as normal_equations returns
-    them; they are summed in order and divided by their count, so a set
-    count change leaves lambda comparable. reg_lambda times the penalty is
-    added to each loudspeaker's diagonal block, where penalty is one
-    filter_length-square block and None is the identity (ridge). Returns the
-    concatenated coefficient vector. The pairs are not modified.
+    pairs holds one (MᵀM, Mᵀt) per training set; they are summed in order
+    and divided by their count, so a set count change leaves lambda
+    comparable. reg_lambda times the penalty is added to each loudspeaker's
+    diagonal block, where penalty is one filter_length-square block and None
+    is the identity (ridge). Returns the concatenated coefficient vector. The
+    pairs are not modified.
 
     A system that rounding leaves a hair short of positive definite fails
     Cholesky; it is solved once more by symmetric LDLᵀ, and only an exact
@@ -555,7 +564,8 @@ def solve_regularized(
         if grid is None:
             raise ValueError("weights need the grid they live on")
         penalty = _penalty_block(weights, system.filter_length, grid.fft_size)
-    coef = solve_normal_equations([normal_equations(system)], reg_lambda, penalty)
+    m = system.matrix
+    coef = solve_normal_equations([(m.T @ m, m.T @ system.target)], reg_lambda, penalty)
     return EqualizerFilter(
         coef.reshape(system.num_loudspeakers, system.filter_length),
         system.acausal_delay,
@@ -573,15 +583,17 @@ def design_coefficients(
     leakage penalty of the sets they train on, the others by a ridge.
 
     grams and memo collect what other designs can reuse, each piece keyed by
-    what it depends on, with N = sets[0].num_loudspeakers. Both stay valid
-    while the measurements, filter_length, acausal_delay and fft_size stay.
-    grams holds the g-free Gram MᵀM of set i under (N, i). memo serves one g:
-    set i's RTF target under ("target", i), the smoothed leakage ratio of
-    sets train under ("ratio", train), its penalty at beta under ("penalty",
-    train, beta), Mᵀt under ("rhs", N, i), LS_ATF taps under ("LS_ATF", N,
-    i), and the taps solved at lambda under ("taps", N, train, lambda,
-    penalty key or None). So RLS and R_DELTA_LS at equal lambda share one
-    solve, as do the ridge variants across beta. Pass {}, {} for a one-off.
+    what it depends on, with N = sets[0].num_loudspeakers and d_H =
+    config.acausal_delay; both stay valid while the measurements,
+    filter_length and fft_size stay. grams holds set i's Gram MᵀM under (N,
+    i); M lacks the d_H zero rows of reduce_to_rtf, which add exact zeros. memo
+    serves one g: set i's RTF target under ("target", i, d_H), the smoothed
+    leakage ratio of sets train under ("ratio", train), its penalty at beta
+    under ("penalty", train, beta), Mᵀt on the target's first rows under
+    ("rhs", N, i, d_H), LS_ATF taps under ("LS_ATF", N, i), and the taps
+    solved at lambda under ("taps", N, d_H, train, lambda, penalty key or
+    None). So RLS and R_DELTA_LS at equal lambda share one solve, as do the
+    ridge variants across beta. Pass {}, {} for a one-off.
 
     A Gram, right-hand side or tap vector that overflows raises NumericsError.
     """
@@ -594,21 +606,21 @@ def design_coefficients(
     if config.variant != "MFR_DELTA_LS":
         train = train[:1]
     penalty_key = ("penalty", train, config.reg_beta) if config.variant in WEIGHTED_VARIANTS else None
-    key = ("taps", n_spk, train, config.reg_lambda, penalty_key)
+    key = ("taps", n_spk, shift, train, config.reg_lambda, penalty_key)
     if key not in memo:
         pairs = []
         for i in train:
-            if ("rhs", n_spk, i) not in memo:
-                if ("target", i) not in memo:
-                    memo["target", i] = _rtf_target(sets[i], g, taps, shift)
-                m = _speaker_matrix(sets[i], taps, shift)
+            if ("rhs", n_spk, i, shift) not in memo:
+                if ("target", i, shift) not in memo:
+                    memo["target", i, shift] = _rtf_target(sets[i], g, taps, shift)
+                m = _speaker_matrix(sets[i], taps)
                 with np.errstate(over="ignore", invalid="ignore"):
                     if (n_spk, i) not in grams:
                         grams[n_spk, i] = _finite(f"Gram of set {i}", m.T @ m)
-                    rhs = m.T @ memo["target", i]
-                    memo["rhs", n_spk, i] = _finite(f"right-hand side of set {i}", rhs)
+                    rhs = m.T @ memo["target", i, shift][: m.shape[0]]
+                    memo["rhs", n_spk, i, shift] = _finite(f"right-hand side of set {i}", rhs)
                 del m  # one speaker matrix alive at a time, none in the solve
-            pairs.append((grams[n_spk, i], memo["rhs", n_spk, i]))
+            pairs.append((grams[n_spk, i], memo["rhs", n_spk, i, shift]))
         if penalty_key is not None and penalty_key not in memo:
             grid = config.grid(sets)
             if ("ratio", train) not in memo:
@@ -638,8 +650,9 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
 
     The single-set variants (everything except MFR_DELTA_LS) work on the
     first measurement set of the scenario; the multi-set variant averages
-    over all of them.
+    over all of them. A grid too short for the filter's eval raises ValueError.
     """
+    _check_grid_holds(config.grid(scenario.sets), scenario.sets, g, config.filter_length)
     coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {}, {})
     return EqualizerFilter(
         coef,

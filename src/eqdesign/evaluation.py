@@ -18,6 +18,7 @@ from .scenario import MeasurementSet, Scenario
 from .design import (
     DesignConfig,
     EqualizerFilter,
+    _check_grid_holds,
     _check_rates,
     _config_echo,
     _finite,
@@ -228,12 +229,14 @@ def evaluate(
 
     delta_h_aud_db holds one distance per set; the magnitude traces, the
     leakage ratio and the weight trace are set averages, matching what the
-    robust solver looks at.
+    robust solver looks at. A grid too short for the aided response raises
+    ValueError.
     """
     for ms in scenario.sets:
         _check_filter(ms, filt)
         _check_rates(ms, g)
     grid = config.grid(scenario.sets)
+    _check_grid_holds(grid, scenario.sets, g, filt.filter_length)
     # each spectrum once: a scorer's desired magnitudes are the processed
     # open-ear spectra that the leakage ratio divides by
     distances, mags_aid, mags_des = [], [], []

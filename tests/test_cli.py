@@ -547,7 +547,7 @@ def test_negative_path_delay_names_its_field(tmp_path, small_scene_path, capsys)
     assert "error: grid.d_G[1]: must be nonnegative" in capsys.readouterr().err
 
 
-# the first point is valid; the bad one opens a later bucket
+# the first point is valid; the bad one comes later
 @pytest.mark.parametrize("change, message", [
     ({"d_H": [0, 4]}, "does not take an acausal delay"),
     ({"N": [2, 3]}, "requested 3 loudspeakers"),
@@ -565,6 +565,88 @@ def test_sweep_checks_every_point_before_any_design(tmp_path, sweep_scene_path, 
     assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid,
                "--out", tmp_path / "s.csv") == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+README_STUDY = {
+    "variant": "MFR_DELTA_LS", "N": 2, "d_H": [0, 1, 32, 64],
+    "lambda": [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0], "beta": 1.0, "G0_db": 0.0, "d_G": 96,
+}
+
+
+@pytest.mark.parametrize("synth, grid, mode, grams", [
+    (SWEEP_SYNTH, {"variant": ["R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS"], "N": [1, 2],
+                   "d_H": [0, 4, 8], "lambda": 0.1, "beta": 1.0, "G0_db": [0.0, -6.0],
+                   "d_G": 2, "L_A": 9},
+     "resubstitution", 2 * SWEEP_SYNTH["num_sets"]),
+    ({"num_sets": 5, "num_loudspeakers": 2}, README_STUDY, "leave-one-out", 5),
+], ids=["three-variants", "readme-study"])
+def test_sweep_forms_one_gram_per_n_and_set(tmp_path, monkeypatch, synth, grid, mode, grams):
+    formed = []
+
+    def counted(what, values):
+        if what.startswith("Gram"):
+            formed.append(what)
+        return finite(what, values)
+
+    finite = design._finite
+    monkeypatch.setattr(design, "_finite", counted)
+    scene = tmp_path / "scene.json"
+    assert run("synth", "--config", write_json(tmp_path / "spec.json", synth), "--seed", 2,
+               "--out", scene) == 0
+    assert run("sweep", "--scenario", scene, "--grid", write_json(tmp_path / "grid.json", grid),
+               "--out", tmp_path / "sweep.csv", "--mode", mode) == 0
+    # a Gram depends on N and the set alone, not on d_H or the forward path
+    assert len(formed) == grams
+
+
+def test_commands_refuse_a_grid_shorter_than_the_aided_response(tmp_path, monkeypatch, capsys):
+    scene = tmp_path / "scene.json"
+    assert run("synth", "--config", write_json(tmp_path / "spec.json", {}), "--seed", 0,
+               "--out", scene) == 0
+    rls = {"variant": "RLS", "L_A": 99, "d_H": 0, "lambda": 1e-8, "beta": 1.0,
+           "G0_db": 0.0, "d_G": 96}
+
+    def refused(config, message):
+        filt = tmp_path / "refused.json"
+        assert run("design", "--scenario", scene, "--config",
+                   write_json(tmp_path / "config.json", config), "--out", filt) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not filt.exists()
+
+    # 100 loudspeaker taps, 99 filter taps and 130 source taps leave the
+    # default grid of 1024 bins room for d_G up to 697; RLS takes no spectrum
+    # to design, MFR_DELTA_LS its leakage ratio
+    refused(dict(rls, d_G=700), "L_FFT 1024 cannot hold the aided response at d_G 700 "
+            "and L_A 99: it has 1027 samples, so L_FFT must be at least 1027")
+    refused({**rls, "variant": "MFR_DELTA_LS", "d_H": 32, "lambda": 0.1, "d_G": 1000},
+            "L_FFT 1024 cannot hold the aided response at d_G 1000 "
+            "and L_A 99: it has 1327 samples, so L_FFT must be at least 1327")
+    refused(dict(rls, L_FFT=128), "L_FFT 128 cannot hold the aided response at d_G 96 "
+            "and L_A 99: it has 423 samples, so L_FFT must be at least 423")
+    # the length the message asks for is enough
+    filt = tmp_path / "filter.json"
+    assert run("design", "--scenario", scene, "--config",
+               write_json(tmp_path / "config.json", dict(rls, d_G=700, L_FFT=1027)),
+               "--out", filt) == 0
+    assert run("eval", "--scenario", scene, "--filter", filt, "--out", tmp_path / "ok") == 0
+
+    # a filter file whose forward path outgrows its grid
+    doc = json.loads(filt.read_text())
+    doc["config"].update(d_G=1000)
+    stale = write_json(tmp_path / "stale.json", doc)
+    assert run("eval", "--scenario", scene, "--filter", stale, "--out", tmp_path / "r") == 2
+    assert ("L_FFT 1027 cannot hold the aided response at d_G 1000 and L_A 99: "
+            "it has 1327 samples, so L_FFT must be at least 1327") in capsys.readouterr().err
+    assert not any(tmp_path.glob("r.*"))
+
+    def no_design(*args):
+        raise AssertionError("a design ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "design_coefficients", no_design)
+    grid = write_json(tmp_path / "grid.json", dict(rls, N=2, d_G=[96, 700]))
+    assert run("sweep", "--scenario", scene, "--grid", grid, "--out", tmp_path / "s.csv") == 2
+    assert "L_FFT 1024 cannot hold the aided response at d_G 700" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -619,7 +701,7 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
             return super().__call__(coefficients)
 
     monkeypatch.setattr(cli, "SetScorer", CountedScorer)
-    # G0_db, d_G and beta vary within each (N, d_H) bucket
+    # G0_db, d_G and beta vary within each N
     lambdas, betas, gains, delays = [1e-3, 0.1], [0.5, 2.0], [0.0, -6.0], [0, 2]
     grid = write_json(tmp_path / "grid.json", {
         "variant": ["LS_ATF", "RLS", "R_DELTA_LS", "FR_DELTA_LS", "MFR_DELTA_LS"],
@@ -630,10 +712,10 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     assert run("sweep", "--scenario", sweep_scene_path, "--grid", grid, "--out", out) == 0
     assert len(read_csv(out)) == 1 + 5 * 2 * 2 * 2 * 2 * 2
     sets = SWEEP_SYNTH["num_sets"]
-    buckets = 2  # N x d_H
-    paths = buckets * len(gains) * len(delays)
-    # one Gram per (N, d_H, set), one right-hand side per set and forward path
-    assert len(grams) == buckets * sets
+    spk_counts = 2  # N
+    paths = spk_counts * len(gains) * len(delays)  # (N, forward path) pairs
+    # one Gram per (N, set), one right-hand side per set, forward path and N
+    assert len(grams) == spk_counts * sets
     assert len(rhs) == paths * sets
     # per path: RLS and R_DELTA_LS share one ridge solve per lambda, whatever
     # beta is; FR_DELTA_LS and MFR_DELTA_LS solve once per (lambda, beta)
@@ -711,11 +793,7 @@ def test_sweep_operating_point_study_under_a_minute(tmp_path):
     spec = write_json(tmp_path / "spec.json", {"num_sets": 5, "num_loudspeakers": 2})
     scene = tmp_path / "scene.json"
     assert run("synth", "--config", spec, "--seed", 0, "--out", scene) == 0
-    grid = write_json(tmp_path / "grid.json", {
-        "variant": "MFR_DELTA_LS", "N": 2, "d_H": [0, 1, 32, 64],
-        "lambda": [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0],
-        "beta": 1.0, "G0_db": 0.0, "d_G": 96,
-    })
+    grid = write_json(tmp_path / "grid.json", README_STUDY)
     out = tmp_path / "study.csv"
     start = time.perf_counter()
     assert run("sweep", "--scenario", scene, "--grid", grid, "--out", out,
@@ -785,7 +863,7 @@ def sweep_cases(draw):
 
 @settings(max_examples=40)
 @given(sweep_cases())
-# one d_H bucket holds two N, whose designs share RTF targets, ratios and penalties
+# two N and two d_H, whose designs share Grams, RTF targets, ratios and penalties
 @example((
     SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=12, speaker_ir_length=8,
               reinsertion_level_db=-20.0),

@@ -20,7 +20,6 @@ from eqdesign.design import (
     default_fft_size,
     design_filter,
     frequency_weights,
-    normal_equations,
     reduce_to_rtf,
     solve_normal_equations,
     solve_ls_atf,
@@ -29,6 +28,7 @@ from eqdesign.design import (
     _fit_rtf,
     _penalty_block,
     _spectral_rcond_bound,
+    _speaker_matrix,
 )
 from eqdesign.scenario import (
     PHASE_FAMILIES,
@@ -41,7 +41,7 @@ from eqdesign.scenario import (
     synth_scenario,
 )
 from eqdesign.evaluation import evaluate
-from eqdesign.signals import FrequencyGrid, ImpulseResponse
+from eqdesign.signals import FrequencyGrid, ImpulseResponse, convolution_matrix
 
 RATE = 16000.0
 DELTA_G = forward_path_ir(0.0, 0, RATE)
@@ -220,6 +220,56 @@ def test_reduce_target_satisfies_normal_equations():
     v[d_H : d_H + len(ms.h_occ)] -= ms.h_occ.samples
     gradient = lhs.T @ (lhs @ system.target - v)
     assert np.linalg.norm(gradient) < 1e-10 * np.linalg.norm(lhs.T @ v)
+
+
+LONG_SPEC = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=256, speaker_ir_length=200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_spk=st.integers(1, 3), filter_length=st.integers(1, 40),
+       speaker_length=st.integers(1, 60), shift=st.integers(0, 64),
+       seed=st.integers(0, 2**32 - 1), long_scene=st.just(False))
+@example(n_spk=2, filter_length=40, speaker_length=60, shift=0, seed=0, long_scene=False)
+# the long perfbench scene at its design point: its RTF target under d_G 96
+@example(n_spk=2, filter_length=200, speaker_length=200, shift=32, seed=7, long_scene=True)
+def test_shift_free_normal_equations_match_the_zero_padded_ones(
+        n_spk, filter_length, speaker_length, shift, seed, long_scene):
+    if long_scene:
+        ms = synth_scenario(LONG_SPEC, seed).sets[0]
+        g = forward_path_ir(0.0, 96, RATE)
+        target = reduce_to_rtf(ms, g, filter_length, shift).target
+    else:
+        rng = np.random.default_rng(seed)
+
+        def taps(n):
+            return rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+        d = tuple(ir(taps(speaker_length)) for _ in range(n_spk))
+        ms = MeasurementSet(ir([1.0]), ir([1.0]), ir([0.0]), d)
+        g = DELTA_G
+        target = taps(speaker_length + filter_length - 1 + shift)
+    assert (ms.num_loudspeakers, ms.speaker_length) == (n_spk, speaker_length)
+    rows = speaker_length + filter_length - 1
+    # the loudspeaker matrix with shift zero rows below, lined up with the whole target
+    padded = np.zeros((rows + shift, n_spk * filter_length))
+    for n, d_n in enumerate(ms.d):
+        padded[:rows, n * filter_length:(n + 1) * filter_length] = convolution_matrix(
+            d_n.samples, filter_length)
+    m = _speaker_matrix(ms, filter_length)
+    assert np.array_equal(m, padded[:rows])
+    assert np.array_equal(reduce_to_rtf(ms, g, filter_length, shift).matrix, padded)
+    gram, rhs = m.T @ m, m.T @ target[:rows]
+    padded_gram, padded_rhs = padded.T @ padded, padded.T @ target
+    if shift == 0:
+        assert np.array_equal(gram, padded_gram)
+        assert np.array_equal(rhs, padded_rhs)
+    else:
+        # each is within gamma_k |M|ᵀ|M| (resp. |M|ᵀ|t|) of the exact sums, which agree
+        k = rows + shift
+        u = np.finfo(float).eps / 2
+        gamma = k * u / (1 - k * u)
+        assert np.all(np.abs(gram - padded_gram) <= 2 * gamma * (np.abs(m).T @ np.abs(m)))
+        assert np.all(np.abs(rhs - padded_rhs) <= 2 * gamma * (np.abs(m).T @ np.abs(target[:rows])))
 
 
 def test_reduce_mint_two_speaker_exact():
@@ -551,7 +601,8 @@ def test_penalty_block_is_added_per_loudspeaker():
     _, w = frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE))
     block = _penalty_block(w, 5, 64)
     assert block.shape == (5, 5)
-    gram, rhs = normal_equations(reduce_to_rtf(scene.sets[0], g, 5, 2))
+    m = reduce_to_rtf(scene.sets[0], g, 5, 2)
+    gram, rhs = m.matrix.T @ m.matrix, m.matrix.T @ m.target
     full = gram + 0.3 * spectral_penalty(w, 3, 5, FrequencyGrid(64, RATE))
     assert np.array_equal(
         solve_normal_equations([(gram, rhs)], 0.3, block),
