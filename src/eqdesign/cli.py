@@ -163,6 +163,10 @@ def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float,
         raise ValidationError(
             f"filter.d_H: {shift} does not match filter.config.d_H {config.acausal_delay}"
         )
+    if taps != config.filter_length:
+        raise ValidationError(
+            f"filter.filter_length: {taps} does not match filter.config.L_A {config.filter_length}"
+        )
     if not isinstance(data["scenario_fingerprint"], str):
         raise ValidationError("filter.scenario_fingerprint: expected a string")
     rows = [_number_list(row, f"filter.coefficients[{i}]") for i, row in enumerate(coef)]
@@ -260,31 +264,35 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     # group with a fresh memo for what the path shapes; scorers and scores are
     # a few kB a path. G0_db 0.0 and -0.0 share a path. LS_ATF points, which
     # need no Gram, run first: their dense lstsq is the largest transient,
-    # and no Gram is held yet then.
+    # and no Gram is held yet then. Within a path, the points that differ
+    # only in d_H run back to back on each fold, so they share the one
+    # factor the memo keeps; those runs come in grid order of first point.
     groups = {}
     for index, point in enumerate(points):
-        groups.setdefault((point[0] != "LS_ATF", point[5:]), []).append(index)
+        runs = groups.setdefault((point[0] != "LS_ATF", point[5:]), {})
+        runs.setdefault(point[:2] + point[3:], []).append(index)
 
-    rows = [None] * len(points)
+    rows = [[None] * len(folds) for _ in points]
     grams, scorers, scores = {}, {}, {}
-    for (_, path), indices in sorted(groups.items(), key=lambda item: item[0][0]):
+    for (_, path), runs in sorted(groups.items(), key=lambda item: item[0][0]):
         g, memo = paths[path], {}
-        for index in indices:
-            config, n_spk = configs[index], points[index][1]
+        for indices in runs.values():
+            n_spk = points[indices[0]][1]
             sets = scenes[n_spk]
-            # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
-            stem = [*points[index][:2], config.filter_length, *points[index][2:]]
-            rows[index] = []
-            for fold, train, held_out in folds:
-                coef = design_coefficients(sets, train, g, config, grams, memo)
+            for f, (fold, train, held_out) in enumerate(folds):
                 where = (n_spk, path, fold)
-                if where not in scorers:
-                    scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
-                # equal taps score alike, so each distinct design is scored once a fold
-                key = (*where, coef.tobytes())
-                if key not in scores:
-                    scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
-                rows[index].append(stem + [fold, scores[key]])
+                for index in indices:
+                    config = configs[index]
+                    coef = design_coefficients(sets, train, g, config, grams, memo)
+                    if where not in scorers:
+                        scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
+                    # equal taps score alike, so each distinct design is scored once a fold
+                    key = (*where, coef.tobytes())
+                    if key not in scores:
+                        scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
+                    # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
+                    rows[index][f] = [*points[index][:2], config.filter_length,
+                                      *points[index][2:], fold, scores[key]]
 
     _write_csv(out_path, SWEEP_HEADER, itertools.chain.from_iterable(rows))
 

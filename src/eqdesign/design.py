@@ -279,23 +279,6 @@ def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
     )
 
 
-def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray):
-    """x with matrix @ x = rhs by Cholesky of the upper triangle, else None.
-
-    None when the factorization fails. The factor and solve are the
-    dpotrf/dpotrs pair that scipy.linalg.solve(assume_a="pos") runs, so x
-    matches it bit for bit, without its LinAlgWarning on an ill-conditioned
-    matrix.
-    """
-    import scipy.linalg
-
-    factor, info = scipy.linalg.lapack.dpotrf(matrix)
-    if info != 0:
-        return None
-    x, _ = scipy.linalg.lapack.dpotrs(factor, rhs)
-    return x
-
-
 def _spectral_rcond_bound(through_mic: np.ndarray) -> float:
     """Proven lower bound on the reciprocal condition number of the RTF fit's normal matrix.
 
@@ -502,6 +485,70 @@ def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np
     return acorr[np.abs(lags[:, None] - lags)]
 
 
+def _mean(parts) -> np.ndarray:
+    """A new array holding the sum of parts, added in order, over their count."""
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    total /= len(parts)
+    return total
+
+
+def _normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None) -> np.ndarray:
+    """A new array holding the mean Gram plus reg_lambda times the penalty per loudspeaker."""
+    gram = _mean(grams)
+    if penalty is None:
+        gram[np.diag_indices_from(gram)] += reg_lambda
+    else:
+        scaled = reg_lambda * penalty
+        taps = penalty.shape[0]
+        for start in range(0, gram.shape[0], taps):
+            gram[start : start + taps, start : start + taps] += scaled
+    return gram
+
+
+def _factor_normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None):
+    """The normal matrix of solve_normal_equations, ready for _solve_factored.
+
+    Returns (its upper Cholesky factor, True), or (the matrix itself, False)
+    when Cholesky fails. dpotrf factors the one array the sum is built in:
+    that sum is exactly symmetric, so its transpose is the same matrix in
+    the Fortran order dpotrf overwrites, and no copy is made. The factor is
+    the one scipy.linalg.solve(assume_a="pos") makes, without its
+    LinAlgWarning on an ill-conditioned matrix. A failed factorization has
+    overwritten the sum, so it is built again for the LDLᵀ solve.
+    """
+    import scipy.linalg
+
+    gram = _normal_matrix(grams, reg_lambda, penalty)
+    factor, info = scipy.linalg.lapack.dpotrf(gram.T, overwrite_a=1)
+    if info == 0:
+        return factor, True
+    return _normal_matrix(grams, reg_lambda, penalty), False
+
+
+def _solve_factored(factored, rhs: np.ndarray) -> np.ndarray:
+    """x with normal matrix @ x = rhs, from what _factor_normal_matrix returned.
+
+    A Cholesky factor takes one dpotrs; a matrix that failed Cholesky is
+    solved by symmetric LDLᵀ, and only an exact zero pivot there raises
+    NumericsError. Neither modifies factored.
+    """
+    import scipy.linalg
+
+    matrix, cholesky = factored
+    if cholesky:
+        x, _ = scipy.linalg.lapack.dpotrs(matrix, rhs)
+        return x
+    try:
+        return scipy.linalg.solve(matrix, rhs, assume_a="sym")
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(
+            "regularized normal equations are singular; the scene is not "
+            "invertible at this regularization strength"
+        ) from exc
+
+
 def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
     """Averaged, regularized normal equations solved by Cholesky, else LDLᵀ.
 
@@ -516,32 +563,8 @@ def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None 
     Cholesky; it is solved once more by symmetric LDLᵀ, and only an exact
     zero pivot there raises NumericsError.
     """
-    gram = pairs[0][0].copy()
-    rhs = pairs[0][1].copy()
-    for part_gram, part_rhs in pairs[1:]:
-        gram += part_gram
-        rhs += part_rhs
-    gram /= len(pairs)
-    rhs /= len(pairs)
-    if penalty is None:
-        gram[np.diag_indices_from(gram)] += reg_lambda
-    else:
-        scaled = reg_lambda * penalty
-        taps = penalty.shape[0]
-        for start in range(0, gram.shape[0], taps):
-            gram[start : start + taps, start : start + taps] += scaled
-    coef = _cholesky_solve(gram, rhs)
-    if coef is not None:
-        return coef
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.solve(gram, rhs, assume_a="sym")
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            "regularized normal equations are singular; the scene is not "
-            "invertible at this regularization strength"
-        ) from exc
+    grams, parts = zip(*pairs)
+    return _solve_factored(_factor_normal_matrix(grams, reg_lambda, penalty), _mean(parts))
 
 
 def solve_regularized(
@@ -593,7 +616,12 @@ def design_coefficients(
     ("rhs", N, i, d_H), LS_ATF taps under ("LS_ATF", N, i), and the taps
     solved at lambda under ("taps", N, d_H, train, lambda, penalty key or
     None). So RLS and R_DELTA_LS at equal lambda share one solve, as do the
-    ridge variants across beta. Pass {}, {} for a one-off.
+    ridge variants across beta. Its one "factor" slot holds the factored
+    regularized normal matrix last solved, with its key (N, train, lambda,
+    penalty key or None), which is all that matrix depends on; points that
+    differ only in d_H share it when they run back to back. The slot is
+    cleared before the next matrix is factored, so at most one factor is
+    alive. Pass {}, {} for a one-off.
 
     A Gram, right-hand side or tap vector that overflows raises NumericsError.
     """
@@ -608,7 +636,10 @@ def design_coefficients(
     penalty_key = ("penalty", train, config.reg_beta) if config.variant in WEIGHTED_VARIANTS else None
     key = ("taps", n_spk, shift, train, config.reg_lambda, penalty_key)
     if key not in memo:
-        pairs = []
+        factor_key = (n_spk, train, config.reg_lambda, penalty_key)
+        if memo.get("factor", (None,))[0] != factor_key:
+            # at most one factor alive, and none while speaker matrices are built
+            memo.pop("factor", None)
         for i in train:
             if ("rhs", n_spk, i, shift) not in memo:
                 if ("target", i, shift) not in memo:
@@ -620,16 +651,19 @@ def design_coefficients(
                     rhs = m.T @ memo["target", i, shift][: m.shape[0]]
                     memo["rhs", n_spk, i, shift] = _finite(f"right-hand side of set {i}", rhs)
                 del m  # one speaker matrix alive at a time, none in the solve
-            pairs.append((grams[n_spk, i], memo["rhs", n_spk, i, shift]))
-        if penalty_key is not None and penalty_key not in memo:
-            grid = config.grid(sets)
-            if ("ratio", train) not in memo:
-                ratio = _leakage_ratio([sets[i] for i in train], g, grid)
-                memo["ratio", train] = fractional_octave_smooth(ratio, grid)
-            weight = _log_normal_weight(memo["ratio", train], config.reg_beta)
-            memo[penalty_key] = _penalty_block(weight, taps, grid.fft_size)
-        penalty = memo.get(penalty_key)  # None for the ridge variants
-        coef = _finite("taps", solve_normal_equations(pairs, config.reg_lambda, penalty))
+        if "factor" not in memo:
+            if penalty_key is not None and penalty_key not in memo:
+                grid = config.grid(sets)
+                if ("ratio", train) not in memo:
+                    ratio = _leakage_ratio([sets[i] for i in train], g, grid)
+                    memo["ratio", train] = fractional_octave_smooth(ratio, grid)
+                weight = _log_normal_weight(memo["ratio", train], config.reg_beta)
+                memo[penalty_key] = _penalty_block(weight, taps, grid.fft_size)
+            penalty = memo.get(penalty_key)  # None for the ridge variants
+            train_grams = [grams[n_spk, i] for i in train]
+            memo["factor"] = (factor_key, _factor_normal_matrix(train_grams, config.reg_lambda, penalty))
+        rhs = _mean([memo["rhs", n_spk, i, shift] for i in train])
+        coef = _finite("taps", _solve_factored(memo["factor"][1], rhs))
         memo[key] = coef.reshape(n_spk, taps)
     return memo[key]
 

@@ -18,6 +18,7 @@ from .scenario import MeasurementSet, Scenario
 from .design import (
     DesignConfig,
     EqualizerFilter,
+    NumericsError,
     _check_grid_holds,
     _check_rates,
     _config_echo,
@@ -87,8 +88,17 @@ def _in_band(des: np.ndarray, grid: FrequencyGrid, f_low_hz: float, f_up_hz: flo
 
 
 def _band_distance(aid, weights: np.ndarray, des: np.ndarray) -> float:
-    with np.errstate(divide="ignore"):
-        deviation_db = 20.0 * np.log10(aid / des)
+    """ERB-weighted mean of |20 log10(aid / des)| over the band's bins.
+
+    A vanishing aided magnitude gives an infinite distance. A ratio of
+    nonzero magnitudes that leaves the float range would give one too, so it
+    raises NumericsError instead.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = aid / des
+        deviation_db = 20.0 * np.log10(ratio)
+    if np.isinf(ratio).any() or (ratio[aid > 0] == 0.0).any():
+        raise NumericsError("aided-to-desired magnitude ratio left the float range")
     return float(np.sum(weights * np.abs(deviation_db)))
 
 
@@ -103,7 +113,8 @@ def auditory_spectral_distance(
 
     Zero means the aided response matches the desired one in magnitude at
     every weighted bin. The desired response must not vanish inside the
-    band; a vanishing aided response yields an infinite distance.
+    band; a vanishing aided response yields an infinite distance, and an
+    aided-to-desired magnitude ratio past the float range raises NumericsError.
     """
     weights, des, band = _in_band(magnitude_response(h_des, grid), grid, f_low_hz, f_up_hz)
     return _band_distance(magnitude_response(h_aid, grid)[band], weights, des)

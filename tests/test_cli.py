@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -404,6 +405,21 @@ def test_eval_filter_fields_checked_once(tmp_path, small_scene_path, capsys, key
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_eval_refuses_a_filter_whose_tap_count_is_not_its_L_A(tmp_path, capsys):
+    scene, filt = designed_pair(tmp_path, {}, {
+        "variant": "MFR_DELTA_LS", "L_A": 99, "d_H": 32, "lambda": 0.1, "beta": 1.0,
+        "G0_db": 0.0, "d_G": 96,
+    }, seed=0)
+    doc = json.loads(filt.read_text())
+    doc["coefficients"] = [row[:9] for row in doc["coefficients"]]
+    doc["filter_length"] = 9
+    write_json(filt, doc)
+    assert run("eval", "--scenario", scene, "--filter", filt, "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err == (
+        "error: filter.filter_length: 9 does not match filter.config.L_A 99\n")
+    assert not any(tmp_path.glob("report.*"))
+
+
 def test_eval_exact_inversion_pipeline(tmp_path):
     scene, filt = designed_pair(
         tmp_path,
@@ -600,6 +616,30 @@ def test_sweep_forms_one_gram_per_n_and_set(tmp_path, monkeypatch, synth, grid, 
     assert len(formed) == grams
 
 
+def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
+    factored = []
+
+    def spied_factor(*args):
+        # the previous factor was released before this one is made
+        assert all(ref() is None for ref in factored)
+        result = factor(*args)
+        factored.append(weakref.ref(result[0]))
+        return result
+
+    factor = design._factor_normal_matrix
+    monkeypatch.setattr(design, "_factor_normal_matrix", spied_factor)
+    scene = tmp_path / "scene.json"
+    assert run("synth", "--config", write_json(tmp_path / "spec.json",
+                                                {"num_sets": 5, "num_loudspeakers": 2}),
+               "--seed", 0, "--out", scene) == 0
+    assert run("sweep", "--scenario", scene, "--grid",
+               write_json(tmp_path / "grid.json", README_STUDY),
+               "--out", tmp_path / "study.csv", "--mode", "leave-one-out") == 0
+    # 120 points, but the normal matrix does not depend on d_H: one factor
+    # per lambda and training fold serves all four delays
+    assert len(factored) == 6 * 5
+
+
 def test_commands_refuse_a_grid_shorter_than_the_aided_response(tmp_path, monkeypatch, capsys):
     scene = tmp_path / "scene.json"
     assert run("synth", "--config", write_json(tmp_path / "spec.json", {}), "--seed", 0,
@@ -676,19 +716,23 @@ def test_sweep_reuses_work_across_the_whole_grid(tmp_path, sweep_scene_path, mon
 
 
 def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monkeypatch):
-    grams, rhs, solves = [], [], []
+    grams, rhs, factors = [], [], []
 
-    def spied_solve(pairs, reg_lambda, penalty=None):
-        solves.append(reg_lambda)
-        for gram, part in pairs:
+    def spied_factor(train_grams, reg_lambda, penalty):
+        factors.append(reg_lambda)
+        for gram in train_grams:
             if not any(gram is seen for seen in grams):
                 grams.append(gram)
-            if not any(part is seen for seen in rhs):
-                rhs.append(part)
-        return solve(pairs, reg_lambda, penalty)
+        return factor(train_grams, reg_lambda, penalty)
 
-    solve = design.solve_normal_equations
-    monkeypatch.setattr(design, "solve_normal_equations", spied_solve)
+    def counted(what, values):
+        if what.startswith("right-hand side"):
+            rhs.append(what)
+        return finite(what, values)
+
+    factor, finite = design._factor_normal_matrix, design._finite
+    monkeypatch.setattr(design, "_factor_normal_matrix", spied_factor)
+    monkeypatch.setattr(design, "_finite", counted)
     counts = {"scorers": 0, "scored": 0}
 
     class CountedScorer(cli.SetScorer):
@@ -717,9 +761,9 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     # one Gram per (N, set), one right-hand side per set, forward path and N
     assert len(grams) == spk_counts * sets
     assert len(rhs) == paths * sets
-    # per path: RLS and R_DELTA_LS share one ridge solve per lambda, whatever
-    # beta is; FR_DELTA_LS and MFR_DELTA_LS solve once per (lambda, beta)
-    assert len(solves) == paths * (len(lambdas) + 2 * len(lambdas) * len(betas))
+    # per path: RLS and R_DELTA_LS share one ridge factor per lambda, whatever
+    # beta is; FR_DELTA_LS and MFR_DELTA_LS factor once per (lambda, beta)
+    assert len(factors) == paths * (len(lambdas) + 2 * len(lambdas) * len(betas))
     # per path, LS_ATF and each distinct solution are scored once on every set
     designs = paths * (1 + len(lambdas) + 2 * len(lambdas) * len(betas))
     assert counts == {"scorers": paths * sets, "scored": designs * sets}
@@ -787,6 +831,34 @@ def test_sweep_survives_rounding_level_cholesky_failure(tmp_path):
     rows = read_csv(out)[1:]
     assert len(rows) == 80
     assert all(math.isfinite(float(r[9])) for r in rows)
+
+
+def test_ldlt_retry_serves_every_delay(tmp_path, monkeypatch):
+    # rows 56 and 57 of the test above, each at two delays: each forward
+    # path's normal matrix fails Cholesky once, and the rebuilt matrix serves
+    # both d_H values
+    factored = []
+
+    def spied_factor(*args):
+        result = factor(*args)
+        factored.append(result[1])  # True for a Cholesky factor
+        return result
+
+    factor = design._factor_normal_matrix
+    monkeypatch.setattr(design, "_factor_normal_matrix", spied_factor)
+    spec = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=256,
+                     speaker_ir_length=200)
+    grid = {"variant": ["FR_DELTA_LS"], "N": [2], "d_H": [0, 4], "lambda": [0.1],
+            "beta": [0.5], "G0_db": [0.0], "d_G": [48, 96], "L_A": 200}
+    scene = synth_scenario(spec, 200000023)
+    save_scenario(scene, tmp_path / "scene.json")
+    with pytest.warns(LinAlgWarning):
+        assert run("sweep", "--scenario", tmp_path / "scene.json", "--grid",
+                   write_json(tmp_path / "grid.json", grid), "--out", tmp_path / "s.csv") == 0
+    assert factored == [False, False]
+    with pytest.warns(LinAlgWarning):
+        expected = reference_sweep_csv(scene, grid, "resubstitution")
+    assert (tmp_path / "s.csv").read_bytes() == expected
 
 
 def test_sweep_operating_point_study_under_a_minute(tmp_path):

@@ -134,6 +134,10 @@ def test_distance_degenerate_inputs():
     with pytest.raises(ValueError, match="Hz"):
         auditory_spectral_distance(h, np.zeros(4), grid)
     assert auditory_spectral_distance(np.zeros(4), h, grid) == math.inf
+    # nonzero magnitudes whose ratio overflows or underflows give no distance
+    for aid, des in ((1e300 * h, 1e-300 * h), (1e-300 * h, 1e300 * h)):
+        with pytest.raises(design.NumericsError, match="left the float range"):
+            auditory_spectral_distance(aid, des, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,30 @@ def test_overflowing_aided_response_is_numerical_failure(tmp_path):
     assert (code, err) == (3, "numerical failure: aided response overflowed the float range\n")
 
 
+def test_overflowing_distance_is_numerical_failure(tmp_path):
+    # with a 1e308 leakage sample a one-loudspeaker MFR_DELTA_LS design stays
+    # finite, but its aided magnitude over the desired one overflows
+    scene = mutate("scene", ("sets", 0, "h_occ", 0), "set", 1e308)
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    grid = dict(GRID, variant=["MFR_DELTA_LS"], N=[1])
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    message = "numerical failure: aided-to-desired magnitude ratio left the float range\n"
+    assert run("sweep", "--scenario", tmp_path / "scene.json", "--grid", tmp_path / "grid.json",
+               "--out", tmp_path / "out.csv") == (3, message)
+    assert not (tmp_path / "out.csv").exists()
+
+    scene["num_loudspeakers"] = 1
+    for ms in scene["sets"]:
+        ms["d"] = ms["d"][:1]
+    (tmp_path / "one.json").write_text(json.dumps(scene))
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    assert run("design", "--scenario", tmp_path / "one.json", "--config", tmp_path / "config.json",
+               "--out", tmp_path / "filter.json") == (0, "")
+    assert run("eval", "--scenario", tmp_path / "one.json", "--filter", tmp_path / "filter.json",
+               "--out", tmp_path / "report") == (3, message)
+    assert not any(tmp_path.glob("report.*"))
+
+
 @pytest.mark.parametrize("tap", ["0.5", True, {}], ids=["string", "bool", "object"])
 def test_filter_taps_must_be_numbers(tmp_path, tap):
     code, err = run_with("filter", mutate("filter", ("coefficients", 0, 3), "set", tap), tmp_path)
