@@ -45,7 +45,6 @@ __all__ = [
     "reduce_to_rtf",
     "frequency_weights",
     "weights_from_ratio",
-    "solve_normal_equations",
     "solve_regularized",
     "design_coefficients",
     "design_filter",
@@ -495,7 +494,10 @@ def _mean(parts) -> np.ndarray:
 
 
 def _normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None) -> np.ndarray:
-    """A new array holding the mean Gram plus reg_lambda times the penalty per loudspeaker."""
+    """A new array holding the mean Gram plus reg_lambda times the penalty per loudspeaker.
+
+    Averaging keeps lambda comparable across set counts; penalty None is the ridge.
+    """
     gram = _mean(grams)
     if penalty is None:
         gram[np.diag_indices_from(gram)] += reg_lambda
@@ -508,7 +510,7 @@ def _normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None) -> np.n
 
 
 def _factor_normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None):
-    """The normal matrix of solve_normal_equations, ready for _solve_factored.
+    """The regularized normal matrix that _normal_matrix builds, ready for _solve_factored.
 
     Returns (its upper Cholesky factor, True), or (the matrix itself, False)
     when Cholesky fails. dpotrf factors the one array the sum is built in:
@@ -549,24 +551,6 @@ def _solve_factored(factored, rhs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def solve_normal_equations(pairs, reg_lambda: float, penalty: np.ndarray | None = None) -> np.ndarray:
-    """Averaged, regularized normal equations solved by Cholesky, else LDLᵀ.
-
-    pairs holds one (MᵀM, Mᵀt) per training set; they are summed in order
-    and divided by their count, so a set count change leaves lambda
-    comparable. reg_lambda times the penalty is added to each loudspeaker's
-    diagonal block, where penalty is one filter_length-square block and None
-    is the identity (ridge). Returns the concatenated coefficient vector. The
-    pairs are not modified.
-
-    A system that rounding leaves a hair short of positive definite fails
-    Cholesky; it is solved once more by symmetric LDLᵀ, and only an exact
-    zero pivot there raises NumericsError.
-    """
-    grams, parts = zip(*pairs)
-    return _solve_factored(_factor_normal_matrix(grams, reg_lambda, penalty), _mean(parts))
-
-
 def solve_regularized(
     system: LinearSystem,
     reg_lambda: float,
@@ -588,7 +572,7 @@ def solve_regularized(
             raise ValueError("weights need the grid they live on")
         penalty = _penalty_block(weights, system.filter_length, grid.fft_size)
     m = system.matrix
-    coef = solve_normal_equations([(m.T @ m, m.T @ system.target)], reg_lambda, penalty)
+    coef = _solve_factored(_factor_normal_matrix([m.T @ m], reg_lambda, penalty), m.T @ system.target)
     return EqualizerFilter(
         coef.reshape(system.num_loudspeakers, system.filter_length),
         system.acausal_delay,
@@ -668,17 +652,6 @@ def design_coefficients(
     return memo[key]
 
 
-def _config_echo(config: DesignConfig, scenario: Scenario) -> dict:
-    return {
-        "variant": config.variant,
-        "L_A": config.filter_length,
-        "d_H": config.acausal_delay,
-        "lambda": config.reg_lambda,
-        "beta": config.reg_beta,
-        "L_FFT": config.grid(scenario.sets).fft_size,
-    }
-
-
 def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -> EqualizerFilter:
     """Design under the configured variant.
 
@@ -686,11 +659,9 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     first measurement set of the scenario; the multi-set variant averages
     over all of them. A grid too short for the filter's eval raises ValueError.
     """
-    _check_grid_holds(config.grid(scenario.sets), scenario.sets, g, config.filter_length)
+    grid = config.grid(scenario.sets)
+    _check_grid_holds(grid, scenario.sets, g, config.filter_length)
     coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {}, {})
-    return EqualizerFilter(
-        coef,
-        config.acausal_delay,
-        _config_echo(config, scenario),
-        scenario_fingerprint(scenario),
-    )
+    echo = {"variant": config.variant, "L_A": config.filter_length, "d_H": config.acausal_delay,
+            "lambda": config.reg_lambda, "beta": config.reg_beta, "L_FFT": grid.fft_size}
+    return EqualizerFilter(coef, config.acausal_delay, echo, scenario_fingerprint(scenario))

@@ -21,7 +21,6 @@ from .design import (
     NumericsError,
     _check_grid_holds,
     _check_rates,
-    _config_echo,
     _finite,
     _ratio_to_open,
     weights_from_ratio,
@@ -182,7 +181,6 @@ class EvaluationReport:
     mag_db_occ: np.ndarray
     leakage_ratio: np.ndarray
     weight_trace: np.ndarray
-    config: dict
 
     @property
     def mean_delta_h_aud_db(self) -> float:
@@ -219,8 +217,8 @@ class SetScorer:
         Raises NumericsError when finite taps drive it past the float range.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            aided = magnitude_response(_aided(self._ms, self._through_mic, coefficients), self._grid)
-        return _finite("aided response", aided)
+            aided = _finite("aided response", _aided(self._ms, self._through_mic, coefficients))
+            return _finite("aided response", magnitude_response(aided, self._grid))
 
     def distance(self, aided: np.ndarray) -> float:
         """Distance in dB of the aided magnitudes `aided` from the desired ones."""
@@ -241,7 +239,8 @@ def evaluate(
     delta_h_aud_db holds one distance per set; the magnitude traces, the
     leakage ratio and the weight trace are set averages, matching what the
     robust solver looks at. A grid too short for the aided response raises
-    ValueError.
+    ValueError, and an aided response or set average past the float range
+    raises NumericsError.
     """
     for ms in scenario.sets:
         _check_filter(ms, filt)
@@ -257,16 +256,17 @@ def evaluate(
         distances.append(scorer.distance(aided))
         mags_aid.append(aided)
         mags_des.append(scorer.desired)
+    with np.errstate(over="ignore"):
+        mag_aid = _finite("set-averaged aided magnitude", np.mean(mags_aid, axis=0))
     mag_des = np.mean(mags_des, axis=0)
     mag_occ = np.mean([magnitude_response(ms.h_occ.samples, grid) for ms in scenario.sets], axis=0)
     ratio = _ratio_to_open(mag_occ, mag_des)
     return EvaluationReport(
         tuple(distances),
         grid.frequencies_hz,
-        _to_db(np.mean(mags_aid, axis=0)),
+        _to_db(mag_aid),
         _to_db(mag_des),
         _to_db(mag_occ),
         ratio,
         weights_from_ratio(ratio, config.reg_beta, grid),
-        _config_echo(config, scenario),
     )

@@ -264,21 +264,25 @@ def _random_log_magnitude_db(rng, fft_size: int, range_db: float, num_knots: int
     return np.interp(np.arange(half), positions, knots)
 
 
+def _root_factor(r: complex, real: bool) -> np.ndarray:
+    """The real polynomial of the zero r: [1, −Re r] if real, else [1, −2·Re r, |r|²] with r̄."""
+    return np.array([1.0, -r.real] if real else [1.0, -2.0 * r.real, abs(r) ** 2])
+
+
 def _replace_factor(h: np.ndarray, r_old: complex, r_new: complex) -> np.ndarray:
     """Swap the root r_old of h (with its conjugate, if complex) for r_new."""
-    if abs(r_old.imag) <= 1e-12:
-        out_factor = np.array([1.0, -r_old.real])
-        in_factor = np.array([1.0, -r_new.real])
-    else:
-        out_factor = np.array([1.0, -2.0 * r_old.real, abs(r_old) ** 2])
-        in_factor = np.array([1.0, -2.0 * r_new.real, abs(r_new) ** 2])
-    quotient, _ = np.polydiv(h, out_factor)
-    return np.convolve(quotient, in_factor)
+    real = abs(r_old.imag) <= 1e-12
+    quotient, _ = np.polydiv(h, _root_factor(r_old, real))
+    return np.convolve(quotient, _root_factor(r_new, real))
 
 
 # _pull_roots_inside reflects zeros at or past _ROOT_CEILING to at most
-# _ROOT_SQUEEZE. _CERTIFIED_RADIUS sits a margin below the ceiling, so that a
-# response certified inside it has no zero np.roots could place at or past it.
+# _ROOT_SQUEEZE. _CERTIFIED_RADIUS sits 0.002 below the ceiling, so that a
+# response certified inside it has no zero np.roots could place at or past it
+# unless np.roots misplaced that zero by 0.002. The margin is that narrow
+# because the zeros of a truncated cepstral response crowd toward the circle as
+# it lengthens: np.roots put the largest at 0.991-0.992 for 1000 taps and at
+# 0.993-0.995 for 1500, so a radius of 0.99 certified none of those responses.
 # Three tiers decide, in turn, whether a response needs that: one FFT winding
 # count (_winding_certificate), then, where it cannot tell, the Schur–Cohn
 # step-down (_zeros_within), and, where neither certifies the response,
@@ -288,7 +292,7 @@ def _replace_factor(h: np.ndarray, r_old: complex, r_new: complex) -> np.ndarray
 # and the output does not depend on which tier decides.
 _ROOT_CEILING = 0.999
 _ROOT_SQUEEZE = 0.99
-_CERTIFIED_RADIUS = 0.99
+_CERTIFIED_RADIUS = 0.997
 
 # synth refuses to build a dense float64 matrix larger than this: np.roots's
 # companion matrix or the Sylvester matrix of a co-prime check. 1 GiB allows
@@ -442,14 +446,9 @@ def _flip_one_zero(h: np.ndarray) -> np.ndarray:
         )
     # a moderate radius keeps the reflected zero clearly outside the circle
     r = min(candidates, key=lambda z: abs(abs(z) - 0.7))
-    if abs(r.imag) <= 1e-12:
-        out_factor = np.array([1.0, -r.real])
-        in_factor = out_factor[::-1].copy()
-    else:
-        out_factor = np.array([1.0, -2.0 * r.real, abs(r) ** 2])
-        in_factor = out_factor[::-1].copy()
+    out_factor = _root_factor(r, abs(r.imag) <= 1e-12)
     quotient, _ = np.polydiv(h, out_factor)
-    return np.convolve(quotient, in_factor)
+    return np.convolve(quotient, out_factor[::-1])
 
 
 def _sylvester_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -21,12 +21,13 @@ from eqdesign.design import (
     design_filter,
     frequency_weights,
     reduce_to_rtf,
-    solve_normal_equations,
     solve_ls_atf,
     solve_regularized,
     weights_from_ratio,
+    _factor_normal_matrix,
     _fit_rtf,
     _penalty_block,
+    _solve_factored,
     _spectral_rcond_bound,
     _speaker_matrix,
 )
@@ -590,7 +591,7 @@ def test_rounding_level_indefinite_system_solves_by_ldl():
     rhs = np.array([1.0, 0.0])  # solved by (1 - 2**50, 2**50)
     with pytest.raises(np.linalg.LinAlgError):
         scipy.linalg.solve(gram, rhs, assume_a="pos")
-    coef = solve_normal_equations([(gram, rhs)], 0.0)
+    coef = _solve_factored(_factor_normal_matrix([gram], 0.0, None), rhs)
     assert np.allclose(coef, [1 - 2.0**50, 2.0**50], rtol=1e-14, atol=0)
     assert np.allclose(gram @ coef, rhs, rtol=0, atol=1e-12)
 
@@ -605,7 +606,7 @@ def test_penalty_block_is_added_per_loudspeaker():
     gram, rhs = m.matrix.T @ m.matrix, m.matrix.T @ m.target
     full = gram + 0.3 * spectral_penalty(w, 3, 5, FrequencyGrid(64, RATE))
     assert np.array_equal(
-        solve_normal_equations([(gram, rhs)], 0.3, block),
+        solve_regularized(m, 0.3, w, FrequencyGrid(64, RATE)).coefficients.ravel(),
         scipy.linalg.solve(full, rhs, assume_a="pos"),
     )
 

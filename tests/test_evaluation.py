@@ -243,7 +243,6 @@ def test_evaluate_report_contents():
     ratio, weights = frequency_weights(scn.sets, g, config.reg_beta, grid)
     assert np.array_equal(report.leakage_ratio, ratio)
     assert np.array_equal(report.weight_trace, weights)
-    assert report.config == filt.config
 
 
 def test_evaluate_zero_filter_shows_leakage_only():

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,34 @@ def test_overflowing_distance_is_numerical_failure(tmp_path):
                "--out", tmp_path / "filter.json") == (0, "")
     assert run("eval", "--scenario", tmp_path / "one.json", "--filter", tmp_path / "filter.json",
                "--out", tmp_path / "report") == (3, message)
+    assert not any(tmp_path.glob("report.*"))
+
+
+@pytest.mark.parametrize("tap, what", [
+    (1.5e308, "aided response"),
+    (1e306, "set-averaged aided magnitude"),
+], ids=["time-response", "set-average"])
+def test_aided_overflow_on_the_readme_scene_is_numerical_failure(tmp_path, tap, what):
+    # on the README default scene, 99 taps of 1.5e308 on one loudspeaker
+    # overflow the aided time response; taps of 1e306 leave every per-set
+    # distance finite, about 6126 dB, but overflow the mean of five sets' magnitudes
+    (tmp_path / "synth.json").write_text("{}")
+    config = {"variant": "MFR_DELTA_LS", "L_A": 99, "d_H": 32, "lambda": 0.1, "beta": 1.0,
+              "G0_db": 0.0, "d_G": 96}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run("synth", "--config", tmp_path / "synth.json", "--seed", 0,
+               "--out", tmp_path / "scene.json") == (0, "")
+    assert run("design", "--scenario", tmp_path / "scene.json", "--config", tmp_path / "config.json",
+               "--out", tmp_path / "filter.json") == (0, "")
+    filt = json.loads((tmp_path / "filter.json").read_text())
+    filt["coefficients"][0] = [tap] * 99
+    (tmp_path / "filter.json").write_text(json.dumps(filt))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run("eval", "--scenario", tmp_path / "scene.json", "--filter", tmp_path / "filter.json",
+                     "--out", tmp_path / "report")
+    assert result == (3, f"numerical failure: {what} overflowed the float range\n")
+    assert caught == []
     assert not any(tmp_path.glob("report.*"))
 
 

@@ -226,11 +226,11 @@ def poly_with_zeros(largest, seed, pairs=12, conjugate=True):
 
 
 @pytest.mark.parametrize("h", [
-    poly_with_zeros(0.995, seed=0, conjugate=False),
+    poly_with_zeros(0.998, seed=0, conjugate=False),
     poly_with_zeros(1.05, seed=1, conjugate=False),
     poly_with_zeros(1.2, seed=2),
     np.concatenate([[0.0], poly_with_zeros(0.5, seed=3)]),
-], ids=["real-0.995", "real-1.05", "pair-1.2", "leading-zero"])
+], ids=["real-0.998", "real-1.05", "pair-1.2", "leading-zero"])
 def test_pull_roots_inside_falls_back_to_roots(h):
     assert not _zeros_within(h, _CERTIFIED_RADIUS)
     pulled = _pull_roots_inside(h)
@@ -314,7 +314,8 @@ def test_dense_matrix_budget_is_one_gibibyte():
 
 
 # scenario_fingerprint of the README default scene and the perfbench long
-# scene, seeds 0-4, as np.roots alone produced them
+# scene, seeds 0-4, and of one-set 1500-tap scenes, seeds 0-2, as np.roots
+# alone produced them
 PINNED_FINGERPRINTS = {
     "default": [
         "9ad2f315607e8bf876100ea9b521a2e0a3d6d71cef58292c8679f8935fbe8371",
@@ -330,17 +331,26 @@ PINNED_FINGERPRINTS = {
         "59ed36a3a36ba0ed328a26d4a72a94fe8e1dacb2bdd15c79c74af1b94cd0d6bd",
         "d62f97d4bc1d064cb193465ea0fca28fec5967b982f33b2ef9d038a5d8c1e66b",
     ],
+    "1500-tap": [
+        "b0540ed0c961e59461513507d0a2f06798c8da0068c3dcfe0387ee04d6ea55c5",
+        "73459f0621f7d120ef7f3c2ba3e420871cca7206945ac92022ad0c3f8992a621",
+        "c0e4bd602bbdab7f9af860df2ea8100455245aec6b33c6bfc5a14cbe1fb3d920",
+    ],
 }
 
 
 @pytest.mark.parametrize("name, spec", [
     ("default", SynthSpec()),
     ("long", SynthSpec(num_sets=3, source_ir_length=256, speaker_ir_length=200)),
+    ("1500-tap", SynthSpec(num_sets=1, source_ir_length=1500, speaker_ir_length=1500)),
 ])
 def test_synth_is_certified_by_one_fft_per_response(name, spec):
     with mock.patch.object(scenario_module, "_zeros_within", wraps=_zeros_within) as step_down, \
             mock.patch.object(np, "roots", wraps=np.roots) as roots:
-        digests = [scenario_fingerprint(synth_scenario(spec, seed)) for seed in range(5)]
+        digests = [
+            scenario_fingerprint(synth_scenario(spec, seed))
+            for seed in range(len(PINNED_FINGERPRINTS[name]))
+        ]
     assert digests == PINNED_FINGERPRINTS[name]
     assert step_down.call_count == 0 and roots.call_count == 0
 
