@@ -217,6 +217,11 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     filt, config, gain_db, path_delay = _filter_from_dict(_load_json(filter_path, "filter"))
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     report = evaluate(scenario, g, filt, config)
+    for i, distance in enumerate(report.delta_h_aud_db):
+        if distance == np.inf:  # which JSON cannot hold
+            raise NumericsError(
+                f"aided response of set {i} rounds to 0 in the band, so its distance is infinite"
+            )
 
     columns = np.column_stack([
         report.frequencies_hz,
@@ -259,40 +264,34 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
         folds = [(-1, everything, everything)]
     else:
         folds = [(k, everything[:k] + everything[k + 1 :], (k,)) for k in everything]
-    # One grams dict serves the whole sweep: a set's Gram depends on N alone.
-    # The points run grouped by forward path across every N and d_H, each
-    # group with a fresh memo for what the path shapes; scorers and scores are
-    # a few kB a path. G0_db 0.0 and -0.0 share a path. LS_ATF points, which
-    # need no Gram, run first: their dense lstsq is the largest transient,
-    # and no Gram is held yet then. Within a path, the points that differ
-    # only in d_H run back to back on each fold, so they share the one
-    # factor the memo keeps; those runs come in grid order of first point.
-    groups = {}
+    # One cache serves the whole sweep: each piece is keyed by all it depends
+    # on. A run is the points that differ only in d_H; on each fold they
+    # design back to back, sharing the one factor the cache keeps. Runs come
+    # in grid order of first point, LS_ATF runs first: their dense lstsq is
+    # the largest transient, and no Gram is held yet then.
+    runs = {}
     for index, point in enumerate(points):
-        runs = groups.setdefault((point[0] != "LS_ATF", point[5:]), {})
         runs.setdefault(point[:2] + point[3:], []).append(index)
 
     rows = [[None] * len(folds) for _ in points]
-    grams, scorers, scores = {}, {}, {}
-    for (_, path), runs in sorted(groups.items(), key=lambda item: item[0][0]):
-        g, memo = paths[path], {}
-        for indices in runs.values():
-            n_spk = points[indices[0]][1]
-            sets = scenes[n_spk]
-            for f, (fold, train, held_out) in enumerate(folds):
-                where = (n_spk, path, fold)
-                for index in indices:
-                    config = configs[index]
-                    coef = design_coefficients(sets, train, g, config, grams, memo)
-                    if where not in scorers:
-                        scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
-                    # equal taps score alike, so each distinct design is scored once a fold
-                    key = (*where, coef.tobytes())
-                    if key not in scores:
-                        scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
-                    # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
-                    rows[index][f] = [*points[index][:2], config.filter_length,
-                                      *points[index][2:], fold, scores[key]]
+    cache, scorers, scores = {}, {}, {}
+    for indices in sorted(runs.values(), key=lambda run: points[run[0]][0] != "LS_ATF"):
+        n_spk, path = points[indices[0]][1], points[indices[0]][5:]
+        sets, g = scenes[n_spk], paths[path]
+        for f, (fold, train, held_out) in enumerate(folds):
+            where = (n_spk, path, fold)
+            for index in indices:
+                config = configs[index]
+                coef = design_coefficients(sets, train, g, config, cache)
+                if where not in scorers:
+                    scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
+                # equal taps score alike, so each distinct design is scored once a fold
+                key = (*where, coef.tobytes())
+                if key not in scores:
+                    scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
+                # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
+                rows[index][f] = [*points[index][:2], config.filter_length,
+                                  *points[index][2:], fold, scores[key]]
 
     _write_csv(out_path, SWEEP_HEADER, itertools.chain.from_iterable(rows))
 

@@ -579,9 +579,7 @@ def solve_regularized(
     )
 
 
-def design_coefficients(
-    sets, train: tuple, g: ImpulseResponse, config: DesignConfig, grams: dict, memo: dict
-) -> np.ndarray:
+def design_coefficients(sets, train: tuple, g: ImpulseResponse, config: DesignConfig, cache: dict) -> np.ndarray:
     """Taps of config.variant trained on the sets indexed by train, shape (N, L_A).
 
     LS_ATF solves the full system of the first training set; RLS, R_DELTA_LS
@@ -589,67 +587,68 @@ def design_coefficients(
     equations of every training set. The weighted variants regularize by the
     leakage penalty of the sets they train on, the others by a ridge.
 
-    grams and memo collect what other designs can reuse, each piece keyed by
-    what it depends on, with N = sets[0].num_loudspeakers and d_H =
-    config.acausal_delay; both stay valid while the measurements,
-    filter_length and fft_size stay. grams holds set i's Gram MᵀM under (N,
-    i); M lacks the d_H zero rows of reduce_to_rtf, which add exact zeros. memo
-    serves one g: set i's RTF target under ("target", i, d_H), the smoothed
-    leakage ratio of sets train under ("ratio", train), its penalty at beta
-    under ("penalty", train, beta), Mᵀt on the target's first rows under
-    ("rhs", N, i, d_H), LS_ATF taps under ("LS_ATF", N, i), and the taps
-    solved at lambda under ("taps", N, d_H, train, lambda, penalty key or
-    None). So RLS and R_DELTA_LS at equal lambda share one solve, as do the
-    ridge variants across beta. Its one "factor" slot holds the factored
-    regularized normal matrix last solved, with its key (N, train, lambda,
-    penalty key or None), which is all that matrix depends on; points that
-    differ only in d_H share it when they run back to back. The slot is
-    cleared before the next matrix is factored, so at most one factor is
-    alive. Pass {}, {} for a one-off.
+    cache collects what other designs can reuse, each piece keyed by all it
+    depends on, with N = sets[0].num_loudspeakers, d_H = config.acausal_delay
+    and g by identity, so an equal but new g only misses reuse; it stays
+    valid while the measurements, filter_length and fft_size stay, across any
+    number of forward paths. It holds set i's
+    Gram MᵀM under ("gram", N, i), where M lacks the d_H zero rows of
+    reduce_to_rtf, which add exact zeros; set i's RTF target under ("target",
+    g, i, d_H) and Mᵀt on its first rows under ("rhs", g, N, i, d_H); the
+    smoothed leakage ratio of sets train under ("ratio", g, train); LS_ATF
+    taps under ("LS_ATF", g, N, i); and the taps solved from the factor key
+    (N, train, lambda), extended by (beta, g) for the weighted variants,
+    under ("taps", g, d_H, factor key). So RLS and R_DELTA_LS at equal lambda
+    share one solve, as do the ridge variants across beta, and a ridge
+    factor serves every g. Its one "factor" slot holds the factored
+    regularized normal matrix last solved, with its factor key, which is all
+    that matrix depends on; points that differ only in d_H share it when they
+    run back to back. The slot is cleared before the next matrix is factored,
+    so at most one factor is alive. Pass {} for a one-off.
 
     A Gram, right-hand side or tap vector that overflows raises NumericsError.
     """
     n_spk, taps, shift = sets[0].num_loudspeakers, config.filter_length, config.acausal_delay
     if config.variant == "LS_ATF":
-        key = ("LS_ATF", n_spk, train[0])
-        if key not in memo:
-            memo[key] = solve_ls_atf(assemble_atf_system(sets[train[0]], g, taps)).coefficients
-        return memo[key]
+        key = ("LS_ATF", g, n_spk, train[0])
+        if key not in cache:
+            cache[key] = solve_ls_atf(assemble_atf_system(sets[train[0]], g, taps)).coefficients
+        return cache[key]
     if config.variant != "MFR_DELTA_LS":
         train = train[:1]
-    penalty_key = ("penalty", train, config.reg_beta) if config.variant in WEIGHTED_VARIANTS else None
-    key = ("taps", n_spk, shift, train, config.reg_lambda, penalty_key)
-    if key not in memo:
-        factor_key = (n_spk, train, config.reg_lambda, penalty_key)
-        if memo.get("factor", (None,))[0] != factor_key:
+    weighted = config.variant in WEIGHTED_VARIANTS
+    factor_key = (n_spk, train, config.reg_lambda) + ((config.reg_beta, g) if weighted else ())
+    key = ("taps", g, shift, factor_key)
+    if key not in cache:
+        if cache.get("factor", (None,))[0] != factor_key:
             # at most one factor alive, and none while speaker matrices are built
-            memo.pop("factor", None)
+            cache.pop("factor", None)
         for i in train:
-            if ("rhs", n_spk, i, shift) not in memo:
-                if ("target", i, shift) not in memo:
-                    memo["target", i, shift] = _rtf_target(sets[i], g, taps, shift)
+            if ("rhs", g, n_spk, i, shift) not in cache:
+                if ("target", g, i, shift) not in cache:
+                    cache["target", g, i, shift] = _rtf_target(sets[i], g, taps, shift)
                 m = _speaker_matrix(sets[i], taps)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    if (n_spk, i) not in grams:
-                        grams[n_spk, i] = _finite(f"Gram of set {i}", m.T @ m)
-                    rhs = m.T @ memo["target", i, shift][: m.shape[0]]
-                    memo["rhs", n_spk, i, shift] = _finite(f"right-hand side of set {i}", rhs)
+                    if ("gram", n_spk, i) not in cache:
+                        cache["gram", n_spk, i] = _finite(f"Gram of set {i}", m.T @ m)
+                    rhs = m.T @ cache["target", g, i, shift][: m.shape[0]]
+                    cache["rhs", g, n_spk, i, shift] = _finite(f"right-hand side of set {i}", rhs)
                 del m  # one speaker matrix alive at a time, none in the solve
-        if "factor" not in memo:
-            if penalty_key is not None and penalty_key not in memo:
+        if "factor" not in cache:
+            penalty = None  # the ridge
+            if weighted:
                 grid = config.grid(sets)
-                if ("ratio", train) not in memo:
+                if ("ratio", g, train) not in cache:
                     ratio = _leakage_ratio([sets[i] for i in train], g, grid)
-                    memo["ratio", train] = fractional_octave_smooth(ratio, grid)
-                weight = _log_normal_weight(memo["ratio", train], config.reg_beta)
-                memo[penalty_key] = _penalty_block(weight, taps, grid.fft_size)
-            penalty = memo.get(penalty_key)  # None for the ridge variants
-            train_grams = [grams[n_spk, i] for i in train]
-            memo["factor"] = (factor_key, _factor_normal_matrix(train_grams, config.reg_lambda, penalty))
-        rhs = _mean([memo["rhs", n_spk, i, shift] for i in train])
-        coef = _finite("taps", _solve_factored(memo["factor"][1], rhs))
-        memo[key] = coef.reshape(n_spk, taps)
-    return memo[key]
+                    cache["ratio", g, train] = fractional_octave_smooth(ratio, grid)
+                weight = _log_normal_weight(cache["ratio", g, train], config.reg_beta)
+                penalty = _penalty_block(weight, taps, grid.fft_size)
+            train_grams = [cache["gram", n_spk, i] for i in train]
+            cache["factor"] = (factor_key, _factor_normal_matrix(train_grams, config.reg_lambda, penalty))
+        rhs = _mean([cache["rhs", g, n_spk, i, shift] for i in train])
+        coef = _finite("taps", _solve_factored(cache["factor"][1], rhs))
+        cache[key] = coef.reshape(n_spk, taps)
+    return cache[key]
 
 
 def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -> EqualizerFilter:
@@ -661,7 +660,7 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     """
     grid = config.grid(scenario.sets)
     _check_grid_holds(grid, scenario.sets, g, config.filter_length)
-    coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {}, {})
+    coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {})
     echo = {"variant": config.variant, "L_A": config.filter_length, "d_H": config.acausal_delay,
             "lambda": config.reg_lambda, "beta": config.reg_beta, "L_FFT": grid.fft_size}
     return EqualizerFilter(coef, config.acausal_delay, echo, scenario_fingerprint(scenario))

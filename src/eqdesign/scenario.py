@@ -385,8 +385,6 @@ def _pull_roots_inside(h: np.ndarray) -> np.ndarray:
     the winding certificate nor the Schur–Cohn test certifies the response
     as it stands.
     """
-    if h.size < 2:
-        return h
     for _ in range(6):
         certified = _winding_certificate(h, _CERTIFIED_RADIUS)
         if certified is None:
@@ -454,8 +452,6 @@ def _flip_one_zero(h: np.ndarray) -> np.ndarray:
 def _sylvester_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     m = p.size - 1
     n = q.size - 1
-    if m < 1 or n < 1:
-        raise ValueError("resultant needs two polynomials of degree >= 1")
     s = np.zeros((m + n, m + n))
     for i in range(n):
         s[i, i : i + m + 1] = p

@@ -390,7 +390,8 @@ def test_eval_filter_config_errors_name_filter_fields(tmp_path, small_scene_path
     ("d_H", -1, "error: filter.d_H: -1 does not match filter.config.d_H 4\n"),
     ("d_H", 5, "error: filter.d_H: 5 does not match filter.config.d_H 4\n"),
     ("config", [], "error: filter.config: expected an object\n"),
-], ids=["negative-d_H", "other-d_H", "config-not-object"])
+    ("scenario_fingerprint", 5, "error: filter.scenario_fingerprint: expected a string\n"),
+], ids=["negative-d_H", "other-d_H", "config-not-object", "fingerprint-not-a-string"])
 def test_eval_filter_fields_checked_once(tmp_path, small_scene_path, capsys, key, value, message):
     config = write_json(tmp_path / "config.json", SMALL_CONFIG)
     filt = tmp_path / "filter.json"
@@ -546,6 +547,11 @@ def test_sweep_grid_validation(tmp_path, sweep_scene_path, capsys):
                    "--out", tmp_path / "s.csv") == 2
         assert capsys.readouterr().err == message
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_refuses_an_unknown_mode(tmp_path):
+    with pytest.raises(ValueError, match="mode: expected resubstitution or leave-one-out, got 'x'"):
+        cli.cmd_sweep(tmp_path / "scene.json", tmp_path / "grid.json", tmp_path / "s.csv", mode="x")
 
 
 def test_negative_path_delay_names_its_field(tmp_path, small_scene_path, capsys):
@@ -761,9 +767,10 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     # one Gram per (N, set), one right-hand side per set, forward path and N
     assert len(grams) == spk_counts * sets
     assert len(rhs) == paths * sets
-    # per path: RLS and R_DELTA_LS share one ridge factor per lambda, whatever
-    # beta is; FR_DELTA_LS and MFR_DELTA_LS factor once per (lambda, beta)
-    assert len(factors) == paths * (len(lambdas) + 2 * len(lambdas) * len(betas))
+    # RLS and R_DELTA_LS share one ridge factor per N and lambda, whatever beta
+    # and the forward path are; per path, FR_DELTA_LS and MFR_DELTA_LS factor
+    # once per (lambda, beta)
+    assert len(factors) == spk_counts * len(lambdas) + paths * 2 * len(lambdas) * len(betas)
     # per path, LS_ATF and each distinct solution are scored once on every set
     designs = paths * (1 + len(lambdas) + 2 * len(lambdas) * len(betas))
     assert counts == {"scorers": paths * sets, "scored": designs * sets}
@@ -942,6 +949,15 @@ def sweep_cases(draw):
     0,
     {"variant": ["FR_DELTA_LS", "MFR_DELTA_LS"], "N": [1, 2], "d_H": [0, 1],
      "lambda": [0.05], "beta": [0.5, 3.0], "G0_db": [0.0, -6.0], "d_G": [2], "L_A": 6},
+    "leave-one-out",
+))
+# 0.0 and -0.0 share a forward path, and the ridge variants share factors across paths
+@example((
+    SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=12, speaker_ir_length=8,
+              reinsertion_level_db=-20.0),
+    0,
+    {"variant": ["LS_ATF", "RLS", "R_DELTA_LS"], "N": [1, 2], "d_H": [0], "lambda": [0.05],
+     "beta": [1.0], "G0_db": [0.0, -0.0], "d_G": [2, 5], "L_A": 6},
     "leave-one-out",
 ))
 def test_sweep_rows_match_per_row_designs(case):

@@ -18,6 +18,7 @@ from eqdesign.design import (
     NumericsError,
     assemble_atf_system,
     default_fft_size,
+    design_coefficients,
     design_filter,
     frequency_weights,
     reduce_to_rtf,
@@ -731,6 +732,23 @@ def test_single_set_variants_use_first_set():
         assert np.array_equal(multi.coefficients, single.coefficients)
 
 
+def test_one_cache_serves_every_forward_path():
+    # two forward paths and every variant through one cache give the taps of
+    # fresh caches: nothing one path shapes is served to the other
+    spec = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=10,
+                     speaker_ir_length=8, reinsertion_level_db=-20.0)
+    scene = synth_scenario(spec, seed=13)
+    train, shared, first = (0, 1, 2), {}, {}
+    for g in (forward_path_ir(0.0, 8, RATE), forward_path_ir(-10.0, 4, RATE)):
+        for variant in VARIANTS:
+            config = DesignConfig(variant=variant, filter_length=9)
+            taps = design_coefficients(scene.sets, train, g, config, shared)
+            assert np.array_equal(taps, design_coefficients(scene.sets, train, g, config, {}))
+            if variant in first:
+                assert not np.array_equal(taps, first[variant])
+            first[variant] = taps
+
+
 @pytest.mark.parametrize("call", [
     *(pytest.param(
         lambda scene, g, variant=variant: design_filter(
@@ -750,6 +768,31 @@ def test_forward_path_at_another_rate_is_refused(call):
     g = forward_path_ir(0.0, 8, RATE / 2)
     with pytest.raises(ValueError, match="sample rate mismatch"):
         call(scene, g)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: LinearSystem(np.zeros(4), np.zeros(4), 1, 4), "matrix must be 2-D",
+                 id="LinearSystem-1-D"),
+    pytest.param(lambda: LinearSystem(np.zeros((4, 2)), np.zeros(3), 1, 2),
+                 r"target length \(3,\) does not match matrix rows 4", id="LinearSystem-rows"),
+    pytest.param(lambda: LinearSystem(np.zeros((4, 2)), np.zeros(4), 2, 2),
+                 r"matrix has 2 columns, expected 2 \* 2", id="LinearSystem-columns"),
+    pytest.param(lambda: reduce_to_rtf(small_scene(6).sets[0], DELTA_G, 0),
+                 "filter_length must be a positive integer", id="reduce_to_rtf-L_A"),
+    pytest.param(lambda: reduce_to_rtf(small_scene(6).sets[0], DELTA_G, 9, -1),
+                 "acausal_delay must be a nonnegative integer", id="reduce_to_rtf-d_H"),
+    pytest.param(lambda: assemble_atf_system(small_scene(6).sets[0], DELTA_G, 0),
+                 "filter_length must be a positive integer", id="assemble_atf_system-L_A"),
+    pytest.param(lambda: weights_from_ratio(np.ones(33), 0.0, FrequencyGrid(64, RATE)),
+                 "reg_beta must be positive", id="weights_from_ratio-beta"),
+    pytest.param(lambda: frequency_weights([], DELTA_G, 1.0, FrequencyGrid(64, RATE)),
+                 "at least one measurement set is required", id="frequency_weights-no-sets"),
+    pytest.param(lambda: solve_regularized(random_system(0), -1.0),
+                 "reg_lambda must be nonnegative", id="solve_regularized-lambda"),
+])
+def test_bad_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_equalizer_filter_validation():

@@ -235,6 +235,42 @@ def test_aided_overflow_on_the_readme_scene_is_numerical_failure(tmp_path, tap, 
     assert not any(tmp_path.glob("report.*"))
 
 
+def test_infinite_distance_is_numerical_failure(tmp_path):
+    # taps of 1e20 on the boxcar row bury the aided response's O(1) part at
+    # the Nyquist bin, where the row has an exact zero, under rounding
+    doc = copy.deepcopy(valid_docs()["filter"])
+    doc["coefficients"][0] = [1e20] * 4
+    assert run_with("filter", doc, tmp_path) == (
+        3, "numerical failure: aided response of set 0 rounds to 0 in the band, "
+           "so its distance is infinite\n")
+    assert not any(tmp_path.glob("report.*"))
+
+
+@pytest.mark.parametrize("kind, changes, message", [
+    ("scene", {("sets", 1, key): [1.0] for key in ("h_m", "h_open", "h_occ")},
+     "sets[1].h_m: length 1 does not match sets[0] length 8"),
+    ("scene", {("sets",): {}}, "sets: expected a list"),
+    ("scene", {("sets", 0, "h_m"): []}, "sets[0].h_m: expected a non-empty list of numbers"),
+    ("config", {("d_H",): -1}, "config: acausal_delay must be a nonnegative integer"),
+    ("filter", {("num_loudspeakers",): 0, ("coefficients",): []},
+     "filter: coefficients must be a 2-D array (loudspeakers x taps)"),
+    ("synth", {("num_loudspeakers",): 0}, "num_loudspeakers must be a positive integer"),
+    ("synth", {("sample_rate_hz",): 0}, "sample_rate_hz must be positive"),
+    ("synth", {("phase_family",): "non-minimum-phase", ("speaker_ir_length",): 1},
+     "non-minimum-phase needs speaker_ir_length of at least 2"),
+], ids=["h_m-lengths-differ", "sets-not-a-list", "empty-h_m", "negative-d_H",
+        "no-loudspeakers-filter", "no-loudspeakers-synth",
+        "zero-rate", "one-tap-non-minimum-phase"])
+def test_refused_values_name_their_field(tmp_path, kind, changes, message):
+    doc = copy.deepcopy(valid_docs()[kind])
+    for path, value in changes.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    assert run_with(kind, doc, tmp_path) == (2, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("tap", ["0.5", True, {}], ids=["string", "bool", "object"])
 def test_filter_taps_must_be_numbers(tmp_path, tap):
     code, err = run_with("filter", mutate("filter", ("coefficients", 0, 3), "set", tap), tmp_path)
