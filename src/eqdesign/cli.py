@@ -38,7 +38,7 @@ from .design import (
     design_coefficients,
     design_filter,
 )
-from .evaluation import SetScorer, evaluate
+from .evaluation import SetScorer, evaluate, mean_distances
 
 __all__ = ["cmd_synth", "cmd_design", "cmd_eval", "cmd_sweep", "main"]
 
@@ -257,8 +257,9 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     except ValidationError as exc:
         raise ValidationError(f"grid.N: {exc}") from exc
     # every point shares L_A and L_FFT, so the longest forward path decides
+    grid = configs[0].grid(scenario.sets)
     longest = max(paths.values(), key=len)
-    _check_grid_holds(configs[0].grid(scenario.sets), scenario.sets, longest, configs[0].filter_length)
+    _check_grid_holds(grid, scenario.sets, longest, configs[0].filter_length)
     everything = tuple(range(scenario.num_sets))
     if mode == "resubstitution":
         folds = [(-1, everything, everything)]
@@ -273,27 +274,31 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     for index, point in enumerate(points):
         runs.setdefault(point[:2] + point[3:], []).append(index)
 
-    rows = [[None] * len(folds) for _ in points]
-    cache, scorers, scores = {}, {}, {}
+    # Every point designs first. Equal taps score alike, so each (N, forward
+    # path, fold) keeps its distinct taps, and scores them afterwards in one
+    # batch per held-out set.
+    cache, batches, keys = {}, {}, {}
     for indices in sorted(runs.values(), key=lambda run: points[run[0]][0] != "LS_ATF"):
         n_spk, path = points[indices[0]][1], points[indices[0]][5:]
-        sets, g = scenes[n_spk], paths[path]
-        for f, (fold, train, held_out) in enumerate(folds):
-            where = (n_spk, path, fold)
+        for f, (_, train, _) in enumerate(folds):
+            batch = batches.setdefault((n_spk, path, f), {})
             for index in indices:
-                config = configs[index]
-                coef = design_coefficients(sets, train, g, config, cache)
-                if where not in scorers:
-                    scorers[where] = [SetScorer(sets[i], g, config.grid(sets)) for i in held_out]
-                # equal taps score alike, so each distinct design is scored once a fold
-                key = (*where, coef.tobytes())
-                if key not in scores:
-                    scores[key] = float(np.mean([score(coef) for score in scorers[where]]))
-                # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
-                rows[index][f] = [*points[index][:2], config.filter_length,
-                                  *points[index][2:], fold, scores[key]]
+                coef = design_coefficients(scenes[n_spk], train, paths[path], configs[index], cache)
+                keys[index, f] = (n_spk, path, f, coef.tobytes())
+                batch.setdefault(keys[index, f][-1], coef)
+    scores = {}
+    for (n_spk, path, f), batch in batches.items():
+        scorers = [SetScorer(scenes[n_spk][i], paths[path], grid) for i in folds[f][2]]
+        means = mean_distances(scorers, np.array(list(batch.values())))
+        scores.update(zip(((n_spk, path, f, taps) for taps in batch), means.tolist()))
 
-    _write_csv(out_path, SWEEP_HEADER, itertools.chain.from_iterable(rows))
+    # the point's own values: G0_db 0.0 and -0.0 share a path, not a row
+    rows = (
+        [*point[:2], configs[index].filter_length, *point[2:], fold, scores[keys[index, f]]]
+        for index, point in enumerate(points)
+        for f, (fold, _, _) in enumerate(folds)
+    )
+    _write_csv(out_path, SWEEP_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------

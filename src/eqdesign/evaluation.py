@@ -9,6 +9,7 @@ DFT bins it spans.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "desired_tf",
     "simulate",
     "SetScorer",
+    "mean_distances",
     "evaluate",
 ]
 
@@ -71,25 +73,43 @@ def erb_weights(grid: FrequencyGrid, f_low_hz: float = 200.0, f_up_hz: float = 8
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def _band_weights(grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
+    """ERB weights of the weighted bins, and their slice.
+
+    The weighted bins are one run, as the frequencies rise, so a stack of
+    spectra sliced to them keeps each spectrum's bins contiguous. The weights
+    are read-only because the cache hands them to every set scored on the grid.
+    """
+    w = erb_weights(grid, f_low_hz, f_up_hz)
+    inside = np.flatnonzero(w)
+    band = slice(inside[0], inside[-1] + 1)
+    weights = w[band]
+    weights.setflags(write=False)
+    return weights, band
+
+
 def _in_band(des: np.ndarray, grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
-    """ERB weights and desired magnitudes of the weighted bins, and the bin mask.
+    """ERB weights and desired magnitudes of the weighted bins, and their slice.
 
     des is the desired response's magnitude on all of the grid's one-sided bins.
     """
-    w = erb_weights(grid, f_low_hz, f_up_hz)
-    band = w > 0
-    if np.any(des[band] == 0.0):
-        bad = int(np.flatnonzero(band & (des == 0.0))[0])
+    weights, band = _band_weights(grid, f_low_hz, f_up_hz)
+    vanishing = np.flatnonzero(des[band] == 0.0)
+    if vanishing.size:
+        bad = band.start + vanishing[0]
         raise ValueError(
             f"desired response vanishes at {grid.frequencies_hz[bad]:.1f} Hz; distance undefined"
         )
-    return w[band], des[band], band
+    return weights, des[band], band
 
 
-def _band_distance(aid, weights: np.ndarray, des: np.ndarray) -> float:
+def _band_distance(aid, weights: np.ndarray, des: np.ndarray):
     """ERB-weighted mean of |20 log10(aid / des)| over the band's bins.
 
-    A vanishing aided magnitude gives an infinite distance. A ratio of
+    aid holds one design's band magnitudes, or a stack of them along a
+    leading axis; each design's mean sums along the last axis, as it would
+    alone. A vanishing aided magnitude gives an infinite distance. A ratio of
     nonzero magnitudes that leaves the float range would give one too, so it
     raises NumericsError instead.
     """
@@ -98,7 +118,7 @@ def _band_distance(aid, weights: np.ndarray, des: np.ndarray) -> float:
         deviation_db = 20.0 * np.log10(ratio)
     if np.isinf(ratio).any() or (ratio[aid > 0] == 0.0).any():
         raise NumericsError("aided-to-desired magnitude ratio left the float range")
-    return float(np.sum(weights * np.abs(deviation_db)))
+    return np.sum(weights * np.abs(deviation_db), axis=-1)
 
 
 def auditory_spectral_distance(
@@ -116,7 +136,7 @@ def auditory_spectral_distance(
     aided-to-desired magnitude ratio past the float range raises NumericsError.
     """
     weights, des, band = _in_band(magnitude_response(h_des, grid), grid, f_low_hz, f_up_hz)
-    return _band_distance(magnitude_response(h_aid, grid)[band], weights, des)
+    return float(_band_distance(magnitude_response(h_aid, grid)[band], weights, des))
 
 
 def _check_filter(ms: MeasurementSet, filt: EqualizerFilter) -> None:
@@ -129,12 +149,9 @@ def _check_filter(ms: MeasurementSet, filt: EqualizerFilter) -> None:
 def aided_tf(ms: MeasurementSet, g: ImpulseResponse, filt: EqualizerFilter) -> np.ndarray:
     """Aided-ear impulse response: equalized playback plus vent leakage."""
     _check_filter(ms, filt)
-    return _aided(ms, np.convolve(g.samples, ms.h_m.samples), filt.coefficients)
-
-
-def _aided(ms: MeasurementSet, through_mic: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    through_mic = np.convolve(g.samples, ms.h_m.samples)
     total = None
-    for d_n, a_n in zip(ms.d, coefficients):
+    for d_n, a_n in zip(ms.d, filt.coefficients):
         term = np.convolve(np.convolve(d_n.samples, a_n), through_mic)
         total = term if total is None else total + term
     total[: len(ms.h_occ)] += ms.h_occ.samples
@@ -192,40 +209,78 @@ def _to_db(mag: np.ndarray) -> np.ndarray:
 
 
 class SetScorer:
-    """Auditory spectral distance of any filter on one set under one forward path.
+    """Auditory spectral distance of stacked filters on one set under one forward path.
 
-    It holds what every filter scored there shares: the microphone pickup
-    through g, the ERB weights and the desired magnitudes, kept on all
-    one-sided bins as `desired`. `aided` gives a filter's aided magnitudes
-    and `distance` scores them; calling the scorer on a (loudspeakers x taps)
-    coefficient array does both, and gives the distance in dB bit for bit as
-    auditory_spectral_distance gives it on aided_tf and desired_tf.
+    It holds what every filter scored there shares, on the grid's one-sided
+    bins: each loudspeaker's path spectrum P_n, the DFT of d_n * g * h_m; the
+    leakage spectrum H_occ, the DFT of h_occ, with its magnitudes as
+    `occluded`; the desired magnitudes as `desired`; and the ERB weights.
+    The aided spectrum of taps a_n is the sum of A_n P_n over the
+    loudspeakers plus H_occ, where A_n is the DFT of a_n. No time response is
+    formed: on a grid that holds the aided response, which `score` checks,
+    this is its DFT, the linear convolution exactly. In floating point each
+    aided magnitude lies within c·u·(Σ_n ‖a_n‖₁‖d_n‖₁‖g*h_m‖₁ + ‖h_occ‖₁) of
+    |rfft(aided_tf)| on the same bin, for unit roundoff u and a c set by the
+    convolution lengths and log2 L_FFT; tests/test_evaluation.py derives it.
     """
 
     def __init__(self, ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid):
-        self._ms = ms
-        self._grid = grid
-        self._through_mic = np.convolve(g.samples, ms.h_m.samples)
-        self.desired = magnitude_response(desired_tf(ms, g), grid)
+        self._ms, self._g, self._grid = ms, g, grid
+        # a path response is the longest here, as long as a one-tap aided response
+        _check_grid_holds(grid, (ms,), g, 1)
+        through_mic = np.convolve(g.samples, ms.h_m.samples)
+        responses = [ms.h_occ.samples, desired_tf(ms, g),
+                     *(np.convolve(d_n.samples, through_mic) for d_n in ms.d)]
+        padded = np.zeros((len(responses), grid.fft_size))
+        for row, response in zip(padded, responses):
+            row[: response.size] = response
+        # one transform for all: each row is as rfft(response, L_FFT) takes it
+        self._leakage, desired, *paths = np.fft.rfft(padded)
+        self._paths = np.array(paths)
+        self.occluded = np.abs(self._leakage)
+        self.desired = np.abs(desired)
         self._weights, self._desired_in_band, self._band = _in_band(
             self.desired, grid, 200.0, 8000.0
         )
 
-    def aided(self, coefficients: np.ndarray) -> np.ndarray:
-        """Magnitude of the aided response under these taps, on all one-sided bins.
+    def score(self, coefficients) -> tuple[np.ndarray, np.ndarray]:
+        """Aided magnitudes and distances in dB of a stack of designs.
 
-        Raises NumericsError when finite taps drive it past the float range.
+        coefficients is a (designs x loudspeakers x taps) array. Returns the
+        (designs x bins) aided magnitudes on all one-sided bins and the
+        distance of each design. A design scores bit for bit alike alone or
+        in any stack. Raises ValueError when the grid cannot hold the aided
+        response of these taps, and NumericsError when finite taps drive it
+        past the float range.
         """
+        coef = np.asarray(coefficients, dtype=float)
+        if coef.ndim != 3 or coef.shape[1] != len(self._paths):
+            raise ValueError(
+                f"expected designs x {len(self._paths)} loudspeakers x taps, got shape {coef.shape}"
+            )
+        _check_grid_holds(self._grid, (self._ms,), self._g, coef.shape[2])
         with np.errstate(over="ignore", invalid="ignore"):
-            aided = _finite("aided response", _aided(self._ms, self._through_mic, coefficients))
-            return _finite("aided response", magnitude_response(aided, self._grid))
+            spectra = np.fft.rfft(coef, self._grid.fft_size)
+            aided = spectra[:, 0] * self._paths[0]
+            for n in range(1, len(self._paths)):
+                aided += spectra[:, n] * self._paths[n]
+            aided += self._leakage
+            aided = _finite("aided response", np.abs(aided))
+        return aided, _band_distance(aided[:, self._band], self._weights, self._desired_in_band)
 
-    def distance(self, aided: np.ndarray) -> float:
-        """Distance in dB of the aided magnitudes `aided` from the desired ones."""
-        return _band_distance(aided[self._band], self._weights, self._desired_in_band)
 
-    def __call__(self, coefficients: np.ndarray) -> float:
-        return self.distance(self.aided(coefficients))
+def mean_distances(scorers, coefficients) -> np.ndarray:
+    """Mean distance in dB over the scorers' sets of each design in a stack.
+
+    Each design's mean is np.mean of its per-set distances bit for bit, as
+    evaluate's mean_delta_h_aud_db takes it, in a stack of any size: the
+    distances lie along a contiguous last axis, which np.mean sums as it sums
+    a 1-D array.
+    """
+    distances = np.empty((len(coefficients), len(scorers)))
+    for j, scorer in enumerate(scorers):
+        distances[:, j] = scorer.score(coefficients)[1]
+    return distances.mean(axis=-1)
 
 
 def evaluate(
@@ -248,18 +303,20 @@ def evaluate(
     grid = config.grid(scenario.sets)
     _check_grid_holds(grid, scenario.sets, g, filt.filter_length)
     # each spectrum once: a scorer's desired magnitudes are the processed
-    # open-ear spectra that the leakage ratio divides by
-    distances, mags_aid, mags_des = [], [], []
+    # open-ear spectra that the leakage ratio divides by, and its occluded
+    # ones the leakage spectra's
+    distances, mags_aid, mags_des, mags_occ = [], [], [], []
     for ms in scenario.sets:
         scorer = SetScorer(ms, g, grid)
-        aided = scorer.aided(filt.coefficients)
-        distances.append(scorer.distance(aided))
-        mags_aid.append(aided)
+        aided, distance = scorer.score(filt.coefficients[None])
+        distances.append(float(distance[0]))
+        mags_aid.append(aided[0])
         mags_des.append(scorer.desired)
+        mags_occ.append(scorer.occluded)
     with np.errstate(over="ignore"):
         mag_aid = _finite("set-averaged aided magnitude", np.mean(mags_aid, axis=0))
     mag_des = np.mean(mags_des, axis=0)
-    mag_occ = np.mean([magnitude_response(ms.h_occ.samples, grid) for ms in scenario.sets], axis=0)
+    mag_occ = np.mean(mags_occ, axis=0)
     ratio = _ratio_to_open(mag_occ, mag_des)
     return EvaluationReport(
         tuple(distances),

@@ -739,16 +739,17 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     factor, finite = design._factor_normal_matrix, design._finite
     monkeypatch.setattr(design, "_factor_normal_matrix", spied_factor)
     monkeypatch.setattr(design, "_finite", counted)
-    counts = {"scorers": 0, "scored": 0}
+    counts, batches = {"scorers": 0, "scored": 0}, []
 
     class CountedScorer(cli.SetScorer):
         def __init__(self, *args):
             counts["scorers"] += 1
             super().__init__(*args)
 
-        def __call__(self, coefficients):
-            counts["scored"] += 1
-            return super().__call__(coefficients)
+        def score(self, coefficients):
+            counts["scored"] += len(coefficients)
+            batches.append(len(coefficients))
+            return super().score(coefficients)
 
     monkeypatch.setattr(cli, "SetScorer", CountedScorer)
     # G0_db, d_G and beta vary within each N
@@ -771,9 +772,11 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     # and the forward path are; per path, FR_DELTA_LS and MFR_DELTA_LS factor
     # once per (lambda, beta)
     assert len(factors) == spk_counts * len(lambdas) + paths * 2 * len(lambdas) * len(betas)
-    # per path, LS_ATF and each distinct solution are scored once on every set
-    designs = paths * (1 + len(lambdas) + 2 * len(lambdas) * len(betas))
-    assert counts == {"scorers": paths * sets, "scored": designs * sets}
+    # per path, LS_ATF and each distinct solution are scored once on every
+    # set, all in one batch per set
+    per_path = 1 + len(lambdas) + 2 * len(lambdas) * len(betas)
+    assert counts == {"scorers": paths * sets, "scored": paths * per_path * sets}
+    assert batches == [per_path] * (paths * sets)
 
 
 def test_sweep_smooths_each_leakage_ratio_once_per_forward_path_across_every_n(

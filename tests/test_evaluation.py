@@ -1,15 +1,17 @@
 """Auditory-band distance, transfer-function probes, and the report."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqdesign import design, evaluation
 from eqdesign.design import DesignConfig, EqualizerFilter, design_filter, frequency_weights
 from eqdesign.evaluation import (
+    SetScorer,
     _to_db,
     aided_tf,
     auditory_spectral_distance,
@@ -17,10 +19,12 @@ from eqdesign.evaluation import (
     erb_bandwidth_hz,
     erb_weights,
     evaluate,
+    mean_distances,
     simulate,
 )
 from eqdesign.scenario import (
     MeasurementSet,
+    Scenario,
     SynthSpec,
     forward_path_ir,
     synth_scenario,
@@ -282,23 +286,159 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     ratio, weights = frequency_weights(scn.sets, g, config.reg_beta, grid)
     calls = []
 
-    def counted(h, grid):
-        calls.append(len(h))
-        return magnitude_response(h, grid)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "magnitude_response", counted)
-    monkeypatch.setattr(design, "magnitude_response", counted)
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", counted)
     report = evaluate(scn, g, filt, config)
-    # the aided response, g*h_open and h_occ of each of the 5 sets
-    assert len(calls) == 15
-    assert sorted(set(calls)) == [130, 226, 423]
+    # per set, one transform of h_occ, g*h_open and each loudspeaker's
+    # d_n*g*h_m, each padded to the grid, and one of the taps
+    assert calls == [(4, 1024), (1, 2, 99)] * 5
     monkeypatch.undo()
-    assert report.delta_h_aud_db == tuple(
+    # the aided response is never formed in time: its spectrum agrees with
+    # aided_tf's to rounding
+    assert np.allclose(report.delta_h_aud_db, [
         auditory_spectral_distance(aided_tf(ms, g, filt), desired_tf(ms, g), grid)
         for ms in scn.sets
-    )
-    assert np.array_equal(report.mag_db_aid, mean_db([aided_tf(ms, g, filt) for ms in scn.sets]))
+    ], rtol=0, atol=1e-9)
+    assert np.allclose(report.mag_db_aid, mean_db([aided_tf(ms, g, filt) for ms in scn.sets]),
+                       rtol=0, atol=1e-9)
     assert np.array_equal(report.mag_db_des, mean_db([desired_tf(ms, g) for ms in scn.sets]))
     assert np.array_equal(report.mag_db_occ, mean_db([ms.h_occ.samples for ms in scn.sets]))
     assert np.array_equal(report.leakage_ratio, ratio)
     assert np.array_equal(report.weight_trace, weights)
+
+
+# ---------------------------------------------------------------------------
+# scoring stacks of designs in frequency
+
+
+def stack_case(num_sets, loudspeakers, source_length, speaker_length, seed, leakless,
+               gain_db, path_delay, taps, random_rows, tap_seed, fft_pad):
+    """A scene, forward path, grid config and stack of designs.
+
+    The set `leakless` (if not None) loses its leakage, so there the zero
+    filter and the -0.0 taps, which the stack always holds, score inf. The
+    other rows are random taps at scales from 1e-6 to 1e6. fft_pad "none"
+    gives the shortest grid that holds the aided response, "pow2" the power
+    of two above it, and "double" twice that.
+    """
+    spec = SynthSpec(num_sets=num_sets, num_loudspeakers=loudspeakers,
+                     source_ir_length=source_length, speaker_ir_length=speaker_length,
+                     reinsertion_level_db=-20.0)
+    sets = list(synth_scenario(spec, seed).sets)
+    if leakless is not None:
+        sets[leakless] = dataclasses.replace(sets[leakless], h_occ=ir(np.zeros(source_length)))
+    rng = np.random.default_rng(tap_seed)
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, size=(random_rows, 1, 1))
+    rows = list(scales * rng.standard_normal((random_rows, loudspeakers, taps)))
+    rows[rng.integers(0, len(rows) + 1):0] = [np.zeros((loudspeakers, taps))]
+    rows[rng.integers(0, len(rows) + 1):0] = [np.full((loudspeakers, taps), -0.0)]
+    need = speaker_length + taps + path_delay + source_length - 2
+    pow2 = 1 << (need - 1).bit_length()
+    fft_size = {"none": need, "pow2": pow2, "double": 2 * pow2}[fft_pad]
+    config = DesignConfig(filter_length=taps, fft_size=max(fft_size, 2))
+    return (Scenario(tuple(sets), RATE), forward_path_ir(gain_db, path_delay, RATE), config,
+            np.array(rows))
+
+
+@st.composite
+def stack_cases(draw, fft_pads=("none", "pow2", "double")):
+    num_sets = draw(st.integers(2, 9))
+    return (
+        num_sets, draw(st.integers(1, 3)), draw(st.integers(4, 16)), draw(st.integers(2, 12)),
+        draw(st.integers(0, 1000)), draw(st.none() | st.integers(0, num_sets - 1)),
+        draw(st.sampled_from([0.0, -6.0, 10.0])), draw(st.integers(0, 5)),
+        draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(fft_pads)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_cases())
+# 8 or more sets, where a set mean taken across rows would sum in another order
+@example((9, 3, 12, 8, 0, 4, 0.0, 2, 9, 6, 1, "pow2"))
+@example((8, 2, 16, 12, 1, None, -6.0, 5, 12, 5, 2, "none"))
+def test_a_stack_scores_each_design_as_alone_and_as_evaluate(case):
+    scn, g, config, stack = stack_case(*case)
+    grid = config.grid(scn.sets)
+    scorers = [SetScorer(ms, g, grid) for ms in scn.sets]
+    means = mean_distances(scorers, stack)
+    scored = [scorer.score(stack) for scorer in scorers]
+    for i, coef in enumerate(stack):
+        alone = mean_distances(scorers, stack[i : i + 1])
+        assert alone.tobytes() == means[i : i + 1].tobytes()
+        for (aided, distances), scorer in zip(scored, scorers):
+            aided_alone, distance_alone = scorer.score(stack[i : i + 1])
+            assert aided_alone.tobytes() == aided[i : i + 1].tobytes()
+            assert distance_alone.tobytes() == distances[i : i + 1].tobytes()
+        report = evaluate(scn, g, EqualizerFilter(coef), config)
+        assert report.delta_h_aud_db == tuple(float(d[i]) for _, d in scored)
+        assert np.float64(report.mean_delta_h_aud_db).tobytes() == means[i : i + 1].tobytes()
+        if case[5] is not None and not coef.any():
+            assert means[i] == math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack_cases(fft_pads=("pow2", "double")))
+@example((9, 3, 16, 12, 3, 0, 10.0, 5, 12, 6, 3, "pow2"))
+def test_aided_magnitudes_agree_with_the_time_response_to_rounding(case):
+    """Each aided magnitude lies within a first-order rounding bound of |rfft(aided_tf)|.
+
+    Both sides take the same t = g*h_m. Let y be the exact aided response
+    from the taps a_n, the loudspeaker responses d_n (L_D taps), t (L_T
+    taps) and h_occ, and S = Σ_n ‖a_n‖₁‖d_n‖₁‖t‖₁ + ‖h_occ‖₁, which bounds
+    every |Y_k| and ‖y‖₁. With unit roundoff u and γ(m) = m·u/(1 − m·u)
+    (Higham, ch. 3), a sum of at most m products errs by γ(m) times the sum
+    of their magnitudes in any order; a complex product by √2·γ(2)
+    (Lemma 3.5); a complex sum of m+1 terms by √2·γ(m) of the magnitudes;
+    and |z| = l·√(1 + (s/l)²) by γ(4). A power-of-two FFT errs on each bin
+    by at most φ·‖x‖₁, φ = log2(L_FFT)·η, η = μ + γ(4)(√2 + μ) with twiddle
+    error μ = u (Thm 24.2, whose per-stage bound holds entry by entry, and
+    one path joins each input to each output). To first order:
+
+    - time: d_n*a_n γ(L_D), then *t γ(L_T), then N sums γ(N), all in ℓ1
+      and so on every bin; then the FFT φ and |·| γ(4);
+    - frequency: d_n*t γ(L_D) and its FFT φ, the taps' FFT φ, the product
+      √2·γ(2), N complex sums √2·γ(N), and |·| γ(4).
+
+    So |mag − |rfft(aided_tf)|| ≤ c·u·S with
+    c·u = 2γ(L_D) + γ(L_T) + (1 + √2)γ(N) + 3φ + √2·γ(2) + 2γ(4).
+    """
+    scn, g, config, stack = stack_case(*case)
+    grid = config.grid(scn.sets)
+    u = np.finfo(float).eps / 2
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    phi = math.log2(grid.fft_size) * (u + gamma(4) * (math.sqrt(2) + u))
+    loudspeakers = stack.shape[1]
+    for ms in scn.sets:
+        t = np.convolve(g.samples, ms.h_m.samples)
+        c_u = (2 * gamma(ms.speaker_length) + gamma(t.size) + (1 + math.sqrt(2)) * gamma(loudspeakers)
+               + 3 * phi + math.sqrt(2) * gamma(2) + 2 * gamma(4))
+        d_norms = np.array([np.abs(d_n.samples).sum() for d_n in ms.d])
+        sizes = np.abs(stack).sum(axis=2) @ d_norms * np.abs(t).sum() + np.abs(ms.h_occ.samples).sum()
+        bounds = c_u * sizes
+        aided, _ = SetScorer(ms, g, grid).score(stack)
+        for coef, mags, bound in zip(stack, aided, bounds):
+            expected = magnitude_response(aided_tf(ms, g, EqualizerFilter(coef)), grid)
+            assert np.max(np.abs(mags - expected)) <= bound
+
+
+def test_scorer_refuses_taps_its_grid_cannot_hold():
+    ms = scene(seed=8, num_loudspeakers=2).sets[0]
+    g = forward_path_ir(0.0, 3, RATE)
+    # L_D + L_A + d_G + L_S − 2 = 8 + 4 + 3 + 12 − 2
+    scorer = SetScorer(ms, g, FrequencyGrid(25, RATE))
+    assert scorer.score(np.ones((2, 2, 4)))[0].shape == (2, 13)
+    with pytest.raises(ValueError, match="^L_FFT 25 cannot hold the aided response at d_G 3 "
+                       "and L_A 5: it has 26 samples, so L_FFT must be at least 26$"):
+        scorer.score(np.ones((1, 2, 5)))
+    with pytest.raises(ValueError, match="L_A 1: it has 22 samples, so L_FFT must be at least 22$"):
+        SetScorer(ms, g, FrequencyGrid(21, RATE))
+    with pytest.raises(ValueError, match="designs x 2 loudspeakers x taps"):
+        scorer.score(np.ones((2, 4)))

@@ -236,11 +236,15 @@ def test_aided_overflow_on_the_readme_scene_is_numerical_failure(tmp_path, tap, 
 
 
 def test_infinite_distance_is_numerical_failure(tmp_path):
-    # taps of 1e20 on the boxcar row bury the aided response's O(1) part at
-    # the Nyquist bin, where the row has an exact zero, under rounding
+    # a zero filter on a set without leakage leaves that set's aided
+    # response exactly 0, so its distance is infinite
+    scene = mutate("scene", ("sets", 0, "h_occ"), "set", [0.0] * SYNTH["source_ir_length"])
     doc = copy.deepcopy(valid_docs()["filter"])
-    doc["coefficients"][0] = [1e20] * 4
-    assert run_with("filter", doc, tmp_path) == (
+    doc["coefficients"] = [[0.0] * CONFIG["L_A"] for _ in doc["coefficients"]]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    (tmp_path / "filter.json").write_text(json.dumps(doc))
+    assert run("eval", "--scenario", tmp_path / "scene.json", "--filter", tmp_path / "filter.json",
+               "--out", tmp_path / "report") == (
         3, "numerical failure: aided response of set 0 rounds to 0 in the band, "
            "so its distance is infinite\n")
     assert not any(tmp_path.glob("report.*"))
