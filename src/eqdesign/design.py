@@ -27,7 +27,6 @@ from .signals import (
     _sampling_margin,
     convolution_matrix,
     fractional_octave_smooth,
-    magnitude_response,
 )
 from .scenario import MeasurementSet, Scenario, scenario_fingerprint
 
@@ -269,9 +268,12 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
 def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
     """Minimum-norm least-squares solution of the full-ATF system.
 
-    Raises NumericsError when the taps overflow the float range.
+    Raises NumericsError when the system has rank 0, as under a dead
+    forward path, or when the taps overflow the float range.
     """
-    coef, _, _, _ = np.linalg.lstsq(system.matrix, system.target, rcond=RANK_RTOL)
+    coef, _, rank, _ = np.linalg.lstsq(system.matrix, system.target, rcond=RANK_RTOL)
+    if rank == 0:
+        raise NumericsError("full-ATF system has rank 0, as under a dead forward path")
     return EqualizerFilter(
         _finite("taps", coef).reshape(system.num_loudspeakers, system.filter_length),
         system.acausal_delay,
@@ -417,30 +419,34 @@ def weights_from_ratio(ratio, reg_beta: float, grid: FrequencyGrid) -> np.ndarra
     return _log_normal_weight(smoothed, reg_beta)
 
 
-def _leakage_ratio(measurements, g: ImpulseResponse, grid: FrequencyGrid) -> np.ndarray:
-    """|leakage| over |processed open-ear target|, from set-averaged magnitude spectra."""
-    if isinstance(measurements, MeasurementSet):
-        measurements = [measurements]
-    measurements = list(measurements)
-    if not measurements:
+def _set_spectra(ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid, loudspeakers: int) -> np.ndarray:
+    """A set's spectra under g on the grid's one-sided bins, one row per response.
+
+    Row 0 is the leakage h_occ, row 1 the processed open ear g*h_open, and
+    rows 2.. the paths d_n*g*h_m of the first `loudspeakers` loudspeakers.
+    One transform takes them all, and each row is rfft(response, L_FFT) bit
+    for bit. A g at another sample rate than the set's, or a response longer
+    than L_FFT, raises ValueError.
+    """
+    _check_rates(ms, g)
+    responses = [ms.h_occ.samples, np.convolve(g.samples, ms.h_open.samples)]
+    if loudspeakers:
+        through_mic = np.convolve(g.samples, ms.h_m.samples)
+        responses += [np.convolve(d_n.samples, through_mic) for d_n in ms.d[:loudspeakers]]
+    padded = np.zeros((len(responses), grid.fft_size))
+    for row, response in zip(padded, responses):
+        if response.size > grid.fft_size:
+            raise ValueError(f"impulse response of length {response.size} does not fit L_FFT {grid.fft_size}")
+        row[: response.size] = response
+    return np.fft.rfft(padded)
+
+
+def _leakage_ratio(spectra) -> np.ndarray:
+    """|leakage| over |processed open-ear target|, each averaged over the sets' _set_spectra."""
+    if not spectra:
         raise ValueError("at least one measurement set is required")
-    for ms in measurements:
-        _check_rates(ms, g)
-    leak = np.mean(
-        [magnitude_response(ms.h_occ.samples, grid) for ms in measurements], axis=0
-    )
-    open_gain = np.mean(
-        [
-            magnitude_response(np.convolve(g.samples, ms.h_open.samples), grid)
-            for ms in measurements
-        ],
-        axis=0,
-    )
-    return _ratio_to_open(leak, open_gain)
-
-
-def _ratio_to_open(leak: np.ndarray, open_gain: np.ndarray) -> np.ndarray:
-    """Set-averaged leakage magnitudes over set-averaged processed open-ear ones."""
+    leak = np.mean([np.abs(s[0]) for s in spectra], axis=0)
+    open_gain = np.mean([np.abs(s[1]) for s in spectra], axis=0)
     if np.any(open_gain == 0.0):
         bad = int(np.flatnonzero(open_gain == 0.0)[0])
         raise NumericsError(
@@ -456,7 +462,9 @@ def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: F
     magnitude spectra; pass one MeasurementSet or a sequence of them. Both
     returned arrays live on the grid's one-sided bins, length fft_size // 2 + 1.
     """
-    ratio = _leakage_ratio(measurements, g, grid)
+    if isinstance(measurements, MeasurementSet):
+        measurements = [measurements]
+    ratio = _leakage_ratio([_set_spectra(ms, g, grid, 0) for ms in measurements])
     return ratio, weights_from_ratio(ratio, reg_beta, grid)
 
 
@@ -639,7 +647,7 @@ def design_coefficients(sets, train: tuple, g: ImpulseResponse, config: DesignCo
             if weighted:
                 grid = config.grid(sets)
                 if ("ratio", g, train) not in cache:
-                    ratio = _leakage_ratio([sets[i] for i in train], g, grid)
+                    ratio = _leakage_ratio([_set_spectra(sets[i], g, grid, 0) for i in train])
                     cache["ratio", g, train] = fractional_octave_smooth(ratio, grid)
                 weight = _log_normal_weight(cache["ratio", g, train], config.reg_beta)
                 penalty = _penalty_block(weight, taps, grid.fft_size)

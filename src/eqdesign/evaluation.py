@@ -21,9 +21,9 @@ from .design import (
     EqualizerFilter,
     NumericsError,
     _check_grid_holds,
-    _check_rates,
     _finite,
-    _ratio_to_open,
+    _leakage_ratio,
+    _set_spectra,
     weights_from_ratio,
 )
 
@@ -212,9 +212,10 @@ class SetScorer:
     """Auditory spectral distance of stacked filters on one set under one forward path.
 
     It holds what every filter scored there shares, on the grid's one-sided
-    bins: each loudspeaker's path spectrum P_n, the DFT of d_n * g * h_m; the
-    leakage spectrum H_occ, the DFT of h_occ, with its magnitudes as
-    `occluded`; the desired magnitudes as `desired`; and the ERB weights.
+    bins: the set's `spectra`, as design._set_spectra takes them, which are
+    the leakage spectrum H_occ, the DFT of h_occ, the desired spectrum, and
+    each loudspeaker's path spectrum P_n, the DFT of d_n * g * h_m; and the
+    ERB weights and desired magnitudes of the band's bins.
     The aided spectrum of taps a_n is the sum of A_n P_n over the
     loudspeakers plus H_occ, where A_n is the DFT of a_n. No time response is
     formed: on a grid that holds the aided response, which `score` checks,
@@ -228,19 +229,10 @@ class SetScorer:
         self._ms, self._g, self._grid = ms, g, grid
         # a path response is the longest here, as long as a one-tap aided response
         _check_grid_holds(grid, (ms,), g, 1)
-        through_mic = np.convolve(g.samples, ms.h_m.samples)
-        responses = [ms.h_occ.samples, desired_tf(ms, g),
-                     *(np.convolve(d_n.samples, through_mic) for d_n in ms.d)]
-        padded = np.zeros((len(responses), grid.fft_size))
-        for row, response in zip(padded, responses):
-            row[: response.size] = response
-        # one transform for all: each row is as rfft(response, L_FFT) takes it
-        self._leakage, desired, *paths = np.fft.rfft(padded)
-        self._paths = np.array(paths)
-        self.occluded = np.abs(self._leakage)
-        self.desired = np.abs(desired)
+        self.spectra = _set_spectra(ms, g, grid, ms.num_loudspeakers)
+        self._leakage, desired, *self._paths = self.spectra
         self._weights, self._desired_in_band, self._band = _in_band(
-            self.desired, grid, 200.0, 8000.0
+            np.abs(desired), grid, 200.0, 8000.0
         )
 
     def score(self, coefficients) -> tuple[np.ndarray, np.ndarray]:
@@ -299,25 +291,21 @@ def evaluate(
     """
     for ms in scenario.sets:
         _check_filter(ms, filt)
-        _check_rates(ms, g)
     grid = config.grid(scenario.sets)
     _check_grid_holds(grid, scenario.sets, g, filt.filter_length)
-    # each spectrum once: a scorer's desired magnitudes are the processed
-    # open-ear spectra that the leakage ratio divides by, and its occluded
-    # ones the leakage spectra's
-    distances, mags_aid, mags_des, mags_occ = [], [], [], []
+    # each spectrum once: the traces and the leakage ratio average the
+    # scorers' own leakage and processed open-ear spectra
+    distances, mags_aid, spectra = [], [], []
     for ms in scenario.sets:
         scorer = SetScorer(ms, g, grid)
         aided, distance = scorer.score(filt.coefficients[None])
         distances.append(float(distance[0]))
         mags_aid.append(aided[0])
-        mags_des.append(scorer.desired)
-        mags_occ.append(scorer.occluded)
+        spectra.append(scorer.spectra)
     with np.errstate(over="ignore"):
         mag_aid = _finite("set-averaged aided magnitude", np.mean(mags_aid, axis=0))
-    mag_des = np.mean(mags_des, axis=0)
-    mag_occ = np.mean(mags_occ, axis=0)
-    ratio = _ratio_to_open(mag_occ, mag_des)
+    mag_occ, mag_des = (np.mean([np.abs(s[row]) for s in spectra], axis=0) for row in (0, 1))
+    ratio = _leakage_ratio(spectra)
     return EvaluationReport(
         tuple(distances),
         grid.frequencies_hz,

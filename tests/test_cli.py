@@ -215,10 +215,23 @@ def test_design_config_error_names_field_once(tmp_path, small_scene_path, capsys
 
 
 def test_design_dead_forward_path_is_numerical_failure(tmp_path, small_scene_path, capsys):
-    config = write_json(tmp_path / "config.json", {**SMALL_CONFIG, "G0_db": -1e9})
-    assert run("design", "--scenario", small_scene_path, "--config", config,
-               "--out", tmp_path / "f.json") == 3
-    assert "numerical failure" in capsys.readouterr().err
+    for variant in ({}, {"variant": "LS_ATF", "d_H": 0}):
+        config = write_json(tmp_path / "config.json", {**SMALL_CONFIG, **variant, "G0_db": -1e9})
+        assert run("design", "--scenario", small_scene_path, "--config", config,
+                   "--out", tmp_path / "f.json") == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+
+def test_ls_atf_sweep_over_a_dead_forward_path_is_numerical_failure(tmp_path, small_scene_path, capsys):
+    grid = write_json(tmp_path / "grid.json", {
+        "variant": "LS_ATF", "N": 1, "d_H": 0, "lambda": 0.0,
+        "beta": 1.0, "G0_db": [0.0, -1e9], "d_G": 0, "L_A": 9,
+    })
+    assert run("sweep", "--scenario", small_scene_path, "--grid", grid,
+               "--out", tmp_path / "s.csv") == 3
+    assert "numerical failure: full-ATF system has rank 0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from eqdesign.design import (
     _factor_normal_matrix,
     _fit_rtf,
     _penalty_block,
+    _set_spectra,
     _solve_factored,
     _spectral_rcond_bound,
     _speaker_matrix,
@@ -465,6 +466,45 @@ def test_frequency_weights_ratio_definition():
     assert np.all(w >= 0.0)
 
 
+@st.composite
+def spectra_cases(draw):
+    """(seed, h length, d length, d_G, N, loudspeakers, L_FFT, decade) whose paths fit L_FFT."""
+    fft_size = draw(st.integers(2, 5000))
+    source = draw(st.integers(1, fft_size))
+    speaker = draw(st.integers(1, fft_size - source + 1))
+    delay = draw(st.integers(0, fft_size - source - speaker + 1))
+    n_spk = draw(st.integers(1, 3))
+    return (draw(st.integers(0, 2**32 - 1)), source, speaker, delay, n_spk,
+            draw(st.integers(0, n_spk)), fft_size, draw(st.integers(-200, 200)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectra_cases())
+# README default scenes at the default grid, and long scenes at theirs
+@example((0, 130, 100, 96, 2, 2, 1024, 0))
+@example((7, 256, 200, 96, 2, 2, 2048, 0))
+@example((1, 256, 200, 48, 2, 0, 2048, 0))
+@example((2, 3, 2, 0, 3, 3, 4, 0))  # the longest path fills the grid
+@example((3, 4, 1, 1, 1, 1, 5, 200))
+@example((4, 7, 5, 1, 2, 1, 1001, -200))
+def test_set_spectra_rows_are_each_responses_rfft(case):
+    # the batched transform equals the 1-D one byte for byte, on any L_FFT
+    seed, source, speaker, delay, n_spk, loudspeakers, fft_size, decade = case
+    rng = np.random.default_rng(seed)
+    scale = 10.0**decade
+    h_m, h_open, h_occ = (ir(scale * rng.standard_normal(source)) for _ in range(3))
+    d = tuple(ir(rng.standard_normal(speaker)) for _ in range(n_spk))
+    g = ir(rng.standard_normal(delay + 1))
+    spectra = _set_spectra(MeasurementSet(h_m, h_open, h_occ, d), g, FrequencyGrid(fft_size, RATE),
+                           loudspeakers)
+    through_mic = np.convolve(g.samples, h_m.samples)
+    responses = [h_occ.samples, np.convolve(g.samples, h_open.samples),
+                 *(np.convolve(d_n.samples, through_mic) for d_n in d[:loudspeakers])]
+    assert spectra.shape == (2 + loudspeakers, fft_size // 2 + 1)
+    for row, response in zip(spectra, responses):
+        assert row.tobytes() == np.fft.rfft(response, fft_size).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # spectral penalty
 
@@ -787,6 +827,13 @@ def test_forward_path_at_another_rate_is_refused(call):
                  "reg_beta must be positive", id="weights_from_ratio-beta"),
     pytest.param(lambda: frequency_weights([], DELTA_G, 1.0, FrequencyGrid(64, RATE)),
                  "at least one measurement set is required", id="frequency_weights-no-sets"),
+    # small_scene's h_occ and h_open have 10 samples, and g*h_open 15 at d_G 5
+    pytest.param(lambda: frequency_weights(small_scene(3).sets, forward_path_ir(0.0, 5, RATE), 1.0,
+                                           FrequencyGrid(9, RATE)),
+                 "impulse response of length 10 does not fit L_FFT 9", id="frequency_weights-h_occ-grid"),
+    pytest.param(lambda: frequency_weights(small_scene(3).sets, forward_path_ir(0.0, 5, RATE), 1.0,
+                                           FrequencyGrid(14, RATE)),
+                 "impulse response of length 15 does not fit L_FFT 14", id="frequency_weights-open-grid"),
     pytest.param(lambda: solve_regularized(random_system(0), -1.0),
                  "reg_lambda must be nonnegative", id="solve_regularized-lambda"),
 ])
