@@ -1,8 +1,9 @@
 """Command-line front end: synth, design, eval, sweep.
 
-Exit codes: 0 on success, 2 for config or schema problems, 3 when the
-numerics give up (rank-deficient or singular design systems). Diagnostics
-go to stderr; all output files are deterministic for identical inputs.
+Exit codes: 0 on success, 2 for config or schema problems or an input too
+large to allocate, 3 when the numerics give up (rank-deficient or singular
+design systems). Diagnostics go to stderr; all output files are
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .scenario import (
     forward_path_ir,
     load_scenario,
     save_scenario,
+    scenario_fingerprint,
     select_loudspeakers,
     synth_scenario,
 )
@@ -132,11 +134,28 @@ def _grid_points(data: dict) -> tuple[list[tuple], list[DesignConfig]]:
 
 
 # ---------------------------------------------------------------------------
-# filter file reader
+# filter file: the one writer and the one reader of its layout
 
 
-def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float, int]:
-    """The filter of a filter file, with the DesignConfig, G0_db and d_G of its config."""
+def _filter_doc(filt: EqualizerFilter, scenario, config: DesignConfig, gain_db: float, path_delay: int) -> dict:
+    """The filter file of filt, designed on scenario under config and the forward path (G0_db, d_G)."""
+    return {
+        "num_loudspeakers": filt.num_loudspeakers,
+        "filter_length": filt.filter_length,
+        "d_H": config.acausal_delay,
+        "coefficients": filt.coefficients.tolist(),
+        "config": {
+            "variant": config.variant, "L_A": config.filter_length, "d_H": config.acausal_delay,
+            "lambda": config.reg_lambda, "beta": config.reg_beta,
+            "L_FFT": config.grid(scenario.sets).fft_size, "G0_db": gain_db, "d_G": path_delay,
+        },
+        "scenario_fingerprint": scenario_fingerprint(scenario),
+    }
+
+
+def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float, int, str]:
+    """The filter of a filter file, with the DesignConfig, G0_db and d_G of its
+    config and the fingerprint of the scene it was designed on."""
     required = (
         "num_loudspeakers",
         "filter_length",
@@ -171,15 +190,10 @@ def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float,
         raise ValidationError("filter.scenario_fingerprint: expected a string")
     rows = [_number_list(row, f"filter.coefficients[{i}]") for i, row in enumerate(coef)]
     try:
-        filt = EqualizerFilter(
-            np.array(rows),
-            shift,
-            dict(data["config"]),
-            data["scenario_fingerprint"],
-        )
+        filt = EqualizerFilter(np.array(rows))
     except ValueError as exc:
         raise ValidationError(f"filter: {exc}") from exc
-    return filt, config, gain_db, path_delay
+    return filt, config, gain_db, path_delay, data["scenario_fingerprint"]
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +221,13 @@ def cmd_design(scenario_path, config_path, out_path) -> None:
     data = _load_json(config_path, "config")
     config, gain_db, path_delay = _design_inputs_from_dict(data, "config")
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
-    doc = design_filter(scenario, g, config).to_dict()
-    doc["config"].update(G0_db=gain_db, d_G=path_delay)
-    _write_json(doc, out_path)
+    filt = design_filter(scenario, g, config)
+    _write_json(_filter_doc(filt, scenario, config, gain_db, path_delay), out_path)
 
 
 def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     scenario = load_scenario(scenario_path)
-    filt, config, gain_db, path_delay = _filter_from_dict(_load_json(filter_path, "filter"))
+    filt, config, gain_db, path_delay, fingerprint = _filter_from_dict(_load_json(filter_path, "filter"))
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     report = evaluate(scenario, g, filt, config)
     for i, distance in enumerate(report.delta_h_aud_db):
@@ -235,7 +248,7 @@ def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     summary = {
         "delta_h_aud_db": [float(x) for x in report.delta_h_aud_db],
         "mean_delta_h_aud_db": report.mean_delta_h_aud_db,
-        "scenario_fingerprint": filt.scenario_fingerprint,
+        "scenario_fingerprint": fingerprint,
     }
     _write_json(summary, f"{out_prefix}.json")
 
@@ -356,6 +369,9 @@ def main(argv=None) -> int:
         return 3
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     return 0
 

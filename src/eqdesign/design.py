@@ -15,7 +15,7 @@ importing this module, and the commands that never solve, do not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .signals import (
     convolution_matrix,
     fractional_octave_smooth,
 )
-from .scenario import MeasurementSet, Scenario, scenario_fingerprint
+from .scenario import MeasurementSet, Scenario
 
 __all__ = [
     "VARIANTS",
@@ -165,15 +165,13 @@ class LinearSystem:
     """One least-squares problem: matrix @ coefficients ~ target.
 
     The coefficient vector concatenates the per-loudspeaker filters, so the
-    matrix has num_loudspeakers * filter_length columns. acausal_delay is
-    carried along so the solution remembers how the target was shifted.
+    matrix has num_loudspeakers * filter_length columns.
     """
 
     matrix: np.ndarray
     target: np.ndarray
     num_loudspeakers: int
     filter_length: int
-    acausal_delay: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -198,9 +196,6 @@ class EqualizerFilter:
     """Designed FIR filters, one row per loudspeaker."""
 
     coefficients: np.ndarray
-    acausal_delay: int = 0
-    config: dict = field(default_factory=dict)
-    scenario_fingerprint: str = ""
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
@@ -217,16 +212,6 @@ class EqualizerFilter:
     @property
     def filter_length(self) -> int:
         return self.coefficients.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "num_loudspeakers": self.num_loudspeakers,
-            "filter_length": self.filter_length,
-            "d_H": self.acausal_delay,
-            "coefficients": self.coefficients.tolist(),
-            "config": dict(self.config),
-            "scenario_fingerprint": self.scenario_fingerprint,
-        }
 
 
 def _raw_target(ms: MeasurementSet, g: ImpulseResponse, rows: int, shift: int) -> np.ndarray:
@@ -262,7 +247,7 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
     chains = [np.convolve(through_mic, d_n.samples) for d_n in ms.d]
     matrix = np.hstack([convolution_matrix(chain, filter_length) for chain in chains])
     target = _raw_target(ms, g, matrix.shape[0], 0)
-    return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length, 0)
+    return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length)
 
 
 def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
@@ -274,10 +259,7 @@ def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
     coef, _, rank, _ = np.linalg.lstsq(system.matrix, system.target, rcond=RANK_RTOL)
     if rank == 0:
         raise NumericsError("full-ATF system has rank 0, as under a dead forward path")
-    return EqualizerFilter(
-        _finite("taps", coef).reshape(system.num_loudspeakers, system.filter_length),
-        system.acausal_delay,
-    )
+    return EqualizerFilter(_finite("taps", coef).reshape(system.num_loudspeakers, system.filter_length))
 
 
 def _spectral_rcond_bound(through_mic: np.ndarray) -> float:
@@ -390,7 +372,7 @@ def reduce_to_rtf(
     acausal_delay = int(acausal_delay)
     target = _rtf_target(ms, g, filter_length, acausal_delay)
     matrix = np.pad(_speaker_matrix(ms, filter_length), ((0, acausal_delay), (0, 0)))
-    return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length, acausal_delay)
+    return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length)
 
 
 def _log_normal_weight(smoothed: np.ndarray, reg_beta: float) -> np.ndarray:
@@ -581,10 +563,7 @@ def solve_regularized(
         penalty = _penalty_block(weights, system.filter_length, grid.fft_size)
     m = system.matrix
     coef = _solve_factored(_factor_normal_matrix([m.T @ m], reg_lambda, penalty), m.T @ system.target)
-    return EqualizerFilter(
-        coef.reshape(system.num_loudspeakers, system.filter_length),
-        system.acausal_delay,
-    )
+    return EqualizerFilter(coef.reshape(system.num_loudspeakers, system.filter_length))
 
 
 def design_coefficients(sets, train: tuple, g: ImpulseResponse, config: DesignConfig, cache: dict) -> np.ndarray:
@@ -665,10 +644,7 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     The single-set variants (everything except MFR_DELTA_LS) work on the
     first measurement set of the scenario; the multi-set variant averages
     over all of them. A grid too short for the filter's eval raises ValueError.
+    The filter is its taps alone; the command line writes the file around them.
     """
-    grid = config.grid(scenario.sets)
-    _check_grid_holds(grid, scenario.sets, g, config.filter_length)
-    coef = design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {})
-    echo = {"variant": config.variant, "L_A": config.filter_length, "d_H": config.acausal_delay,
-            "lambda": config.reg_lambda, "beta": config.reg_beta, "L_FFT": grid.fft_size}
-    return EqualizerFilter(coef, config.acausal_delay, echo, scenario_fingerprint(scenario))
+    _check_grid_holds(config.grid(scenario.sets), scenario.sets, g, config.filter_length)
+    return EqualizerFilter(design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {}))

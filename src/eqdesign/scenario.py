@@ -223,6 +223,9 @@ class SynthSpec:
             val = getattr(self, name)
             if not _is_whole(val, 1):
                 raise ValidationError(f"{name} must be a positive integer")
+        # integral floats pass the checks above; store them as the ints they are
+        for name in ("num_sets", "num_loudspeakers", "source_ir_length", "speaker_ir_length"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not _number(self.sample_rate_hz, "sample_rate_hz") > 0:
             raise ValidationError("sample_rate_hz must be positive")
         if self.phase_family not in PHASE_FAMILIES:

@@ -26,16 +26,19 @@ from eqdesign import (
     NumericsError,
     Scenario,
     SynthSpec,
+    default_fft_size,
     design_filter,
     evaluate,
     forward_path_ir,
+    load_scenario,
     save_scenario,
+    scenario_fingerprint,
     select_loudspeakers,
     synth_scenario,
 )
 from eqdesign import cli, design
 from eqdesign.cli import EVAL_HEADER, SWEEP_HEADER, main
-from eqdesign.design import VARIANTS, EqualizerFilter
+from eqdesign.design import VARIANTS
 from eqdesign.scenario import _write_json
 
 
@@ -112,6 +115,20 @@ def test_synth_rejects_infinite_integer_field(tmp_path, capsys, text, field):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("field", ["num_sets", "num_loudspeakers", "source_ir_length",
+                                   "speaker_ir_length"])
+def test_synth_takes_integral_float_sizes(tmp_path, field):
+    size = SMALL_SYNTH[field] + 1
+    written = []
+    for value in (size, float(size)):
+        out = tmp_path / f"{value!r}.json"
+        spec = write_json(tmp_path / "spec.json", {**SMALL_SYNTH, field: value})
+        assert run("synth", "--config", spec, "--seed", 3, "--out", out) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert type(getattr(SynthSpec(**{field: 2.0}), field)) is int
+
+
 @pytest.mark.parametrize("family", ["non-minimum-phase", "co-prime-pair"])
 def test_synth_unsatisfiable_family_is_config_error(tmp_path, capsys, family):
     # a flat spectrum gives loudspeaker responses without interior zeros
@@ -168,6 +185,45 @@ def test_design_produces_filter_file(tmp_path, small_scene_path):
     assert out.read_text() == json.dumps(doc, indent=1) + "\n"
 
 
+FILTER_KEYS = ["num_loudspeakers", "filter_length", "d_H", "coefficients", "config",
+               "scenario_fingerprint"]
+FILTER_CONFIG_KEYS = ["variant", "L_A", "d_H", "lambda", "beta", "L_FFT", "G0_db", "d_G"]
+
+
+@pytest.mark.parametrize("fft_size", [None, 256])
+def test_design_writes_the_filter_file_layout(tmp_path, fft_size):
+    scene_path = tmp_path / "scene.json"
+    spec = SynthSpec(num_sets=2, num_loudspeakers=2, source_ir_length=12, speaker_ir_length=8)
+    save_scenario(synth_scenario(spec, seed=6), scene_path)
+    settings = {"variant": "MFR_DELTA_LS", "L_A": 11, "d_H": 4, "lambda": 0.1, "beta": 2.0,
+                "G0_db": -3.0, "d_G": 8}
+    if fft_size is not None:
+        settings["L_FFT"] = fft_size
+    out = tmp_path / "filter.json"
+    assert run("design", "--scenario", scene_path, "--config",
+               write_json(tmp_path / "config.json", settings), "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc) == FILTER_KEYS
+    assert list(doc["config"]) == FILTER_CONFIG_KEYS
+    # an absent L_FFT is written as the grid design derived
+    assert doc["config"] == {**settings, "L_FFT": fft_size or default_fft_size(8, 11)}
+    for key in ("L_A", "d_H", "L_FFT", "d_G"):
+        assert type(doc["config"][key]) is int
+    assert (doc["num_loudspeakers"], doc["filter_length"], doc["d_H"]) == (2, 11, 4)
+    scene = load_scenario(scene_path)
+    assert doc["scenario_fingerprint"] == scenario_fingerprint(scene)
+    filt = design_filter(scene, forward_path_ir(-3.0, 8, scene.sample_rate_hz),
+                         DesignConfig("MFR_DELTA_LS", 11, 4, 0.1, 2.0, fft_size))
+    assert doc["coefficients"] == filt.coefficients.tolist()
+
+    # eval echoes the file's fingerprint, whatever scene it names
+    write_json(out, {**doc, "scenario_fingerprint": "another scene"})
+    assert run("eval", "--scenario", scene_path, "--filter", out,
+               "--out", tmp_path / "report") == 0
+    summary = json.loads((tmp_path / "report.json").read_text())
+    assert summary["scenario_fingerprint"] == "another scene"
+
+
 TAPS = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -180,17 +236,19 @@ def filters(draw):
         "d_H": st.integers(0, 64), "lambda": TAPS, "beta": TAPS, "L_FFT": st.integers(2, 4096),
         "G0_db": TAPS, "d_G": st.integers(0, 96),
     })))
-    return EqualizerFilter(rows, config.get("d_H", 0), config, draw(st.text(max_size=64)))
+    return {"num_loudspeakers": n, "filter_length": taps, "d_H": config.get("d_H", 0),
+            "coefficients": rows, "config": config,
+            "scenario_fingerprint": draw(st.text(max_size=64))}
 
 
 @settings(max_examples=60)
-@given(filt=filters())
-def test_filter_file_is_what_json_dump_writes(filt):
+@given(doc=filters())
+def test_filter_file_is_what_json_dump_writes(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "filter.json"
-        _write_json(filt.to_dict(), path)
+        _write_json(doc, path)
         expected = io.StringIO()
-        json.dump(filt.to_dict(), expected, indent=1)
+        json.dump(doc, expected, indent=1)
         assert path.read_text(encoding="ascii") == expected.getvalue() + "\n"
 
 
@@ -994,3 +1052,40 @@ def test_sweep_rows_match_per_row_designs(case):
         else:
             assert code == 0
             assert (tmp / "sweep.csv").read_bytes() == expected
+
+
+# ---------------------------------------------------------------------------
+# inputs too large to allocate
+
+
+TOO_LARGE = 10**17  # past any 57-bit address space, so numpy refuses at once
+
+README_DESIGN = {"variant": "MFR_DELTA_LS", "L_A": 99, "d_H": 32, "lambda": 0.1, "beta": 1.0,
+                 "G0_db": 0.0, "d_G": 96}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("design", {**README_DESIGN, "d_G": TOO_LARGE}),
+    ("design", {**README_DESIGN, "L_A": TOO_LARGE}),
+    ("design", {**README_DESIGN, "variant": "R_DELTA_LS", "d_H": TOO_LARGE}),
+    ("sweep", {**README_STUDY, "d_G": [96, TOO_LARGE]}),
+    ("synth", {"source_ir_length": TOO_LARGE}),
+    # a size whose grid is past the float range overflows before any allocation
+    ("synth", {"source_ir_length": 1e308, "leakage_attenuation_db": math.inf}),
+], ids=["design-d_G", "design-L_A", "design-d_H", "sweep-d_G", "synth-length",
+        "synth-overflow"])
+def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command, doc):
+    config = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--config", config, "--out", out]
+    else:
+        scene = tmp_path / "scene.json"
+        assert run("synth", "--config", write_json(tmp_path / "spec.json", {}),
+                   "--out", scene) == 0
+        flag = "--config" if command == "design" else "--grid"
+        argv = [command, "--scenario", scene, flag, config, "--out", out]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input too large: ")
+    assert not out.exists()

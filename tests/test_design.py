@@ -40,7 +40,6 @@ from eqdesign.scenario import (
     SynthSpec,
     ValidationError,
     forward_path_ir,
-    scenario_fingerprint,
     synth_scenario,
 )
 from eqdesign.evaluation import evaluate
@@ -122,8 +121,7 @@ def test_design_config_grid(fft_size, rate):
     if fft_size is None:
         fft_size = default_fft_size(scene.sets[0].speaker_length, 9)
     assert grid == FrequencyGrid(fft_size, rate)
-    filt = design_filter(scene, forward_path_ir(0.0, 8, rate), config)
-    assert filt.config["L_FFT"] == grid.fft_size
+    assert design_filter(scene, forward_path_ir(0.0, 8, rate), config).filter_length == 9
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +571,7 @@ def random_system(seed, rows=20, n_spk=2, length=4):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((rows, n_spk * length))
     target = rng.standard_normal(rows)
-    return LinearSystem(matrix, target, n_spk, length, 0)
+    return LinearSystem(matrix, target, n_spk, length)
 
 
 def test_ridge_matches_normal_equations():
@@ -621,7 +619,7 @@ def test_weighted_solve_needs_the_grid():
 
 def test_unregularized_singular_system_raises():
     matrix = np.array([[1.0, 1.0], [2.0, 2.0]])  # two identical columns
-    system = LinearSystem(matrix, np.array([1.0, 0.0]), 2, 1, 0)
+    system = LinearSystem(matrix, np.array([1.0, 0.0]), 2, 1)
     with pytest.raises(NumericsError, match="singular"):
         solve_regularized(system, 0.0)
 
@@ -734,28 +732,6 @@ def test_design_config_stores_integral_floats_as_ints():
         assert type(getattr(floats, name)) is int
     a, b = design_filter(scene, g, ints), design_filter(scene, g, floats)
     assert np.array_equal(a.coefficients, b.coefficients)
-    assert b.to_dict() == a.to_dict()
-    for key in ("L_A", "d_H", "L_FFT"):
-        assert type(b.config[key]) is int
-    assert type(b.to_dict()["d_H"]) is int
-
-
-def test_design_filter_echo_and_fingerprint():
-    scene = small_scene(seed=6)
-    g = forward_path_ir(0.0, 8, RATE)
-    config = DesignConfig(variant="MFR_DELTA_LS", filter_length=11, acausal_delay=4,
-                          reg_lambda=0.1, reg_beta=2.0)
-    filt = design_filter(scene, g, config)
-    assert filt.config == {
-        "variant": "MFR_DELTA_LS", "L_A": 11, "d_H": 4,
-        "lambda": 0.1, "beta": 2.0, "L_FFT": default_fft_size(8, 11),
-    }
-    assert filt.scenario_fingerprint == scenario_fingerprint(scene)
-    doc = filt.to_dict()
-    assert set(doc) == {"num_loudspeakers", "filter_length", "d_H", "coefficients",
-                        "config", "scenario_fingerprint"}
-    assert doc["num_loudspeakers"] == 2 and doc["filter_length"] == 11
-    assert doc["d_H"] == 4
 
 
 def test_single_set_variants_use_first_set():

@@ -29,7 +29,9 @@ CONFIG = {"variant": "MFR_DELTA_LS", "L_A": 4, "d_H": 2, "lambda": 0.1, "beta": 
 GRID = {"variant": ["R_DELTA_LS", "MFR_DELTA_LS"], "N": [1, 2], "d_H": 2, "lambda": [0.1],
         "beta": 1.0, "G0_db": 0.0, "d_G": 2, "L_A": 4, "L_FFT": 32}
 
-# fields whose value sets an allocation size: a huge one is valid and only slow
+# fields whose value sets an allocation size: a huge one can fail to allocate,
+# which exits 2 (tests/test_cli.py::test_input_too_large_to_allocate_exits_2),
+# or run for as long as the size asks, so the mutations below never draw one
 SIZE_FIELDS = {"num_sets", "num_loudspeakers", "source_ir_length", "speaker_ir_length",
                "filter_length", "L_A", "L_FFT", "d_H", "d_G", "N"}
 BAD_VALUES = ["x", True, None, [], {}, -1, 0, 1.5, 1e308, HUGE_INT]
