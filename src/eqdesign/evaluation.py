@@ -28,6 +28,7 @@ from .design import (
 )
 
 __all__ = [
+    "ERB_BAND_HZ",
     "EvaluationReport",
     "erb_bandwidth_hz",
     "erb_weights",
@@ -43,6 +44,9 @@ __all__ = [
 # keeps log-magnitude curves finite when a response truly vanishes
 _MAG_FLOOR = 1e-300
 
+# the bins, in Hz, that the auditory spectral distance weighs
+ERB_BAND_HZ = (200.0, 8000.0)
+
 
 def erb_bandwidth_hz(frequency_hz) -> np.ndarray:
     """Equivalent rectangular bandwidth of the auditory filter at a frequency."""
@@ -50,21 +54,20 @@ def erb_bandwidth_hz(frequency_hz) -> np.ndarray:
     return 24.7 * (4.37 * f / 1000.0 + 1.0)
 
 
-def erb_weights(grid: FrequencyGrid, f_low_hz: float = 200.0, f_up_hz: float = 8000.0) -> np.ndarray:
+def erb_weights(grid: FrequencyGrid) -> np.ndarray:
     """Auditory-band weights on the grid's one-sided bins, summing to one.
 
-    Only bins inside [f_low_hz, f_up_hz] get weight; the weight of a bin is
-    the reciprocal of the ERB at its frequency, so densely packed
-    low-frequency bands are not over-counted.
+    Only bins inside ERB_BAND_HZ get weight; the weight of a bin is the
+    reciprocal of the ERB at its frequency, so densely packed low-frequency
+    bands are not over-counted.
     """
-    if not 0 < f_low_hz < f_up_hz:
-        raise ValueError("need 0 < f_low_hz < f_up_hz")
-    if f_up_hz > grid.sample_rate_hz / 2:
+    low, high = ERB_BAND_HZ
+    if high > grid.sample_rate_hz / 2:
         raise ValueError(
-            f"f_up_hz {f_up_hz} exceeds the Nyquist frequency {grid.sample_rate_hz / 2}"
+            f"the band's upper edge {high} Hz exceeds the Nyquist frequency {grid.sample_rate_hz / 2}"
         )
     freqs = grid.frequencies_hz
-    band = (freqs >= f_low_hz) & (freqs <= f_up_hz)
+    band = (freqs >= low) & (freqs <= high)
     if not np.any(band):
         raise ValueError("no grid bins fall inside the evaluation band")
     w = np.zeros(freqs.size)
@@ -74,14 +77,14 @@ def erb_weights(grid: FrequencyGrid, f_low_hz: float = 200.0, f_up_hz: float = 8
 
 
 @functools.lru_cache(maxsize=8)
-def _band_weights(grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
+def _band_weights(grid: FrequencyGrid):
     """ERB weights of the weighted bins, and their slice.
 
     The weighted bins are one run, as the frequencies rise, so a stack of
     spectra sliced to them keeps each spectrum's bins contiguous. The weights
     are read-only because the cache hands them to every set scored on the grid.
     """
-    w = erb_weights(grid, f_low_hz, f_up_hz)
+    w = erb_weights(grid)
     inside = np.flatnonzero(w)
     band = slice(inside[0], inside[-1] + 1)
     weights = w[band]
@@ -89,16 +92,18 @@ def _band_weights(grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
     return weights, band
 
 
-def _in_band(des: np.ndarray, grid: FrequencyGrid, f_low_hz: float, f_up_hz: float):
+def _in_band(des: np.ndarray, grid: FrequencyGrid):
     """ERB weights and desired magnitudes of the weighted bins, and their slice.
 
     des is the desired response's magnitude on all of the grid's one-sided bins.
+    A desired magnitude of 0 in the band, as under a dead forward path or a
+    silent open ear, raises NumericsError.
     """
-    weights, band = _band_weights(grid, f_low_hz, f_up_hz)
+    weights, band = _band_weights(grid)
     vanishing = np.flatnonzero(des[band] == 0.0)
     if vanishing.size:
         bad = band.start + vanishing[0]
-        raise ValueError(
+        raise NumericsError(
             f"desired response vanishes at {grid.frequencies_hz[bad]:.1f} Hz; distance undefined"
         )
     return weights, des[band], band
@@ -121,21 +126,16 @@ def _band_distance(aid, weights: np.ndarray, des: np.ndarray):
     return np.sum(weights * np.abs(deviation_db), axis=-1)
 
 
-def auditory_spectral_distance(
-    h_aid,
-    h_des,
-    grid: FrequencyGrid,
-    f_low_hz: float = 200.0,
-    f_up_hz: float = 8000.0,
-) -> float:
+def auditory_spectral_distance(h_aid, h_des, grid: FrequencyGrid) -> float:
     """ERB-weighted mean absolute log-magnitude deviation, in dB.
 
     Zero means the aided response matches the desired one in magnitude at
-    every weighted bin. The desired response must not vanish inside the
-    band; a vanishing aided response yields an infinite distance, and an
-    aided-to-desired magnitude ratio past the float range raises NumericsError.
+    every weighted bin. A desired response that vanishes inside the band
+    raises NumericsError, and so does an aided-to-desired magnitude ratio
+    past the float range; a vanishing aided response yields an infinite
+    distance.
     """
-    weights, des, band = _in_band(magnitude_response(h_des, grid), grid, f_low_hz, f_up_hz)
+    weights, des, band = _in_band(magnitude_response(h_des, grid), grid)
     return float(_band_distance(magnitude_response(h_aid, grid)[band], weights, des))
 
 
@@ -231,9 +231,7 @@ class SetScorer:
         _check_grid_holds(grid, (ms,), g, 1)
         self.spectra = _set_spectra(ms, g, grid, ms.num_loudspeakers)
         self._leakage, desired, *self._paths = self.spectra
-        self._weights, self._desired_in_band, self._band = _in_band(
-            np.abs(desired), grid, 200.0, 8000.0
-        )
+        self._weights, self._desired_in_band, self._band = _in_band(np.abs(desired), grid)
 
     def score(self, coefficients) -> tuple[np.ndarray, np.ndarray]:
         """Aided magnitudes and distances in dB of a stack of designs.

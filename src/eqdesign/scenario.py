@@ -226,6 +226,15 @@ class SynthSpec:
         # integral floats pass the checks above; store them as the ints they are
         for name in ("num_sets", "num_loudspeakers", "source_ir_length", "speaker_ir_length"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        size = 8 * self.num_sets * (
+            3 * self.source_ir_length + self.num_loudspeakers * self.speaker_ir_length
+        )
+        if size > _DENSE_BYTE_BUDGET:
+            raise ValidationError(
+                "input too large: num_sets x (3 x source_ir_length + num_loudspeakers x "
+                f"speaker_ir_length) float64 samples take {size:,} bytes, over synth's "
+                f"budget of {_DENSE_BYTE_BUDGET:,} (1 GiB)"
+            )
         if not _number(self.sample_rate_hz, "sample_rate_hz") > 0:
             raise ValidationError("sample_rate_hz must be positive")
         if self.phase_family not in PHASE_FAMILIES:
@@ -259,11 +268,11 @@ class SynthSpec:
         return _pow2_at_least(max(8 * self.source_ir_length, 8 * self.speaker_ir_length, 512))
 
 
-def _random_log_magnitude_db(rng, fft_size: int, range_db: float, num_knots: int = 9) -> np.ndarray:
+def _random_log_magnitude_db(rng, fft_size: int, range_db: float) -> np.ndarray:
     """Piecewise-linear random curve over the positive-frequency half grid, in dB."""
     half = fft_size // 2 + 1
-    positions = np.linspace(0.0, half - 1.0, num_knots)
-    knots = rng.uniform(-0.5, 0.5, num_knots) * range_db
+    knots = rng.uniform(-0.5, 0.5, 9) * range_db
+    positions = np.linspace(0.0, half - 1.0, knots.size)
     return np.interp(np.arange(half), positions, knots)
 
 
@@ -297,9 +306,10 @@ _ROOT_CEILING = 0.999
 _ROOT_SQUEEZE = 0.99
 _CERTIFIED_RADIUS = 0.997
 
-# synth refuses to build a dense float64 matrix larger than this: np.roots's
-# companion matrix or the Sylvester matrix of a co-prime check. 1 GiB allows
-# an 11585 x 11585 companion matrix, the zeros of an 11586-tap response.
+# synth refuses a scene whose samples take more bytes than this, and to build
+# a dense float64 matrix larger than this: np.roots's companion matrix or the
+# Sylvester matrix of a co-prime check. 1 GiB allows an 11585 x 11585
+# companion matrix, the zeros of an 11586-tap response.
 _DENSE_BYTE_BUDGET = 1 << 30
 
 

@@ -60,12 +60,12 @@ def _sampling_margin(magnitudes: np.ndarray, nfft: int) -> tuple[int, float]:
     return int(centre), margin
 
 
-def _clean_samples(samples, what: str = "impulse response") -> np.ndarray:
+def _clean_samples(samples) -> np.ndarray:
     arr = np.array(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{what} must be a non-empty 1-D sequence")
+        raise ValueError("impulse response must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite samples")
+        raise ValueError("impulse response contains non-finite samples")
     return arr
 
 
@@ -111,10 +111,10 @@ class FrequencyGrid:
         return np.arange(self.fft_size // 2 + 1) * (self.sample_rate_hz / self.fft_size)
 
 
-def _payload(h, what: str = "impulse response") -> np.ndarray:
+def _payload(h) -> np.ndarray:
     if isinstance(h, ImpulseResponse):
         return h.samples
-    return _clean_samples(h, what)
+    return _clean_samples(h)
 
 
 def convolve(h1, h2):
@@ -183,11 +183,15 @@ def magnitude_response(h, grid: FrequencyGrid) -> np.ndarray:
     return np.abs(np.fft.rfft(x, n))
 
 
-def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 / 6.0) -> np.ndarray:
-    """Smooth a magnitude-like spectrum with a rectangular fractional-octave window.
+# the full width, in octaves, of the smoothing window
+_SMOOTHING_OCTAVES = 1.0 / 6.0
+
+
+def fractional_octave_smooth(values, grid: FrequencyGrid) -> np.ndarray:
+    """Smooth a magnitude-like spectrum with a rectangular 1/6-octave window.
 
     Each positive-frequency bin is replaced by the arithmetic mean over the
-    bins whose centre frequencies lie within +-fraction/2 octave around it,
+    bins whose centre frequencies lie within +-1/12 octave around it,
     clipped to the grid's one-sided bins. The DC bin (no geometric band
     exists at 0 Hz) and, for even sizes, the Nyquist bin pass through
     unchanged.
@@ -196,7 +200,6 @@ def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 
     ----------
     values : array, length fft_size // 2 + 1, nonnegative
     grid : FrequencyGrid
-    fraction : octave fraction of the full window width, default 1/6
 
     Returns
     -------
@@ -210,10 +213,8 @@ def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 
         raise ValueError("spectrum contains non-finite values")
     if np.any(v < 0):
         raise ValueError("smoothing expects nonnegative magnitude values")
-    if not fraction > 0:
-        raise ValueError("fraction must be positive")
 
-    centres, window, sizes = _smoothing_windows(grid, float(fraction))
+    centres, window, sizes = _smoothing_windows(grid)
     out = v.copy()
     # deviations from the centre bin, so constant inputs come back bit-exact;
     # the padding repeats the centre bin and adds exact zeros
@@ -223,18 +224,18 @@ def fractional_octave_smooth(values, grid: FrequencyGrid, fraction: float = 1.0 
 
 
 @functools.lru_cache(maxsize=8)
-def _smoothing_windows(grid: FrequencyGrid, fraction: float):
+def _smoothing_windows(grid: FrequencyGrid):
     """Centre bins, padded window indices and window sizes for smoothing.
 
     Row i of the window array lists the bins whose centre frequencies lie
-    within +-fraction/2 octave of centres[i], clipped to the grid's one-sided
+    within +-1/12 octave of centres[i], clipped to the grid's one-sided
     bins, followed by copies of centres[i] up to the longest window;
     sizes[i] counts the unpadded bins. The arrays are read-only because the
     cache hands them to every caller.
     """
     n = grid.fft_size
     freqs = grid.frequencies_hz
-    edge = 2.0 ** (fraction / 2.0)
+    edge = 2.0 ** (_SMOOTHING_OCTAVES / 2.0)
     # stops before the Nyquist bin when n is even
     centres = np.arange(1, (n + 1) // 2)
     first = np.maximum(np.searchsorted(freqs, freqs[centres] / edge, side="left"), 1)

@@ -292,6 +292,38 @@ def test_ls_atf_sweep_over_a_dead_forward_path_is_numerical_failure(tmp_path, sm
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["eval-dead-forward-path", "eval-silent-open-ear",
+                                  "sweep-silent-open-ear"])
+def test_vanishing_desired_response_is_numerical_failure(tmp_path, small_scene_path, capsys,
+                                                         case):
+    """A desired response that is 0 in the band exits 3 in every command that scores."""
+    scene = small_scene_path
+    if case.endswith("silent-open-ear"):
+        doc = json.loads(scene.read_text())
+        for ms in doc["sets"]:
+            ms["h_open"] = [0.0] * len(ms["h_open"])
+        scene = write_json(tmp_path / "silent.json", doc)
+    out = tmp_path / "out"
+    if case.startswith("sweep"):
+        grid = write_json(tmp_path / "grid.json", {**SMALL_CONFIG, "N": 1,
+                                                   "variant": ["RLS", "R_DELTA_LS"], "d_H": 0})
+        argv = ["sweep", "--scenario", scene, "--grid", grid, "--out", out]
+    else:
+        config = write_json(tmp_path / "config.json", {**SMALL_CONFIG, "variant": "RLS", "d_H": 0})
+        filt = tmp_path / "filter.json"
+        assert run("design", "--scenario", scene, "--config", config, "--out", filt) == 0
+        if case == "eval-dead-forward-path":
+            doc = json.loads(filt.read_text())
+            doc["config"]["G0_db"] = -1e9
+            write_json(filt, doc)
+        argv = ["eval", "--scenario", scene, "--filter", filt, "--out", out]
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: desired response vanishes")
+    assert list(tmp_path.glob("out*")) == []
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -1069,8 +1101,8 @@ README_DESIGN = {"variant": "MFR_DELTA_LS", "L_A": 99, "d_H": 32, "lambda": 0.1,
     ("design", {**README_DESIGN, "L_A": TOO_LARGE}),
     ("design", {**README_DESIGN, "variant": "R_DELTA_LS", "d_H": TOO_LARGE}),
     ("sweep", {**README_STUDY, "d_G": [96, TOO_LARGE]}),
+    # synth refuses both by the scene-size budget before it allocates anything
     ("synth", {"source_ir_length": TOO_LARGE}),
-    # a size whose grid is past the float range overflows before any allocation
     ("synth", {"source_ir_length": 1e308, "leakage_attenuation_db": math.inf}),
 ], ids=["design-d_G", "design-L_A", "design-d_H", "sweep-d_G", "synth-length",
         "synth-overflow"])
@@ -1088,4 +1120,19 @@ def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command, doc):
     assert run(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: input too large: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["num_sets", "num_loudspeakers"])
+def test_synth_refuses_a_scene_over_the_byte_budget_at_once(tmp_path, field):
+    # a fresh interpreter, so that a synth that loops over the count is cut off
+    config = write_json(tmp_path / "config.json", {field: TOO_LARGE})
+    out = tmp_path / "scene.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "eqdesign.cli", "synth", "--config", config,
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input too large: ")
+    assert "num_sets" in err[0] and "num_loudspeakers" in err[0]
     assert not out.exists()

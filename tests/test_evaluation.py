@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eqdesign import design, evaluation
 from eqdesign.design import DesignConfig, EqualizerFilter, design_filter, frequency_weights
 from eqdesign.evaluation import (
+    ERB_BAND_HZ,
     SetScorer,
     _to_db,
     aided_tf,
@@ -73,10 +74,17 @@ def test_erb_weights_normalization_and_support():
     assert np.all(np.diff(positive) < 0)  # wider auditory bands weigh less per bin
 
 
-def two_sided_erb_weights(n, rate, f_low_hz, f_up_hz):
+def test_erb_band_is_200_to_8000_hz_inclusive():
+    assert ERB_BAND_HZ == (200.0, 8000.0)
+    grid = FrequencyGrid(400, RATE)  # bins 40 Hz apart: 200 Hz is bin 5, 8000 Hz bin 200
+    w = erb_weights(grid)
+    assert np.array_equal(np.flatnonzero(w), np.arange(5, 201))
+
+
+def two_sided_erb_weights(n, rate):
     """The two-sided erb_weights that the one-sided one replaced."""
     freqs = np.arange(n) * (rate / n)
-    band = (freqs >= f_low_hz) & (freqs <= f_up_hz)
+    band = (freqs >= ERB_BAND_HZ[0]) & (freqs <= ERB_BAND_HZ[1])
     band[n // 2 + 1 :] = False
     w = np.zeros(n)
     w[band] = 1.0 / erb_bandwidth_hz(freqs[band])
@@ -86,26 +94,23 @@ def two_sided_erb_weights(n, rate, f_low_hz, f_up_hz):
 
 @settings(max_examples=80)
 @given(
-    # bins at most 250 Hz apart, so every band of 500 Hz or more holds one
+    # bins at most 1500 Hz apart, so the 7800 Hz wide band holds some
     fft_size=st.integers(64, 4096),
-    f_low_hz=st.floats(20.0, 2000.0),
-    f_up_hz=st.floats(2500.0, 8000.0),
+    rate=st.floats(16000.0, 96000.0),
 )
-def test_erb_weights_match_two_sided_formula(fft_size, f_low_hz, f_up_hz):
+def test_erb_weights_match_two_sided_formula(fft_size, rate):
     for n in (fft_size, fft_size + 1):  # an even and an odd size, in some order
-        w = erb_weights(FrequencyGrid(n, RATE), f_low_hz, f_up_hz)
-        expected = two_sided_erb_weights(n, RATE, f_low_hz, f_up_hz)[: n // 2 + 1]
+        w = erb_weights(FrequencyGrid(n, rate))
+        expected = two_sided_erb_weights(n, rate)[: n // 2 + 1]
         assert np.array_equal(w, expected)
 
 
 def test_erb_weights_rejects_bad_bands():
-    grid = FrequencyGrid(64, RATE)
     with pytest.raises(ValueError, match="Nyquist"):
-        erb_weights(grid, 200.0, 9000.0)
-    with pytest.raises(ValueError, match="f_low"):
-        erb_weights(grid, 0.0, 8000.0)
+        erb_weights(FrequencyGrid(64, 8000.0))
+    # the one positive bin sits at 8500 Hz, above the band
     with pytest.raises(ValueError, match="no grid bins"):
-        erb_weights(FrequencyGrid(4, RATE), 200.0, 3000.0)
+        erb_weights(FrequencyGrid(2, 17000.0))
 
 
 def test_distance_identities():
@@ -135,7 +140,7 @@ def test_distance_ignores_pure_delay():
 def test_distance_degenerate_inputs():
     grid = FrequencyGrid(256, RATE)
     h = np.array([1.0, 0.5, 0.25, 0.125])  # no nulls on the unit circle
-    with pytest.raises(ValueError, match="Hz"):
+    with pytest.raises(design.NumericsError, match="vanishes at 250.0 Hz"):
         auditory_spectral_distance(h, np.zeros(4), grid)
     assert auditory_spectral_distance(np.zeros(4), h, grid) == math.inf
     # nonzero magnitudes whose ratio overflows or underflows give no distance

@@ -132,6 +132,15 @@ def test_synth_spec_validation():
         SynthSpec(spectral_range_db=-3.0)
 
 
+def test_synth_spec_holds_a_scene_of_up_to_one_gib():
+    # 8 bytes x 2**20 sets x (3 x 2 + 2 x 61) samples is 2**30 bytes; constructed, not synthesized
+    at_budget = dict(num_sets=2**20, num_loudspeakers=2, source_ir_length=2, speaker_ir_length=61)
+    assert SynthSpec(**at_budget).num_sets == 2**20
+    for field in ("num_sets", "speaker_ir_length"):
+        with pytest.raises(ValidationError, match="input too large"):
+            SynthSpec(**{**at_budget, field: at_budget[field] + 1})
+
+
 def test_synth_determinism():
     spec = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=40, speaker_ir_length=30)
     a = synth_scenario(spec, seed=17)
