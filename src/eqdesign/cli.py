@@ -9,6 +9,7 @@ deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from dataclasses import fields
@@ -37,10 +38,11 @@ from .design import (
     EqualizerFilter,
     NumericsError,
     _check_grid_holds,
-    design_coefficients,
+    _set_spectra,
     design_filter,
+    design_points,
 )
-from .evaluation import SetScorer, evaluate, mean_distances
+from .evaluation import SetScorer, _in_band, evaluate, mean_distances
 
 __all__ = ["cmd_synth", "cmd_design", "cmd_eval", "cmd_sweep", "main"]
 
@@ -222,6 +224,10 @@ def cmd_design(scenario_path, config_path, out_path) -> None:
     config, gain_db, path_delay = _design_inputs_from_dict(data, "config")
     g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
     filt = design_filter(scenario, g, config)
+    # eval's own rule, so that no command writes a filter that eval refuses to score
+    grid = config.grid(scenario.sets)
+    for ms in scenario.sets:
+        _in_band(np.abs(_set_spectra(ms, g, grid, 0)[1]), grid)
     _write_json(_filter_doc(filt, scenario, config, gain_db, path_delay), out_path)
 
 
@@ -278,27 +284,16 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
         folds = [(-1, everything, everything)]
     else:
         folds = [(k, everything[:k] + everything[k + 1 :], (k,)) for k in everything]
-    # One cache serves the whole sweep: each piece is keyed by all it depends
-    # on. A run is the points that differ only in d_H; on each fold they
-    # design back to back, sharing the one factor the cache keeps. Runs come
-    # in grid order of first point, LS_ATF runs first: their dense lstsq is
-    # the largest transient, and no Gram is held yet then.
-    runs = {}
-    for index, point in enumerate(points):
-        runs.setdefault(point[:2] + point[3:], []).append(index)
-
-    # Every point designs first. Equal taps score alike, so each (N, forward
-    # path, fold) keeps its distinct taps, and scores them afterwards in one
-    # batch per held-out set.
+    # One cache serves the whole sweep, each piece keyed by all it depends on;
+    # design_points designs every point of a fold in one call. Equal taps
+    # score alike, so each (N, forward path, fold) keeps its distinct taps,
+    # and scores them afterwards in one batch per held-out set.
+    designs = [(scenes[point[1]], paths[point[5:]], config) for point, config in zip(points, configs)]
     cache, batches, keys = {}, {}, {}
-    for indices in sorted(runs.values(), key=lambda run: points[run[0]][0] != "LS_ATF"):
-        n_spk, path = points[indices[0]][1], points[indices[0]][5:]
-        for f, (_, train, _) in enumerate(folds):
-            batch = batches.setdefault((n_spk, path, f), {})
-            for index in indices:
-                coef = design_coefficients(scenes[n_spk], train, paths[path], configs[index], cache)
-                keys[index, f] = (n_spk, path, f, coef.tobytes())
-                batch.setdefault(keys[index, f][-1], coef)
+    for f, (_, train, _) in enumerate(folds):
+        for index, (point, coef) in enumerate(zip(points, design_points(designs, train, cache))):
+            keys[index, f] = (point[1], point[5:], f, coef.tobytes())
+            batches.setdefault(keys[index, f][:3], {}).setdefault(keys[index, f][-1], coef)
     scores = {}
     for (n_spk, path, f), batch in batches.items():
         scorers = [SetScorer(scenes[n_spk][i], paths[path], grid) for i in folds[f][2]]
@@ -318,7 +313,8 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built on the first call, not on import
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqdesign",
         description="Design and evaluate acoustic-transparency equalizers.",
@@ -353,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "synth":
             cmd_synth(args.config, args.seed, args.out)

@@ -45,7 +45,7 @@ __all__ = [
     "frequency_weights",
     "weights_from_ratio",
     "solve_regularized",
-    "design_coefficients",
+    "design_points",
     "design_filter",
 ]
 
@@ -230,6 +230,12 @@ def _check_rates(ms: MeasurementSet, g: ImpulseResponse) -> None:
         )
 
 
+def _through_mic(ms: MeasurementSet, g: ImpulseResponse) -> np.ndarray:
+    """g * h_m, the forward path through the set's microphone; a g at another rate raises ValueError."""
+    _check_rates(ms, g)
+    return np.convolve(g.samples, ms.h_m.samples)
+
+
 def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: int) -> LinearSystem:
     """Full acoustic-transfer-function least-squares system.
 
@@ -241,9 +247,8 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
     """
     if not _is_whole(filter_length, 1):
         raise ValueError("filter_length must be a positive integer")
-    _check_rates(ms, g)
     filter_length = int(filter_length)
-    through_mic = np.convolve(g.samples, ms.h_m.samples)
+    through_mic = _through_mic(ms, g)
     chains = [np.convolve(through_mic, d_n.samples) for d_n in ms.d]
     matrix = np.hstack([convolution_matrix(chain, filter_length) for chain in chains])
     target = _raw_target(ms, g, matrix.shape[0], 0)
@@ -283,8 +288,20 @@ def _spectral_rcond_bound(through_mic: np.ndarray) -> float:
     return (max(mag.min() - margin, 0.0) / (mag.max() + margin)) ** 2
 
 
-def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
-    """Least-squares n_taps-tap x with convolve(through_mic, x) ~ v.
+def _rtf_path(through_mic: np.ndarray) -> tuple:
+    """What every RTF fit on through_mic shares: the path, its autocorrelation and its _spectral_rcond_bound.
+
+    An autocorrelation that overflows raises NumericsError.
+    """
+    acorr = _finite(
+        "RTF autocorrelation",
+        np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :],
+    )
+    return through_mic, acorr, _spectral_rcond_bound(through_mic)
+
+
+def _fit_rtf(path: tuple, v: np.ndarray, n_taps: int) -> np.ndarray:
+    """Least-squares n_taps-tap x with convolve(through_mic, x) ~ v, for path = _rtf_path(through_mic).
 
     The normal matrix of the convolution matrix is the symmetric Toeplitz
     matrix of the autocorrelation of through_mic, and its right-hand side is
@@ -294,15 +311,11 @@ def _fit_rtf(through_mic: np.ndarray, v: np.ndarray, n_taps: int) -> np.ndarray:
     matrix; Levinson is weakly stable on positive definite Toeplitz
     matrices, and squaring the condition number is harmless there. Otherwise
     the fit falls back to dense lstsq on the convolution matrix, whose
-    singular values decide rank deficiency. Correlations that overflow raise
-    NumericsError.
+    singular values decide rank deficiency. A cross-correlation that
+    overflows raises NumericsError.
     """
-    acorr = _finite(
-        "RTF autocorrelation",
-        np.correlate(through_mic, through_mic, "full")[through_mic.size - 1 :],
-    )
+    through_mic, acorr, rcond_bound = path
     xcorr = _finite("RTF cross-correlation", np.correlate(v, through_mic, "valid"))
-    rcond_bound = _spectral_rcond_bound(through_mic)
     if rcond_bound >= NORMAL_RCOND:
         column = np.zeros(n_taps)
         column[: min(acorr.size, n_taps)] = acorr[:n_taps]
@@ -333,17 +346,15 @@ def _speaker_matrix(ms: MeasurementSet, filter_length: int) -> np.ndarray:
     return matrix
 
 
-def _rtf_target(ms: MeasurementSet, g: ImpulseResponse, filter_length: int, shift: int) -> np.ndarray:
+def _rtf_target(ms: MeasurementSet, g: ImpulseResponse, filter_length: int, shift: int, path: tuple) -> np.ndarray:
     """The RTF fit of one set under g, delayed by `shift`, free of the loudspeakers.
 
-    Its first taps meet the rows of _speaker_matrix, which depends on neither g
-    nor shift. A g at another sample rate than the set's raises ValueError.
+    path is _rtf_path of the set's _through_mic under g. The target's first
+    taps meet the rows of _speaker_matrix, which depends on neither g nor shift.
     """
-    _check_rates(ms, g)
     n_taps = ms.speaker_length + filter_length - 1 + shift
-    through_mic = np.convolve(g.samples, ms.h_m.samples)
-    v = _raw_target(ms, g, through_mic.size + n_taps - 1, shift)
-    return _fit_rtf(through_mic, v, n_taps)
+    v = _raw_target(ms, g, path[0].size + n_taps - 1, shift)
+    return _fit_rtf(path, v, n_taps)
 
 
 def reduce_to_rtf(
@@ -370,7 +381,7 @@ def reduce_to_rtf(
         raise ValueError("acausal_delay must be a nonnegative integer")
     filter_length = int(filter_length)
     acausal_delay = int(acausal_delay)
-    target = _rtf_target(ms, g, filter_length, acausal_delay)
+    target = _rtf_target(ms, g, filter_length, acausal_delay, _rtf_path(_through_mic(ms, g)))
     matrix = np.pad(_speaker_matrix(ms, filter_length), ((0, acausal_delay), (0, 0)))
     return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length)
 
@@ -450,15 +461,12 @@ def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: F
     return ratio, weights_from_ratio(ratio, reg_beta, grid)
 
 
-def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np.ndarray:
-    """Quadratic form of the weighted-spectrum seminorm of one loudspeaker's taps.
+def _penalty_lags(weights: np.ndarray, filter_length: int, fft_size: int) -> np.ndarray:
+    """The first filter_length lags of the autocorrelation of the squared weight curve.
 
-    weights is one-sided, length fft_size // 2 + 1. With the DFT scaled by
-    1/sqrt(fft_size) the penalty for all-ones weights is exactly the
-    identity, which keeps lambda comparable between the identity-regularized
-    and frequency-weighted variants. The block is the Toeplitz
-    autocorrelation of the squared weight curve, taken over its two-sided
-    mirror image.
+    weights is one-sided, length fft_size // 2 + 1, and the autocorrelation is
+    taken over its two-sided mirror image. The lags are the first column of
+    _penalty_block, which is their Toeplitz matrix.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (fft_size // 2 + 1,):
@@ -470,12 +478,31 @@ def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np
         raise ValueError(f"fft_size {fft_size} cannot constrain {filter_length} taps")
     w2 = w**2
     acorr = np.fft.ifft(np.concatenate([w2, w2[1 : fft_size - w2.size + 1][::-1]])).real
-    lags = np.arange(filter_length)
-    return acorr[np.abs(lags[:, None] - lags)]
+    return acorr[:filter_length].copy()
+
+
+def _toeplitz(lags: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix whose first column is lags."""
+    index = np.arange(lags.size)
+    return lags[np.abs(index[:, None] - index)]
+
+
+def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np.ndarray:
+    """Quadratic form of the weighted-spectrum seminorm of one loudspeaker's taps.
+
+    weights is one-sided, length fft_size // 2 + 1. With the DFT scaled by
+    1/sqrt(fft_size) the penalty for all-ones weights is exactly the
+    identity, which keeps lambda comparable between the identity-regularized
+    and frequency-weighted variants. The block is the Toeplitz matrix of the
+    _penalty_lags of the weights.
+    """
+    return _toeplitz(_penalty_lags(weights, filter_length, fft_size))
 
 
 def _mean(parts) -> np.ndarray:
-    """A new array holding the sum of parts, added in order, over their count."""
+    """The sum of parts, added in order, over their count: a new array, or the one part itself."""
+    if len(parts) == 1:
+        return parts[0]  # x / 1 is x
     total = parts[0].copy()
     for part in parts[1:]:
         total += part
@@ -483,12 +510,12 @@ def _mean(parts) -> np.ndarray:
     return total
 
 
-def _normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None) -> np.ndarray:
+def _normal_matrix(gram: np.ndarray, reg_lambda: float, penalty: np.ndarray | None) -> np.ndarray:
     """A new array holding the mean Gram plus reg_lambda times the penalty per loudspeaker.
 
     Averaging keeps lambda comparable across set counts; penalty None is the ridge.
     """
-    gram = _mean(grams)
+    gram = gram.copy()
     if penalty is None:
         gram[np.diag_indices_from(gram)] += reg_lambda
     else:
@@ -499,8 +526,8 @@ def _normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None) -> np.n
     return gram
 
 
-def _factor_normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None):
-    """The regularized normal matrix that _normal_matrix builds, ready for _solve_factored.
+def _factor_normal_matrix(gram: np.ndarray, reg_lambda: float, penalty: np.ndarray | None):
+    """The regularized normal matrix that _normal_matrix builds on a mean Gram, ready for _solve_factored.
 
     Returns (its upper Cholesky factor, True), or (the matrix itself, False)
     when Cholesky fails. dpotrf factors the one array the sum is built in:
@@ -508,23 +535,25 @@ def _factor_normal_matrix(grams, reg_lambda: float, penalty: np.ndarray | None):
     the Fortran order dpotrf overwrites, and no copy is made. The factor is
     the one scipy.linalg.solve(assume_a="pos") makes, without its
     LinAlgWarning on an ill-conditioned matrix. A failed factorization has
-    overwritten the sum, so it is built again for the LDLᵀ solve.
+    overwritten the sum, so it is built again for the LDLᵀ solve. gram is
+    left as it was.
     """
     import scipy.linalg
 
-    gram = _normal_matrix(grams, reg_lambda, penalty)
-    factor, info = scipy.linalg.lapack.dpotrf(gram.T, overwrite_a=1)
+    factor, info = scipy.linalg.lapack.dpotrf(_normal_matrix(gram, reg_lambda, penalty).T, overwrite_a=1)
     if info == 0:
         return factor, True
-    return _normal_matrix(grams, reg_lambda, penalty), False
+    return _normal_matrix(gram, reg_lambda, penalty), False
 
 
 def _solve_factored(factored, rhs: np.ndarray) -> np.ndarray:
-    """x with normal matrix @ x = rhs, from what _factor_normal_matrix returned.
+    """The columns x of normal matrix @ x = rhs, from what _factor_normal_matrix returned.
 
-    A Cholesky factor takes one dpotrs; a matrix that failed Cholesky is
-    solved by symmetric LDLᵀ, and only an exact zero pivot there raises
-    NumericsError. Neither modifies factored.
+    rhs holds one right-hand side per column. A Cholesky factor solves them
+    all in one dpotrs, which gives each column the bits a one-column call
+    gives it. A matrix that failed Cholesky is solved column by column by
+    symmetric LDLᵀ, as stacking its columns changed their bits; only an
+    exact zero pivot there raises NumericsError. Neither modifies factored.
     """
     import scipy.linalg
 
@@ -533,7 +562,7 @@ def _solve_factored(factored, rhs: np.ndarray) -> np.ndarray:
         x, _ = scipy.linalg.lapack.dpotrs(matrix, rhs)
         return x
     try:
-        return scipy.linalg.solve(matrix, rhs, assume_a="sym")
+        return np.column_stack([scipy.linalg.solve(matrix, column, assume_a="sym") for column in rhs.T])
     except np.linalg.LinAlgError as exc:
         raise NumericsError(
             "regularized normal equations are singular; the scene is not "
@@ -562,80 +591,126 @@ def solve_regularized(
             raise ValueError("weights need the grid they live on")
         penalty = _penalty_block(weights, system.filter_length, grid.fft_size)
     m = system.matrix
-    coef = _solve_factored(_factor_normal_matrix([m.T @ m], reg_lambda, penalty), m.T @ system.target)
+    rhs = (m.T @ system.target)[:, None]
+    coef = _solve_factored(_factor_normal_matrix(m.T @ m, reg_lambda, penalty), rhs)
     return EqualizerFilter(coef.reshape(system.num_loudspeakers, system.filter_length))
 
 
-def design_coefficients(sets, train: tuple, g: ImpulseResponse, config: DesignConfig, cache: dict) -> np.ndarray:
-    """Taps of config.variant trained on the sets indexed by train, shape (N, L_A).
+def _add_right_hand_sides(ms: MeasurementSet, i: int, columns, filter_length: int, cache: dict) -> None:
+    """Cache set i's Gram and its right-hand side under each (g, d_H) of columns that lacks one.
 
+    One speaker matrix serves them all, and it is freed on return.
+    """
+    n_spk = ms.num_loudspeakers
+    missing = [(g, shift) for g, shift in columns if ("rhs", g, n_spk, i, shift) not in cache]
+    if not missing:
+        return
+    for g, shift in missing:
+        if ("target", g, i, shift) not in cache:
+            if ("path", g, i) not in cache:
+                cache["path", g, i] = _rtf_path(_through_mic(ms, g))
+            cache["target", g, i, shift] = _rtf_target(ms, g, filter_length, shift, cache["path", g, i])
+    m = _speaker_matrix(ms, filter_length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ("gram", n_spk, i) not in cache:
+            cache["gram", n_spk, i] = _finite(f"Gram of set {i}", m.T @ m)
+        for g, shift in missing:
+            rhs = m.T @ cache["target", g, i, shift][: m.shape[0]]
+            cache["rhs", g, n_spk, i, shift] = _finite(f"right-hand side of set {i}", rhs)
+
+
+def design_points(designs, train: tuple, cache: dict) -> list:
+    """Taps of each (sets, g, config) of designs trained on the sets indexed by train, in order.
+
+    Each design's taps have shape (N, L_A), N = sets[0].num_loudspeakers.
     LS_ATF solves the full system of the first training set; RLS, R_DELTA_LS
     and FR_DELTA_LS reduce that set alone; MFR_DELTA_LS averages the normal
     equations of every training set. The weighted variants regularize by the
-    leakage penalty of the sets they train on, the others by a ridge.
+    leakage penalty of the sets they train on, the others by a ridge. Every
+    design shares L_A and L_FFT, and a `sets` of N loudspeakers is the same
+    in every design.
 
-    cache collects what other designs can reuse, each piece keyed by all it
-    depends on, with N = sets[0].num_loudspeakers, d_H = config.acausal_delay
-    and g by identity, so an equal but new g only misses reuse; it stays
-    valid while the measurements, filter_length and fft_size stay, across any
-    number of forward paths. It holds set i's
-    Gram MᵀM under ("gram", N, i), where M lacks the d_H zero rows of
-    reduce_to_rtf, which add exact zeros; set i's RTF target under ("target",
-    g, i, d_H) and Mᵀt on its first rows under ("rhs", g, N, i, d_H); the
-    smoothed leakage ratio of sets train under ("ratio", g, train); LS_ATF
-    taps under ("LS_ATF", g, N, i); and the taps solved from the factor key
-    (N, train, lambda), extended by (beta, g) for the weighted variants,
-    under ("taps", g, d_H, factor key). So RLS and R_DELTA_LS at equal lambda
-    share one solve, as do the ridge variants across beta, and a ridge
-    factor serves every g. Its one "factor" slot holds the factored
-    regularized normal matrix last solved, with its factor key, which is all
-    that matrix depends on; points that differ only in d_H share it when they
-    run back to back. The slot is cleared before the next matrix is factored,
-    so at most one factor is alive. Pass {} for a one-off.
+    Designs that share their regularized normal matrix form a group: they
+    share N, training sets and lambda, and for the weighted variants beta and
+    g too. Each group's matrix is built and factored once, and one dpotrs
+    solves all of the group's distinct (g, d_H) right-hand sides, so RLS and
+    R_DELTA_LS at equal lambda share a solve, and a ridge factor serves every
+    g. LS_ATF designs run first, as their dense lstsq is the largest
+    transient and no Gram is held yet then. Every speaker matrix is freed
+    before any factor is made. The mean Gram of a training-set selection and
+    the averaged right-hand sides live in the call; at most one mean Gram and
+    one factor are alive at a time.
 
-    A Gram, right-hand side or tap vector that overflows raises NumericsError.
+    cache collects what other calls can reuse, each piece keyed by all it
+    depends on, with d_H = config.acausal_delay and g by identity, so an equal
+    but new g only misses reuse; it stays valid while the measurements, L_A
+    and L_FFT stay, across any number of forward paths and folds. It holds
+    set i's _rtf_path under ("path", g, i) and its RTF target under
+    ("target", g, i, d_H); its Gram MᵀM under ("gram", N, i), where M lacks
+    the d_H zero rows of reduce_to_rtf, which add exact zeros, and Mᵀt on the
+    target's first rows under ("rhs", g, N, i, d_H); the smoothed leakage
+    ratio of the training sets `sel` under ("ratio", g, sel), and its penalty's
+    _penalty_lags at beta under ("lags", g, sel, beta); and LS_ATF taps under
+    ("LS_ATF", g, N, i). Pass {} for a one-off.
+
+    A correlation, Gram, right-hand side or tap vector that overflows raises
+    NumericsError.
     """
-    n_spk, taps, shift = sets[0].num_loudspeakers, config.filter_length, config.acausal_delay
-    if config.variant == "LS_ATF":
-        key = ("LS_ATF", g, n_spk, train[0])
-        if key not in cache:
-            cache[key] = solve_ls_atf(assemble_atf_system(sets[train[0]], g, taps)).coefficients
-        return cache[key]
-    if config.variant != "MFR_DELTA_LS":
-        train = train[:1]
-    weighted = config.variant in WEIGHTED_VARIANTS
-    factor_key = (n_spk, train, config.reg_lambda) + ((config.reg_beta, g) if weighted else ())
-    key = ("taps", g, shift, factor_key)
-    if key not in cache:
-        if cache.get("factor", (None,))[0] != factor_key:
-            # at most one factor alive, and none while speaker matrices are built
-            cache.pop("factor", None)
-        for i in train:
-            if ("rhs", g, n_spk, i, shift) not in cache:
-                if ("target", g, i, shift) not in cache:
-                    cache["target", g, i, shift] = _rtf_target(sets[i], g, taps, shift)
-                m = _speaker_matrix(sets[i], taps)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if ("gram", n_spk, i) not in cache:
-                        cache["gram", n_spk, i] = _finite(f"Gram of set {i}", m.T @ m)
-                    rhs = m.T @ cache["target", g, i, shift][: m.shape[0]]
-                    cache["rhs", g, n_spk, i, shift] = _finite(f"right-hand side of set {i}", rhs)
-                del m  # one speaker matrix alive at a time, none in the solve
-        if "factor" not in cache:
+    taps = [None] * len(designs)
+    # (N, training sets) -> factor key -> (g, d_H) -> the designs that column solves
+    groups, scenes = {}, {}
+    for index, (sets, g, config) in enumerate(designs):
+        n_spk = sets[0].num_loudspeakers
+        scenes.setdefault(n_spk, sets)
+        if config.variant == "LS_ATF":
+            key = ("LS_ATF", g, n_spk, train[0])
+            if key not in cache:
+                cache[key] = solve_ls_atf(assemble_atf_system(sets[train[0]], g, config.filter_length)).coefficients
+            taps[index] = cache[key]
+            continue
+        sel = train if config.variant == "MFR_DELTA_LS" else train[:1]
+        weighted = config.variant in WEIGHTED_VARIANTS
+        factor_key = (config.reg_lambda,) + ((config.reg_beta, g) if weighted else ())
+        columns = groups.setdefault((n_spk, sel), {}).setdefault(factor_key, {})
+        columns.setdefault((g, config.acausal_delay), []).append(index)
+    if not groups:
+        return taps
+    config = designs[0][2]
+    filter_length, grid = config.filter_length, config.grid(designs[0][0])
+
+    wanted = {}  # (N, set) -> the (g, d_H) of its right-hand sides
+    for (n_spk, sel), factors in groups.items():
+        for columns in factors.values():
+            for i in sel:
+                wanted.setdefault((n_spk, i), {}).update(dict.fromkeys(columns))
+    for (n_spk, i), columns in wanted.items():
+        _add_right_hand_sides(scenes[n_spk][i], i, columns, filter_length, cache)
+
+    for (n_spk, sel), factors in groups.items():
+        gram = _mean([cache["gram", n_spk, i] for i in sel])
+        means = {}  # (g, d_H) -> the right-hand side averaged over sel
+        for (reg_lambda, *weighting), columns in factors.items():
             penalty = None  # the ridge
-            if weighted:
-                grid = config.grid(sets)
-                if ("ratio", g, train) not in cache:
-                    ratio = _leakage_ratio([_set_spectra(sets[i], g, grid, 0) for i in train])
-                    cache["ratio", g, train] = fractional_octave_smooth(ratio, grid)
-                weight = _log_normal_weight(cache["ratio", g, train], config.reg_beta)
-                penalty = _penalty_block(weight, taps, grid.fft_size)
-            train_grams = [cache["gram", n_spk, i] for i in train]
-            cache["factor"] = (factor_key, _factor_normal_matrix(train_grams, config.reg_lambda, penalty))
-        rhs = _mean([cache["rhs", g, n_spk, i, shift] for i in train])
-        coef = _finite("taps", _solve_factored(cache["factor"][1], rhs))
-        cache[key] = coef.reshape(n_spk, taps)
-    return cache[key]
+            if weighting:
+                beta, g = weighting
+                if ("lags", g, sel, beta) not in cache:
+                    if ("ratio", g, sel) not in cache:
+                        ratio = _leakage_ratio([_set_spectra(scenes[n_spk][i], g, grid, 0) for i in sel])
+                        cache["ratio", g, sel] = fractional_octave_smooth(ratio, grid)
+                    weight = _log_normal_weight(cache["ratio", g, sel], beta)
+                    cache["lags", g, sel, beta] = _penalty_lags(weight, filter_length, grid.fft_size)
+                penalty = _toeplitz(cache["lags", g, sel, beta])
+            for g, shift in columns:
+                if (g, shift) not in means:
+                    means[g, shift] = _mean([cache["rhs", g, n_spk, i, shift] for i in sel])
+            # one column per right-hand side; the factor dies with this statement
+            rhs = np.array([means[column] for column in columns]).T
+            solved = _finite("taps", _solve_factored(_factor_normal_matrix(gram, reg_lambda, penalty), rhs))
+            for coef, indices in zip(solved.T, columns.values()):
+                for index in indices:
+                    taps[index] = coef.reshape(n_spk, filter_length)
+        del gram  # at most one mean Gram alive
+    return taps
 
 
 def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -> EqualizerFilter:
@@ -647,4 +722,5 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     The filter is its taps alone; the command line writes the file around them.
     """
     _check_grid_holds(config.grid(scenario.sets), scenario.sets, g, config.filter_length)
-    return EqualizerFilter(design_coefficients(scenario.sets, tuple(range(scenario.num_sets)), g, config, {}))
+    train = tuple(range(scenario.num_sets))
+    return EqualizerFilter(design_points([(scenario.sets, g, config)], train, {})[0])

@@ -243,14 +243,22 @@ class SetScorer:
         response of these taps, and NumericsError when finite taps drive it
         past the float range.
         """
+        coef = self._checked(coefficients)
+        return self._score_spectra(_tap_spectra(coef, self._grid))
+
+    def _checked(self, coefficients) -> np.ndarray:
+        """coefficients as a float array, once its shape and the grid fit this set."""
         coef = np.asarray(coefficients, dtype=float)
         if coef.ndim != 3 or coef.shape[1] != len(self._paths):
             raise ValueError(
                 f"expected designs x {len(self._paths)} loudspeakers x taps, got shape {coef.shape}"
             )
         _check_grid_holds(self._grid, (self._ms,), self._g, coef.shape[2])
+        return coef
+
+    def _score_spectra(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """score, from the _tap_spectra of the checked designs."""
         with np.errstate(over="ignore", invalid="ignore"):
-            spectra = np.fft.rfft(coef, self._grid.fft_size)
             aided = spectra[:, 0] * self._paths[0]
             for n in range(1, len(self._paths)):
                 aided += spectra[:, n] * self._paths[n]
@@ -259,17 +267,28 @@ class SetScorer:
         return aided, _band_distance(aided[:, self._band], self._weights, self._desired_in_band)
 
 
+def _tap_spectra(coef: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """The one-sided spectra of a stack of designs' taps on the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.rfft(coef, grid.fft_size)
+
+
 def mean_distances(scorers, coefficients) -> np.ndarray:
     """Mean distance in dB over the scorers' sets of each design in a stack.
 
-    Each design's mean is np.mean of its per-set distances bit for bit, as
-    evaluate's mean_delta_h_aud_db takes it, in a stack of any size: the
-    distances lie along a contiguous last axis, which np.mean sums as it sums
-    a 1-D array.
+    The scorers share one grid, so the taps are transformed once and every
+    scorer scores that one transform, as its score would. Each design's
+    mean is np.mean of its per-set distances bit for bit, as evaluate's
+    mean_delta_h_aud_db takes it, in a stack of any size: the distances lie
+    along a contiguous last axis, which np.mean sums as it sums a 1-D array.
     """
-    distances = np.empty((len(coefficients), len(scorers)))
+    coef = np.asarray(coefficients, dtype=float)
+    for scorer in scorers:
+        scorer._checked(coef)
+    spectra = _tap_spectra(coef, scorers[0]._grid)
+    distances = np.empty((len(coef), len(scorers)))
     for j, scorer in enumerate(scorers):
-        distances[:, j] = scorer.score(coefficients)[1]
+        distances[:, j] = scorer._score_spectra(spectra)[1]
     return distances.mean(axis=-1)
 
 

@@ -230,10 +230,12 @@ class SynthSpec:
             3 * self.source_ir_length + self.num_loudspeakers * self.speaker_ir_length
         )
         if size > _DENSE_BYTE_BUDGET:
+            from decimal import Decimal  # three digits of an int past the float range too
+
             raise ValidationError(
                 "input too large: num_sets x (3 x source_ir_length + num_loudspeakers x "
-                f"speaker_ir_length) float64 samples take {size:,} bytes, over synth's "
-                f"budget of {_DENSE_BYTE_BUDGET:,} (1 GiB)"
+                f"speaker_ir_length) float64 samples take {Decimal(size):.3g} bytes, over "
+                f"synth's budget of {_DENSE_BYTE_BUDGET:,} (1 GiB)"
             )
         if not _number(self.sample_rate_hz, "sample_rate_hz") > 0:
             raise ValidationError("sample_rate_hz must be positive")

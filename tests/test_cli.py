@@ -17,6 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
@@ -293,10 +294,11 @@ def test_ls_atf_sweep_over_a_dead_forward_path_is_numerical_failure(tmp_path, sm
 
 
 @pytest.mark.parametrize("case", ["eval-dead-forward-path", "eval-silent-open-ear",
-                                  "sweep-silent-open-ear"])
+                                  "sweep-silent-open-ear", "design-silent-open-ear"])
 def test_vanishing_desired_response_is_numerical_failure(tmp_path, small_scene_path, capsys,
                                                          case):
-    """A desired response that is 0 in the band exits 3 in every command that scores."""
+    """A desired response that is 0 in the band exits 3 in every command that scores,
+    and in design, which applies eval's rule to the scene it designs on."""
     scene = small_scene_path
     if case.endswith("silent-open-ear"):
         doc = json.loads(scene.read_text())
@@ -304,14 +306,17 @@ def test_vanishing_desired_response_is_numerical_failure(tmp_path, small_scene_p
             ms["h_open"] = [0.0] * len(ms["h_open"])
         scene = write_json(tmp_path / "silent.json", doc)
     out = tmp_path / "out"
+    config = write_json(tmp_path / "config.json", {**SMALL_CONFIG, "variant": "RLS", "d_H": 0})
     if case.startswith("sweep"):
         grid = write_json(tmp_path / "grid.json", {**SMALL_CONFIG, "N": 1,
                                                    "variant": ["RLS", "R_DELTA_LS"], "d_H": 0})
         argv = ["sweep", "--scenario", scene, "--grid", grid, "--out", out]
+    elif case.startswith("design"):
+        argv = ["design", "--scenario", scene, "--config", config, "--out", out]
     else:
-        config = write_json(tmp_path / "config.json", {**SMALL_CONFIG, "variant": "RLS", "d_H": 0})
+        # designed on the scene as drawn, which design accepts
         filt = tmp_path / "filter.json"
-        assert run("design", "--scenario", scene, "--config", config, "--out", filt) == 0
+        assert run("design", "--scenario", small_scene_path, "--config", config, "--out", filt) == 0
         if case == "eval-dead-forward-path":
             doc = json.loads(filt.read_text())
             doc["config"]["G0_db"] = -1e9
@@ -682,7 +687,7 @@ def test_sweep_checks_every_point_before_any_design(tmp_path, sweep_scene_path, 
     def no_design(*args):
         raise AssertionError("a design ran before the grid was checked")
 
-    monkeypatch.setattr(cli, "design_coefficients", no_design)
+    monkeypatch.setattr(cli, "design_points", no_design)
     grid = write_json(tmp_path / "grid.json", {
         "variant": "RLS", "N": 2, "d_H": 0, "lambda": 1e-8,
         "beta": 1.0, "G0_db": 0.0, "d_G": 0, "L_A": 9, **change,
@@ -726,7 +731,8 @@ def test_sweep_forms_one_gram_per_n_and_set(tmp_path, monkeypatch, synth, grid, 
 
 
 def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
-    factored = []
+    factored, calls = [], {"RTF autocorrelation": 0, "_speaker_matrix": 0, "_penalty_lags": 0,
+                           "dpotrs": 0}
 
     def spied_factor(*args):
         # the previous factor was released before this one is made
@@ -735,8 +741,20 @@ def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
         factored.append(weakref.ref(result[0]))
         return result
 
-    factor = design._factor_normal_matrix
+    def counted_finite(what, values):
+        calls[what] = calls.get(what, 0) + 1
+        return finite(what, values)
+
+    factor, finite = design._factor_normal_matrix, design._finite
     monkeypatch.setattr(design, "_factor_normal_matrix", spied_factor)
+    monkeypatch.setattr(design, "_finite", counted_finite)
+    for module, name in ((design, "_speaker_matrix"), (design, "_penalty_lags"),
+                         (scipy.linalg.lapack, "dpotrs")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
     scene = tmp_path / "scene.json"
     assert run("synth", "--config", write_json(tmp_path / "spec.json",
                                                 {"num_sets": 5, "num_loudspeakers": 2}),
@@ -745,8 +763,13 @@ def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
                write_json(tmp_path / "grid.json", README_STUDY),
                "--out", tmp_path / "study.csv", "--mode", "leave-one-out") == 0
     # 120 points, but the normal matrix does not depend on d_H: one factor
-    # per lambda and training fold serves all four delays
+    # per lambda and training fold serves all four delays, in one dpotrs
     assert len(factored) == 6 * 5
+    assert calls["dpotrs"] == 6 * 5
+    # one forward path: each set's autocorrelation and speaker matrix once,
+    # and one penalty per training fold, whatever lambda and d_H are
+    assert calls["RTF autocorrelation"] == calls["_speaker_matrix"] == 5
+    assert calls["_penalty_lags"] == 5
 
 
 def test_commands_refuse_a_grid_shorter_than_the_aided_response(tmp_path, monkeypatch, capsys):
@@ -792,7 +815,7 @@ def test_commands_refuse_a_grid_shorter_than_the_aided_response(tmp_path, monkey
     def no_design(*args):
         raise AssertionError("a design ran before the grid was checked")
 
-    monkeypatch.setattr(cli, "design_coefficients", no_design)
+    monkeypatch.setattr(cli, "design_points", no_design)
     grid = write_json(tmp_path / "grid.json", dict(rls, N=2, d_G=[96, 700]))
     assert run("sweep", "--scenario", scene, "--grid", grid, "--out", tmp_path / "s.csv") == 2
     assert "L_FFT 1024 cannot hold the aided response at d_G 700" in capsys.readouterr().err
@@ -827,16 +850,15 @@ def test_sweep_reuses_work_across_the_whole_grid(tmp_path, sweep_scene_path, mon
 def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monkeypatch):
     grams, rhs, factors = [], [], []
 
-    def spied_factor(train_grams, reg_lambda, penalty):
+    def spied_factor(gram, reg_lambda, penalty):
         factors.append(reg_lambda)
-        for gram in train_grams:
-            if not any(gram is seen for seen in grams):
-                grams.append(gram)
-        return factor(train_grams, reg_lambda, penalty)
+        return factor(gram, reg_lambda, penalty)
 
     def counted(what, values):
         if what.startswith("right-hand side"):
             rhs.append(what)
+        elif what.startswith("Gram"):
+            grams.append(what)
         return finite(what, values)
 
     factor, finite = design._factor_normal_matrix, design._finite
@@ -849,10 +871,10 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
             counts["scorers"] += 1
             super().__init__(*args)
 
-        def score(self, coefficients):
-            counts["scored"] += len(coefficients)
-            batches.append(len(coefficients))
-            return super().score(coefficients)
+        def _score_spectra(self, spectra):
+            counts["scored"] += len(spectra)
+            batches.append(len(spectra))
+            return super()._score_spectra(spectra)
 
     monkeypatch.setattr(cli, "SetScorer", CountedScorer)
     # G0_db, d_G and beta vary within each N
@@ -949,7 +971,7 @@ def test_sweep_survives_rounding_level_cholesky_failure(tmp_path):
 def test_ldlt_retry_serves_every_delay(tmp_path, monkeypatch):
     # rows 56 and 57 of the test above, each at two delays: each forward
     # path's normal matrix fails Cholesky once, and the rebuilt matrix serves
-    # both d_H values
+    # both d_H values, one column at a time
     factored = []
 
     def spied_factor(*args):
@@ -972,6 +994,17 @@ def test_ldlt_retry_serves_every_delay(tmp_path, monkeypatch):
     with pytest.warns(LinAlgWarning):
         expected = reference_sweep_csv(scene, grid, "resubstitution")
     assert (tmp_path / "s.csv").read_bytes() == expected
+
+    # held out in turn, set 1 trains the first fold and set 0 the other two:
+    # all six matrices fail Cholesky, and each still serves both delays
+    factored.clear()
+    with pytest.warns(LinAlgWarning):
+        assert run("sweep", "--scenario", tmp_path / "scene.json", "--grid", tmp_path / "grid.json",
+                   "--out", tmp_path / "loo.csv", "--mode", "leave-one-out") == 0
+    assert factored == [False] * 6
+    with pytest.warns(LinAlgWarning):
+        expected = reference_sweep_csv(scene, grid, "leave-one-out")
+    assert (tmp_path / "loo.csv").read_bytes() == expected
 
 
 def test_sweep_operating_point_study_under_a_minute(tmp_path):
@@ -1120,6 +1153,11 @@ def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command, doc):
     assert run(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: input too large: ")
+    if command == "synth":
+        # a bounded line, even for a size of 300 digits, that names every size field
+        assert len(err[0]) <= 200
+        assert all(field in err[0] for field in ("num_sets", "source_ir_length",
+                                                  "num_loudspeakers", "speaker_ir_length"))
     assert not out.exists()
 
 

@@ -18,8 +18,8 @@ from eqdesign.design import (
     NumericsError,
     assemble_atf_system,
     default_fft_size,
-    design_coefficients,
     design_filter,
+    design_points,
     frequency_weights,
     reduce_to_rtf,
     solve_ls_atf,
@@ -28,6 +28,7 @@ from eqdesign.design import (
     _factor_normal_matrix,
     _fit_rtf,
     _penalty_block,
+    _rtf_path,
     _set_spectra,
     _solve_factored,
     _spectral_rcond_bound,
@@ -297,7 +298,7 @@ def test_rank_deficient_fit_names_its_singular_value_ratio():
     ratio = np.linalg.cond(scipy.linalg.convolution_matrix(through_mic, 64)) ** -1
     assert 0 < ratio <= RANK_RTOL
     with pytest.raises(NumericsError) as info:
-        _fit_rtf(through_mic, np.ones(through_mic.size + 63), 64)
+        _fit_rtf(_rtf_path(through_mic), np.ones(through_mic.size + 63), 64)
     assert f"s_min/s_max {ratio:.3g} " in str(info.value)
     assert "spectral rcond bound 0)" in str(info.value)
 
@@ -389,13 +390,13 @@ def test_spectral_guard_is_a_lower_bound_and_certifies_levinson(path, n_taps, se
         assert bound == 0.0
     if bound >= NORMAL_RCOND:
         rcond = np.linalg.cond(lhs) ** -2
-        gap = np.max(np.abs(_fit_rtf(through_mic, v, n_taps) - target)) / np.max(np.abs(target))
+        gap = np.max(np.abs(_fit_rtf(_rtf_path(through_mic), v, n_taps) - target)) / np.max(np.abs(target))
         assert gap <= 10 * np.finfo(float).eps * (1 / rcond + n_taps)
     elif singulars[-1] <= RANK_RTOL * singulars[0]:
         with pytest.raises(NumericsError, match="rank deficient"):
-            _fit_rtf(through_mic, v, n_taps)
+            _fit_rtf(_rtf_path(through_mic), v, n_taps)
     else:  # the dense fallback, bit for bit
-        assert np.array_equal(_fit_rtf(through_mic, v, n_taps), target)
+        assert np.array_equal(_fit_rtf(_rtf_path(through_mic), v, n_taps), target)
 
 
 @settings(max_examples=150, deadline=None)
@@ -416,7 +417,7 @@ def test_levinson_fit_of_any_target_is_within_the_least_squares_bound(path, n_ta
     # right-hand side needs. The constant 10 and the n_taps rounding floor are
     # those of the explained-target bound above.
     kappa_squared = (singulars[0] / singulars[-1]) ** 2
-    gap = np.linalg.norm(_fit_rtf(through_mic, v, n_taps) - target)
+    gap = np.linalg.norm(_fit_rtf(_rtf_path(through_mic), v, n_taps) - target)
     bound = 10 * np.finfo(float).eps * (kappa_squared + n_taps)
     assert gap <= bound * (np.linalg.norm(target) + residual / singulars[0])
 
@@ -630,9 +631,28 @@ def test_rounding_level_indefinite_system_solves_by_ldl():
     rhs = np.array([1.0, 0.0])  # solved by (1 - 2**50, 2**50)
     with pytest.raises(np.linalg.LinAlgError):
         scipy.linalg.solve(gram, rhs, assume_a="pos")
-    coef = _solve_factored(_factor_normal_matrix([gram], 0.0, None), rhs)
+    coef = _solve_factored(_factor_normal_matrix(gram, 0.0, None), rhs[:, None])[:, 0]
     assert np.allclose(coef, [1 - 2.0**50, 2.0**50], rtol=1e-14, atol=0)
     assert np.allclose(gram @ coef, rhs, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(17, 400), columns=st.integers(2, 7), weighted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_cholesky_solve_matches_one_column_solves(n, columns, weighted, seed):
+    # design_points solves a group's right-hand sides in one dpotrs; each
+    # column must come out as a one-column solve gives it, bit for bit
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n + 5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    penalty = None
+    if weighted:
+        penalty = _penalty_block(rng.uniform(0.0, 2.0, n + 1), n, 2 * n)
+    factored = _factor_normal_matrix(m.T @ m, 0.1, penalty)
+    assume(factored[1])
+    rhs = np.array([m.T @ rng.standard_normal(n + 5) for _ in range(columns)]).T
+    stacked = _solve_factored(factored, rhs)
+    for j in range(columns):
+        assert stacked[:, j].tobytes() == _solve_factored(factored, rhs[:, [j]])[:, 0].tobytes()
 
 
 def test_penalty_block_is_added_per_loudspeaker():
@@ -749,17 +769,18 @@ def test_single_set_variants_use_first_set():
 
 
 def test_one_cache_serves_every_forward_path():
-    # two forward paths and every variant through one cache give the taps of
-    # fresh caches: nothing one path shapes is served to the other
+    # two forward paths, each with every variant in one call, through one cache
+    # give the taps of one-point calls on fresh caches: nothing one path or
+    # point shapes is served to another
     spec = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=10,
                      speaker_ir_length=8, reinsertion_level_db=-20.0)
     scene = synth_scenario(spec, seed=13)
     train, shared, first = (0, 1, 2), {}, {}
+    configs = [DesignConfig(variant=variant, filter_length=9) for variant in VARIANTS]
     for g in (forward_path_ir(0.0, 8, RATE), forward_path_ir(-10.0, 4, RATE)):
-        for variant in VARIANTS:
-            config = DesignConfig(variant=variant, filter_length=9)
-            taps = design_coefficients(scene.sets, train, g, config, shared)
-            assert np.array_equal(taps, design_coefficients(scene.sets, train, g, config, {}))
+        together = design_points([(scene.sets, g, config) for config in configs], train, shared)
+        for variant, config, taps in zip(VARIANTS, configs, together):
+            assert np.array_equal(taps, design_points([(scene.sets, g, config)], train, {})[0])
             if variant in first:
                 assert not np.array_equal(taps, first[variant])
             first[variant] = taps

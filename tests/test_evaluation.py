@@ -316,6 +316,30 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     assert np.array_equal(report.weight_trace, weights)
 
 
+def test_mean_distances_transforms_each_batch_once(monkeypatch):
+    # the README default scene: five sets score one batch of three designs
+    scn = synth_scenario(SynthSpec(), seed=0)
+    g = forward_path_ir(0.0, 96, RATE)
+    grid = FrequencyGrid(1024, RATE)  # default_fft_size(100, 99)
+    scorers = [SetScorer(ms, g, grid) for ms in scn.sets]
+    stack = 0.1 * np.random.default_rng(0).standard_normal((3, 2, 99))
+    per_set = np.empty((3, len(scorers)))
+    for j, scorer in enumerate(scorers):
+        per_set[:, j] = scorer.score(stack)[1]
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    means = mean_distances(scorers, stack)
+    # one transform of the taps serves every set
+    assert calls == [(3, 2, 99)]
+    assert means.tobytes() == per_set.mean(axis=-1).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # scoring stacks of designs in frequency
 
