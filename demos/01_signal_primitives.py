@@ -2,13 +2,12 @@
 
 import numpy as np
 
+from eqdesign.scenario import forward_path_ir
 from eqdesign.signals import (
     FrequencyGrid,
     ImpulseResponse,
-    convolve,
-    delay,
+    convolution_matrix,
     fractional_octave_smooth,
-    magnitude_response,
 )
 
 rate = 16000.0
@@ -16,11 +15,12 @@ rate = 16000.0
 h = ImpulseResponse([1.0, -0.4, 0.12], rate)
 g = ImpulseResponse([0.5, 0.25], rate)
 
-print("h * g       ", convolve(h, g).samples)
-print("delayed h   ", delay(h, 3).samples)
+# the design convolves through Toeplitz matrices: column j is h delayed by j
+print("h * g       ", convolution_matrix(h.samples, len(g)) @ g.samples)
+print("forward path, 3 samples of delay", forward_path_ir(0.0, 3, rate).samples)
 
 grid = FrequencyGrid(64, rate)
-mag = magnitude_response(h, grid)
+mag = np.abs(np.fft.rfft(h.samples, grid.fft_size))  # the grid's one-sided bins
 print("\nbin  freq_hz   |H|")
 for k in (0, 4, 16, 32):
     print(f"{k:3d}  {grid.frequencies_hz[k]:7.1f}  {mag[k]:.4f}")

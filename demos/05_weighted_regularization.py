@@ -2,49 +2,52 @@
 
 The weight curve W concentrates where leakage and target are comparable,
 which is exactly where equalization effort is wasted: the vent already
-delivers the sound. Cranking lambda up trades fit residual for a smaller
-weighted seminorm, and past a point the on-scene distance starts to rise.
+delivers the sound. The penalty is the filter's spectral energy under W.
+Cranking lambda up shrinks that weighted seminorm, and past a point the
+on-scene distance starts to rise.
 """
 
 import numpy as np
 
-from eqdesign.design import (
-    DesignConfig,
-    default_fft_size,
-    design_filter,
-    frequency_weights,
-    reduce_to_rtf,
-    _penalty_block,
-)
+from eqdesign.design import DesignConfig, design_filter
 from eqdesign.evaluation import evaluate
 from eqdesign.scenario import SynthSpec, forward_path_ir, synth_scenario
-from eqdesign.signals import FrequencyGrid
 
 RATE = 16000.0
 
 scene = synth_scenario(
     SynthSpec(num_sets=1, num_loudspeakers=1, reinsertion_level_db=None), seed=0
 )
-ms = scene.sets[0]
 g = forward_path_ir(0.0, 0, RATE)
-grid = FrequencyGrid(default_fft_size(ms.speaker_length, 99), RATE)
 
-ratio, w = frequency_weights(ms, g, 1.0, grid)
-peak = int(np.argmax(w))
-print(f"leakage ratio spans {ratio.min():.3f}..{ratio.max():.3f}")
-print(f"weight peaks at {grid.frequencies_hz[peak]:.0f} Hz "
-      f"where the ratio is {ratio[peak]:.3f}\n")
 
-system = reduce_to_rtf(ms, g, 99, 0)
-penalty = _penalty_block(w, 99, grid.fft_size)  # one loudspeaker, one block
+def seminorm(taps, w, fft_size):
+    """sqrt of the weighted spectral energy of the taps, summed over all fft_size bins.
 
-print("   lambda   residual   seminorm   distance_db")
+    This is the penalty's seminorm. fft_size is even, as every default grid is.
+    """
+    energy = (w * np.abs(np.fft.rfft(taps, fft_size))) ** 2
+    # the one-sided bins stand for their mirror images too, except DC and Nyquist
+    return np.sqrt((2 * energy.sum() - energy[0] - energy[-1]) / fft_size)
+
+
+rows = []
 for lam in (1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0):
     config = DesignConfig(variant="FR_DELTA_LS", filter_length=99,
                           acausal_delay=0, reg_lambda=lam)
     filt = design_filter(scene, g, config)
-    a = filt.coefficients.ravel()
-    residual = np.linalg.norm(system.matrix @ a - system.target)
-    seminorm = np.sqrt(a @ penalty @ a)
-    dist = evaluate(scene, g, filt, config).delta_h_aud_db[0]
-    print(f"{lam:9.0e}   {residual:.5f}    {seminorm:8.4f}   {dist:.4f}")
+    rows.append((lam, filt.coefficients[0], evaluate(scene, g, filt, config)))
+
+# every lambda shares the leakage ratio V and its weight W, which eval reports
+report = rows[0][2]
+ratio, w = report.leakage_ratio, report.weight_trace
+peak = int(np.argmax(w))
+print(f"leakage ratio spans {ratio.min():.3f}..{ratio.max():.3f}")
+print(f"weight peaks at {report.frequencies_hz[peak]:.0f} Hz "
+      f"where the ratio is {ratio[peak]:.3f}\n")
+
+print("   lambda   seminorm   tap_norm   distance_db")
+fft_size = config.grid(scene.sets).fft_size
+for lam, a, report in rows:
+    print(f"{lam:9.0e}   {seminorm(a, w, fft_size):8.4f}   {np.linalg.norm(a):8.4f}"
+          f"   {report.delta_h_aud_db[0]:.4f}")

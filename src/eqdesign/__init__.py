@@ -4,10 +4,7 @@ from .signals import (
     FrequencyGrid,
     ImpulseResponse,
     convolution_matrix,
-    convolve,
-    delay,
     fractional_octave_smooth,
-    magnitude_response,
 )
 from .scenario import (
     MeasurementSet,
@@ -26,26 +23,18 @@ from .design import (
     VARIANTS,
     DesignConfig,
     EqualizerFilter,
-    LinearSystem,
     NumericsError,
     assemble_atf_system,
     default_fft_size,
     design_filter,
-    frequency_weights,
-    reduce_to_rtf,
     solve_ls_atf,
-    solve_regularized,
     weights_from_ratio,
 )
 from .evaluation import (
     EvaluationReport,
-    aided_tf,
-    auditory_spectral_distance,
-    desired_tf,
     erb_bandwidth_hz,
     erb_weights,
     evaluate,
-    simulate,
 )
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .scenario import (
     _load_json,
     _number,
     _number_list,
+    _refuse_over_budget,
     _require_fields,
     _write_json,
     forward_path_ir,
@@ -52,6 +53,15 @@ EVAL_HEADER = ["freq_hz", "mag_db_aid", "mag_db_des", "mag_db_occ", "V", "W"]
 _CONFIG_FIELDS = ("variant", "L_A", "d_H", "lambda", "beta", "G0_db", "d_G")
 _GRID_FIELDS = ("variant", "N", "d_H", "lambda", "beta", "G0_db", "d_G")
 
+# the float64 array that each size field sets, and its sample count at size n:
+# every command that takes the field allocates at least that much
+_SIZE_FIELDS = {
+    "L_A": ("an L_A x L_A float64 matrix, which every design builds", lambda n: n * n),
+    "d_H": ("a float64 RTF target of more than d_H samples", lambda n: n),
+    "d_G": ("a float64 forward path of d_G + 1 samples", lambda n: n + 1),
+    "L_FFT": ("float64 spectra of L_FFT samples", lambda n: n),
+}
+
 
 # ---------------------------------------------------------------------------
 # strict JSON readers
@@ -63,9 +73,21 @@ def _as_variant(value, path: str) -> str:
     return value
 
 
+def _as_size(field: str, value, path: str) -> int:
+    """The integer at `path`, a size field, unless the array it sets would exceed the byte budget.
+
+    A budget check before anything is allocated, so that the refusal names
+    the field; a negative size is left for the field's own check.
+    """
+    size = _as_int(value, path)
+    what, samples = _SIZE_FIELDS[field]
+    _refuse_over_budget(8 * samples(max(size, 0)), f"{path} sets {what}")
+    return size
+
+
 def _as_path_delay(value, path: str) -> int:
     """A forward-path delay d_G: an integer number of samples, at least 0."""
-    delay = _as_int(value, path)
+    delay = _as_size("d_G", value, path)
     if delay < 0:
         raise ValidationError(f"{path}: must be nonnegative")
     return delay
@@ -82,11 +104,11 @@ def _design_inputs_from_dict(data: dict, path: str) -> tuple[DesignConfig, float
     _require_fields(data, _CONFIG_FIELDS, path, ("L_FFT",))
     settings = dict(
         variant=_as_variant(data["variant"], f"{path}.variant"),
-        filter_length=_as_int(data["L_A"], f"{path}.L_A"),
-        acausal_delay=_as_int(data["d_H"], f"{path}.d_H"),
+        filter_length=_as_size("L_A", data["L_A"], f"{path}.L_A"),
+        acausal_delay=_as_size("d_H", data["d_H"], f"{path}.d_H"),
         reg_lambda=_number(data["lambda"], f"{path}.lambda"),
         reg_beta=_number(data["beta"], f"{path}.beta"),
-        fft_size=_as_int(data["L_FFT"], f"{path}.L_FFT") if "L_FFT" in data else None,
+        fft_size=_as_size("L_FFT", data["L_FFT"], f"{path}.L_FFT") if "L_FFT" in data else None,
     )
     try:
         config = DesignConfig(**settings)
@@ -116,11 +138,12 @@ def _grid_points(data: dict) -> tuple[list[tuple], list[DesignConfig]]:
     """
     _require_fields(data, _GRID_FIELDS, "grid", ("L_A", "L_FFT"))
     shared = {
-        name: _as_int(data[key], f"grid.{key}")
+        name: _as_size(key, data[key], f"grid.{key}")
         for key, name in (("L_A", "filter_length"), ("L_FFT", "fft_size"))
         if key in data
     }
-    coercers = (_as_variant, _as_int, _as_int, _number, _number, _number, _as_path_delay)
+    coercers = (_as_variant, _as_int, functools.partial(_as_size, "d_H"), _number, _number, _number,
+                _as_path_delay)
     points = list(itertools.product(*(
         _value_list(data, key, coerce, f"grid.{key}")
         for key, coerce in zip(_GRID_FIELDS, coercers)

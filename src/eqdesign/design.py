@@ -36,15 +36,11 @@ __all__ = [
     "NORMAL_RCOND",
     "NumericsError",
     "DesignConfig",
-    "LinearSystem",
     "EqualizerFilter",
     "default_fft_size",
     "assemble_atf_system",
     "solve_ls_atf",
-    "reduce_to_rtf",
-    "frequency_weights",
     "weights_from_ratio",
-    "solve_regularized",
     "design_points",
     "design_filter",
 ]
@@ -161,37 +157,6 @@ def _check_grid_holds(grid: FrequencyGrid, sets, g: ImpulseResponse, filter_leng
 
 
 @dataclass(frozen=True, eq=False)
-class LinearSystem:
-    """One least-squares problem: matrix @ coefficients ~ target.
-
-    The coefficient vector concatenates the per-loudspeaker filters, so the
-    matrix has num_loudspeakers * filter_length columns.
-    """
-
-    matrix: np.ndarray
-    target: np.ndarray
-    num_loudspeakers: int
-    filter_length: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        t = np.asarray(self.target, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "target", t)
-        if m.ndim != 2:
-            raise ValueError("matrix must be 2-D")
-        if t.shape != (m.shape[0],):
-            raise ValueError(
-                f"target length {t.shape} does not match matrix rows {m.shape[0]}"
-            )
-        if m.shape[1] != self.num_loudspeakers * self.filter_length:
-            raise ValueError(
-                f"matrix has {m.shape[1]} columns, expected "
-                f"{self.num_loudspeakers} * {self.filter_length}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
 class EqualizerFilter:
     """Designed FIR filters, one row per loudspeaker."""
 
@@ -236,14 +201,15 @@ def _through_mic(ms: MeasurementSet, g: ImpulseResponse) -> np.ndarray:
     return np.convolve(g.samples, ms.h_m.samples)
 
 
-def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: int) -> LinearSystem:
-    """Full acoustic-transfer-function least-squares system.
+def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: int) -> tuple:
+    """Full acoustic-transfer-function least-squares system: (matrix, target).
 
     The block matrix convolves each candidate filter with forward path,
-    microphone pickup and its loudspeaker response; the target is the
-    processed open-ear response with the leakage already subtracted. Useful
-    as a reference point; the matrix is structurally rank deficient because
-    every block shares the forward-path-and-microphone factor.
+    microphone pickup and its loudspeaker response, one block of
+    filter_length columns per loudspeaker; the target is the processed
+    open-ear response with the leakage already subtracted. The matrix is
+    structurally rank deficient because every block shares the
+    forward-path-and-microphone factor.
     """
     if not _is_whole(filter_length, 1):
         raise ValueError("filter_length must be a positive integer")
@@ -251,20 +217,19 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
     through_mic = _through_mic(ms, g)
     chains = [np.convolve(through_mic, d_n.samples) for d_n in ms.d]
     matrix = np.hstack([convolution_matrix(chain, filter_length) for chain in chains])
-    target = _raw_target(ms, g, matrix.shape[0], 0)
-    return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length)
+    return matrix, _raw_target(ms, g, matrix.shape[0], 0)
 
 
-def solve_ls_atf(system: LinearSystem) -> EqualizerFilter:
-    """Minimum-norm least-squares solution of the full-ATF system.
+def solve_ls_atf(matrix: np.ndarray, target: np.ndarray, filter_length: int) -> np.ndarray:
+    """Minimum-norm least-squares taps, loudspeakers x filter_length, of an assemble_atf_system.
 
     Raises NumericsError when the system has rank 0, as under a dead
     forward path, or when the taps overflow the float range.
     """
-    coef, _, rank, _ = np.linalg.lstsq(system.matrix, system.target, rcond=RANK_RTOL)
+    coef, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=RANK_RTOL)
     if rank == 0:
         raise NumericsError("full-ATF system has rank 0, as under a dead forward path")
-    return EqualizerFilter(_finite("taps", coef).reshape(system.num_loudspeakers, system.filter_length))
+    return _finite("taps", coef).reshape(-1, filter_length)
 
 
 def _spectral_rcond_bound(through_mic: np.ndarray) -> float:
@@ -349,41 +314,20 @@ def _speaker_matrix(ms: MeasurementSet, filter_length: int) -> np.ndarray:
 def _rtf_target(ms: MeasurementSet, g: ImpulseResponse, filter_length: int, shift: int, path: tuple) -> np.ndarray:
     """The RTF fit of one set under g, delayed by `shift`, free of the loudspeakers.
 
-    path is _rtf_path of the set's _through_mic under g. The target's first
-    taps meet the rows of _speaker_matrix, which depends on neither g nor shift.
+    This divides the shared forward factor out of the full system: the target
+    is the least-squares FIR fit of the relative transfer function (open ear
+    over processed microphone path, leakage folded in), delayed by `shift`
+    so that anticausal content gets taps to land on. path is _rtf_path of
+    the set's _through_mic under g. The target's first taps meet the rows of
+    _speaker_matrix, which depends on neither g nor shift; its last `shift`
+    taps meet zero rows, which no causal filter reaches and which add exact
+    zeros to the normal equations, so the design leaves them out. A path
+    through the microphone that is rank deficient, as a zero-gain one,
+    raises NumericsError.
     """
     n_taps = ms.speaker_length + filter_length - 1 + shift
     v = _raw_target(ms, g, path[0].size + n_taps - 1, shift)
     return _fit_rtf(path, v, n_taps)
-
-
-def reduce_to_rtf(
-    ms: MeasurementSet,
-    g: ImpulseResponse,
-    filter_length: int,
-    acausal_delay: int = 0,
-) -> LinearSystem:
-    """Divide the shared forward factor out of the full system.
-
-    The target becomes the least-squares FIR fit of the relative transfer
-    function (open ear over processed microphone path, leakage folded in),
-    delayed by acausal_delay so anticausal content gets taps to land on.
-    The matrix is the concatenation of the loudspeaker convolution matrices
-    with acausal_delay zero rows appended; those rows line up with target
-    taps that no causal filter can reach.
-
-    Raises NumericsError when the forward path through the microphone is
-    rank deficient (for example a zero-gain path).
-    """
-    if not _is_whole(filter_length, 1):
-        raise ValueError("filter_length must be a positive integer")
-    if not _is_whole(acausal_delay, 0):
-        raise ValueError("acausal_delay must be a nonnegative integer")
-    filter_length = int(filter_length)
-    acausal_delay = int(acausal_delay)
-    target = _rtf_target(ms, g, filter_length, acausal_delay, _rtf_path(_through_mic(ms, g)))
-    matrix = np.pad(_speaker_matrix(ms, filter_length), ((0, acausal_delay), (0, 0)))
-    return LinearSystem(matrix, target, ms.num_loudspeakers, filter_length)
 
 
 def _log_normal_weight(smoothed: np.ndarray, reg_beta: float) -> np.ndarray:
@@ -446,19 +390,6 @@ def _leakage_ratio(spectra) -> np.ndarray:
             f"processed open-ear response vanishes at bin {bad}; leakage ratio undefined"
         )
     return leak / open_gain
-
-
-def frequency_weights(measurements, g: ImpulseResponse, reg_beta: float, grid: FrequencyGrid):
-    """Leakage ratio V and regularization weight W on the grid.
-
-    V is |leakage| over |processed open-ear target|, built from set-averaged
-    magnitude spectra; pass one MeasurementSet or a sequence of them. Both
-    returned arrays live on the grid's one-sided bins, length fft_size // 2 + 1.
-    """
-    if isinstance(measurements, MeasurementSet):
-        measurements = [measurements]
-    ratio = _leakage_ratio([_set_spectra(ms, g, grid, 0) for ms in measurements])
-    return ratio, weights_from_ratio(ratio, reg_beta, grid)
 
 
 def _penalty_lags(weights: np.ndarray, filter_length: int, fft_size: int) -> np.ndarray:
@@ -570,32 +501,6 @@ def _solve_factored(factored, rhs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def solve_regularized(
-    system: LinearSystem,
-    reg_lambda: float,
-    weights: np.ndarray | None = None,
-    grid: FrequencyGrid | None = None,
-) -> EqualizerFilter:
-    """Ridge or spectrally weighted least squares on one design system.
-
-    Without weights the penalty is reg_lambda times the plain coefficient
-    energy; with weights it is reg_lambda times the weighted spectral energy
-    of the filters. Weights are one-sided and need the grid they live on,
-    because their length alone does not tell an even fft_size from an odd one.
-    """
-    if not reg_lambda >= 0:
-        raise ValueError("reg_lambda must be nonnegative")
-    penalty = None
-    if weights is not None:
-        if grid is None:
-            raise ValueError("weights need the grid they live on")
-        penalty = _penalty_block(weights, system.filter_length, grid.fft_size)
-    m = system.matrix
-    rhs = (m.T @ system.target)[:, None]
-    coef = _solve_factored(_factor_normal_matrix(m.T @ m, reg_lambda, penalty), rhs)
-    return EqualizerFilter(coef.reshape(system.num_loudspeakers, system.filter_length))
-
-
 def _add_right_hand_sides(ms: MeasurementSet, i: int, columns, filter_length: int, cache: dict) -> None:
     """Cache set i's Gram and its right-hand side under each (g, d_H) of columns that lacks one.
 
@@ -646,9 +551,9 @@ def design_points(designs, train: tuple, cache: dict) -> list:
     but new g only misses reuse; it stays valid while the measurements, L_A
     and L_FFT stay, across any number of forward paths and folds. It holds
     set i's _rtf_path under ("path", g, i) and its RTF target under
-    ("target", g, i, d_H); its Gram MᵀM under ("gram", N, i), where M lacks
-    the d_H zero rows of reduce_to_rtf, which add exact zeros, and Mᵀt on the
-    target's first rows under ("rhs", g, N, i, d_H); the smoothed leakage
+    ("target", g, i, d_H); its Gram MᵀM under ("gram", N, i), where M is
+    _speaker_matrix, and Mᵀt on the target's first rows under
+    ("rhs", g, N, i, d_H); the smoothed leakage
     ratio of the training sets `sel` under ("ratio", g, sel), and its penalty's
     _penalty_lags at beta under ("lags", g, sel, beta); and LS_ATF taps under
     ("LS_ATF", g, N, i). Pass {} for a one-off.
@@ -665,7 +570,9 @@ def design_points(designs, train: tuple, cache: dict) -> list:
         if config.variant == "LS_ATF":
             key = ("LS_ATF", g, n_spk, train[0])
             if key not in cache:
-                cache[key] = solve_ls_atf(assemble_atf_system(sets[train[0]], g, config.filter_length)).coefficients
+                # the system is a temporary: it dies with this statement
+                length = config.filter_length
+                cache[key] = solve_ls_atf(*assemble_atf_system(sets[train[0]], g, length), length)
             taps[index] = cache[key]
             continue
         sel = train if config.variant == "MFR_DELTA_LS" else train[:1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import FrequencyGrid, ImpulseResponse, magnitude_response
+from .signals import FrequencyGrid, ImpulseResponse
 from .scenario import MeasurementSet, Scenario
 from .design import (
     DesignConfig,
@@ -32,10 +32,6 @@ __all__ = [
     "EvaluationReport",
     "erb_bandwidth_hz",
     "erb_weights",
-    "auditory_spectral_distance",
-    "aided_tf",
-    "desired_tf",
-    "simulate",
     "SetScorer",
     "mean_distances",
     "evaluate",
@@ -126,67 +122,6 @@ def _band_distance(aid, weights: np.ndarray, des: np.ndarray):
     return np.sum(weights * np.abs(deviation_db), axis=-1)
 
 
-def auditory_spectral_distance(h_aid, h_des, grid: FrequencyGrid) -> float:
-    """ERB-weighted mean absolute log-magnitude deviation, in dB.
-
-    Zero means the aided response matches the desired one in magnitude at
-    every weighted bin. A desired response that vanishes inside the band
-    raises NumericsError, and so does an aided-to-desired magnitude ratio
-    past the float range; a vanishing aided response yields an infinite
-    distance.
-    """
-    weights, des, band = _in_band(magnitude_response(h_des, grid), grid)
-    return float(_band_distance(magnitude_response(h_aid, grid)[band], weights, des))
-
-
-def _check_filter(ms: MeasurementSet, filt: EqualizerFilter) -> None:
-    if filt.num_loudspeakers != ms.num_loudspeakers:
-        raise ValueError(
-            f"filter drives {filt.num_loudspeakers} loudspeakers, scene has {ms.num_loudspeakers}"
-        )
-
-
-def aided_tf(ms: MeasurementSet, g: ImpulseResponse, filt: EqualizerFilter) -> np.ndarray:
-    """Aided-ear impulse response: equalized playback plus vent leakage."""
-    _check_filter(ms, filt)
-    through_mic = np.convolve(g.samples, ms.h_m.samples)
-    total = None
-    for d_n, a_n in zip(ms.d, filt.coefficients):
-        term = np.convolve(np.convolve(d_n.samples, a_n), through_mic)
-        total = term if total is None else total + term
-    total[: len(ms.h_occ)] += ms.h_occ.samples
-    return total
-
-
-def desired_tf(ms: MeasurementSet, g: ImpulseResponse) -> np.ndarray:
-    """Open-ear response seen through the forward-path processing."""
-    return np.convolve(g.samples, ms.h_open.samples)
-
-
-def simulate(ms: MeasurementSet, g: ImpulseResponse, filt: EqualizerFilter, stimulus):
-    """Run a stimulus through the aided and the desired signal chains.
-
-    Returns (aided, desired) time signals. The aided chain is built stage by
-    stage (microphone pickup, forward path, per-loudspeaker filtering and
-    playback, plus leakage), which makes this an independent cross-check of
-    aided_tf rather than a convolution with it.
-    """
-    _check_filter(ms, filt)
-    s = np.asarray(stimulus, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("stimulus must be a non-empty 1-D sequence")
-    picked_up = np.convolve(ms.h_m.samples, s)
-    driven = np.convolve(g.samples, picked_up)
-    aided = None
-    for d_n, a_n in zip(ms.d, filt.coefficients):
-        played = np.convolve(d_n.samples, np.convolve(a_n, driven))
-        aided = played if aided is None else aided + played
-    leak = np.convolve(ms.h_occ.samples, s)
-    aided[: leak.size] += leak
-    desired = np.convolve(g.samples, np.convolve(ms.h_open.samples, s))
-    return aided, desired
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Per-set distances plus set-averaged traces on one grid's one-sided bins."""
@@ -221,8 +156,9 @@ class SetScorer:
     formed: on a grid that holds the aided response, which `score` checks,
     this is its DFT, the linear convolution exactly. In floating point each
     aided magnitude lies within c·u·(Σ_n ‖a_n‖₁‖d_n‖₁‖g*h_m‖₁ + ‖h_occ‖₁) of
-    |rfft(aided_tf)| on the same bin, for unit roundoff u and a c set by the
-    convolution lengths and log2 L_FFT; tests/test_evaluation.py derives it.
+    the |rfft| of the aided impulse response, formed stage by stage in time,
+    on the same bin, for unit roundoff u and a c set by the convolution
+    lengths and log2 L_FFT; tests/test_evaluation.py derives it.
     """
 
     def __init__(self, ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid):
@@ -306,8 +242,10 @@ def evaluate(
     ValueError, and an aided response or set average past the float range
     raises NumericsError.
     """
-    for ms in scenario.sets:
-        _check_filter(ms, filt)
+    if filt.num_loudspeakers != scenario.num_loudspeakers:
+        raise ValueError(
+            f"filter drives {filt.num_loudspeakers} loudspeakers, scene has {scenario.num_loudspeakers}"
+        )
     grid = config.grid(scenario.sets)
     _check_grid_holds(grid, scenario.sets, g, filt.filter_length)
     # each spectrum once: the traces and the leakage ratio average the

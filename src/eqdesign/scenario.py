@@ -226,17 +226,10 @@ class SynthSpec:
         # integral floats pass the checks above; store them as the ints they are
         for name in ("num_sets", "num_loudspeakers", "source_ir_length", "speaker_ir_length"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        size = 8 * self.num_sets * (
-            3 * self.source_ir_length + self.num_loudspeakers * self.speaker_ir_length
+        _refuse_over_budget(
+            8 * self.num_sets * (3 * self.source_ir_length + self.num_loudspeakers * self.speaker_ir_length),
+            "num_sets x (3 x source_ir_length + num_loudspeakers x speaker_ir_length) float64 samples",
         )
-        if size > _DENSE_BYTE_BUDGET:
-            from decimal import Decimal  # three digits of an int past the float range too
-
-            raise ValidationError(
-                "input too large: num_sets x (3 x source_ir_length + num_loudspeakers x "
-                f"speaker_ir_length) float64 samples take {Decimal(size):.3g} bytes, over "
-                f"synth's budget of {_DENSE_BYTE_BUDGET:,} (1 GiB)"
-            )
         if not _number(self.sample_rate_hz, "sample_rate_hz") > 0:
             raise ValidationError("sample_rate_hz must be positive")
         if self.phase_family not in PHASE_FAMILIES:
@@ -311,8 +304,24 @@ _CERTIFIED_RADIUS = 0.997
 # synth refuses a scene whose samples take more bytes than this, and to build
 # a dense float64 matrix larger than this: np.roots's companion matrix or the
 # Sylvester matrix of a co-prime check. 1 GiB allows an 11585 x 11585
-# companion matrix, the zeros of an 11586-tap response.
+# companion matrix, the zeros of an 11586-tap response. The commands refuse a
+# size field that sets an array larger than this before they allocate it.
 _DENSE_BYTE_BUDGET = 1 << 30
+
+
+def _refuse_over_budget(size: int, what: str) -> None:
+    """Raise ValidationError if `what`, size bytes, exceeds _DENSE_BYTE_BUDGET.
+
+    The message is one short line for any size, and `what` names the fields
+    that set it.
+    """
+    if size > _DENSE_BYTE_BUDGET:
+        from decimal import Decimal  # three digits of an int past the float range too
+
+        raise ValidationError(
+            f"input too large: {what}: {Decimal(size):.3g} bytes, over the budget of "
+            f"{_DENSE_BYTE_BUDGET:,} (1 GiB)"
+        )
 
 
 def _refuse_dense(size: int, taps: int, purpose: str) -> None:

@@ -17,10 +17,7 @@ import numpy as np
 __all__ = [
     "ImpulseResponse",
     "FrequencyGrid",
-    "convolve",
     "convolution_matrix",
-    "delay",
-    "magnitude_response",
     "fractional_octave_smooth",
 ]
 
@@ -111,35 +108,8 @@ class FrequencyGrid:
         return np.arange(self.fft_size // 2 + 1) * (self.sample_rate_hz / self.fft_size)
 
 
-def _payload(h) -> np.ndarray:
-    if isinstance(h, ImpulseResponse):
-        return h.samples
-    return _clean_samples(h)
-
-
-def convolve(h1, h2):
-    """Full linear convolution, length len(h1) + len(h2) - 1.
-
-    Takes either two ImpulseResponse objects (rates must agree; the result
-    keeps the rate) or two plain arrays. Mixing the two styles is refused
-    because the result's rate would be a guess.
-    """
-    wrapped1 = isinstance(h1, ImpulseResponse)
-    wrapped2 = isinstance(h2, ImpulseResponse)
-    if wrapped1 != wrapped2:
-        raise ValueError("convolve expects two ImpulseResponse objects or two arrays, not a mix")
-    if wrapped1 and h1.sample_rate_hz != h2.sample_rate_hz:
-        raise ValueError(
-            f"sample rate mismatch: {h1.sample_rate_hz} Hz vs {h2.sample_rate_hz} Hz"
-        )
-    out = np.convolve(_payload(h1), _payload(h2))
-    if wrapped1:
-        return ImpulseResponse(out, h1.sample_rate_hz)
-    return out
-
-
 def convolution_matrix(h, num_cols: int) -> np.ndarray:
-    """Tall Toeplitz matrix T with T @ x == convolve(h, x) for len(x) == num_cols.
+    """Tall Toeplitz matrix T with T @ x == np.convolve(h, x) for len(x) == num_cols.
 
     Column j holds h delayed by j samples; the shape is
     (len(h) + num_cols - 1, num_cols). Row i is the window of h zero-padded
@@ -151,36 +121,8 @@ def convolution_matrix(h, num_cols: int) -> np.ndarray:
         raise ValueError("num_cols must be a positive integer")
     num_cols = int(num_cols)
     pad = np.zeros(num_cols - 1)
-    padded = np.concatenate([pad, _payload(h), pad])
+    padded = np.concatenate([pad, h, pad])
     return np.lib.stride_tricks.sliding_window_view(padded, num_cols)[:, ::-1].copy()
-
-
-def delay(h, num_samples: int):
-    """Prepend num_samples zeros: a pure delay, magnitude response unchanged."""
-    if not _is_whole(num_samples, 0):
-        raise ValueError("delay must be a nonnegative integer number of samples")
-    x = _payload(h)
-    out = np.concatenate([np.zeros(int(num_samples)), x])
-    if isinstance(h, ImpulseResponse):
-        return ImpulseResponse(out, h.sample_rate_hz)
-    return out
-
-
-def magnitude_response(h, grid: FrequencyGrid) -> np.ndarray:
-    """|DFT| of h on the grid's one-sided bins, length fft_size // 2 + 1.
-
-    An ImpulseResponse input must match the grid's sample rate, and h must
-    fit inside the grid.
-    """
-    x = _payload(h)
-    n = grid.fft_size
-    if isinstance(h, ImpulseResponse) and h.sample_rate_hz != grid.sample_rate_hz:
-        raise ValueError(
-            f"sample rate mismatch: response at {h.sample_rate_hz} Hz, grid at {grid.sample_rate_hz} Hz"
-        )
-    if x.size > n:
-        raise ValueError(f"impulse response of length {x.size} does not fit fft_size {n}")
-    return np.abs(np.fft.rfft(x, n))
 
 
 # the full width, in octaves, of the smoothing window

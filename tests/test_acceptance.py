@@ -13,21 +13,18 @@ import scipy.linalg
 
 from eqdesign.design import (
     DesignConfig,
+    EqualizerFilter,
     default_fft_size,
     design_filter,
-    frequency_weights,
-    reduce_to_rtf,
-    solve_regularized,
     _penalty_block,
 )
 from eqdesign.evaluation import (
-    auditory_spectral_distance,
+    SetScorer,
     erb_bandwidth_hz,
     erb_weights,
     evaluate,
-    simulate,
-    aided_tf,
-    desired_tf,
+    _band_distance,
+    _in_band,
 )
 from eqdesign.scenario import (
     Scenario,
@@ -36,6 +33,8 @@ from eqdesign.scenario import (
     synth_scenario,
 )
 from eqdesign.signals import FrequencyGrid
+
+from reference import padded_rtf_system, staged_chain
 
 RATE = 16000.0
 
@@ -46,11 +45,18 @@ def report(line: str) -> None:
 
 
 def rel_residual(system, filt) -> float:
-    a = filt.coefficients.ravel()
+    matrix, target = system
     return float(
-        np.linalg.norm(system.matrix @ a - system.target)
-        / np.linalg.norm(system.target)
+        np.linalg.norm(matrix @ filt.coefficients.ravel() - target)
+        / np.linalg.norm(target)
     )
+
+
+def ridge_design(scene, g, filter_length, reg_lambda, fft_size=None):
+    """design_filter's R_DELTA_LS taps without slack; the ridge does not depend on L_FFT."""
+    config = DesignConfig(variant="R_DELTA_LS", filter_length=filter_length,
+                          acausal_delay=0, reg_lambda=reg_lambda, fft_size=fft_size)
+    return design_filter(scene, g, config)
 
 
 def test_1_exact_inversion_with_coprime_speaker_pair():
@@ -63,13 +69,12 @@ def test_1_exact_inversion_with_coprime_speaker_pair():
     scene = synth_scenario(spec, seed=3)
     g = forward_path_ir(0.0, 0, RATE)
 
-    system = reduce_to_rtf(scene.sets[0], g, 7, 0)
-    residual = rel_residual(system, solve_regularized(system, 1e-12))
+    filt = ridge_design(scene, g, 7, 1e-12)
+    residual = rel_residual(padded_rtf_system(scene.sets[0], g, 7), filt)
     assert residual < 1e-6
 
     config = DesignConfig(variant="R_DELTA_LS", filter_length=7, acausal_delay=0,
                           reg_lambda=1e-12)
-    filt = design_filter(scene, g, config)
     delta = evaluate(scene, g, filt, config).delta_h_aud_db[0]
     assert delta < 0.01
 
@@ -104,8 +109,9 @@ def test_2_acausal_delay_recovers_nonminimum_phase_scenes():
     )
     scene = synth_scenario(spec, seed=0)
     g = forward_path_ir(0.0, 96, RATE)
-    system = reduce_to_rtf(scene.sets[0], g, 15, 0)
-    residual = rel_residual(system, solve_regularized(system, 1e-12))
+    # a grid that holds the aided response under 96 samples of delay
+    filt = ridge_design(scene, g, 15, 1e-12, fft_size=256)
+    residual = rel_residual(padded_rtf_system(scene.sets[0], g, 15), filt)
     assert residual < 1e-6
     report(f"PASS [2/8] acausal slack helps: delay-32 beat delay-0 in {wins}/10"
            f" non-minimum-phase scenes; delayed-path residual {residual:.3e} < 1e-6")
@@ -116,10 +122,7 @@ def test_3_regularization_trades_residual_for_seminorm():
     scene = synth_scenario(spec, seed=0)
     ms = scene.sets[0]
     g = forward_path_ir(0.0, 0, RATE)
-    grid = FrequencyGrid(default_fft_size(ms.speaker_length, 99), RATE)
-    system = reduce_to_rtf(ms, g, 99, 0)
-    _, w = frequency_weights(ms, g, 1.0, grid)
-    penalty = _penalty_block(w, 99, grid.fft_size)
+    matrix, target = padded_rtf_system(ms, g, 99)
 
     lambdas = (1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0)
     seminorms, residuals, distances = [], [], []
@@ -127,10 +130,13 @@ def test_3_regularization_trades_residual_for_seminorm():
         config = DesignConfig(variant="FR_DELTA_LS", filter_length=99,
                               acausal_delay=0, reg_lambda=lam, reg_beta=1.0)
         filt = design_filter(scene, g, config)
+        result = evaluate(scene, g, filt, config)
+        # the seminorm of the weight the design regularizes by, as eval reports it
+        penalty = _penalty_block(result.weight_trace, 99, config.grid(scene.sets).fft_size)
         a = filt.coefficients.ravel()
         seminorms.append(float(np.sqrt(a @ penalty @ a)))
-        residuals.append(float(np.linalg.norm(system.matrix @ a - system.target)))
-        distances.append(evaluate(scene, g, filt, config).delta_h_aud_db[0])
+        residuals.append(float(np.linalg.norm(matrix @ a - target)))
+        distances.append(result.delta_h_aud_db[0])
 
     for i in range(len(lambdas) - 1):
         assert seminorms[i + 1] <= seminorms[i] + 1e-10
@@ -143,25 +149,26 @@ def test_3_regularization_trades_residual_for_seminorm():
 
 
 def test_4_flat_weights_reduce_to_ridge_and_solver_is_optimal():
+    def weighted_design(ms, g, filter_length, acausal_delay, lam):
+        """design_filter's FR_DELTA_LS taps and the block-diagonal penalty of eval's weight trace."""
+        scene = Scenario((ms,), RATE)
+        config = DesignConfig(variant="FR_DELTA_LS", filter_length=filter_length,
+                              acausal_delay=acausal_delay, reg_lambda=lam, reg_beta=1.0)
+        filt = design_filter(scene, g, config)
+        w = evaluate(scene, g, filt, config).weight_trace
+        block = _penalty_block(w, filter_length, config.grid(scene.sets).fft_size)
+        return filt.coefficients.ravel(), scipy.linalg.block_diag(*[block] * ms.num_loudspeakers)
+
     spec = SynthSpec(num_sets=1, num_loudspeakers=2, source_ir_length=20,
                      speaker_ir_length=12, reinsertion_level_db=None)
-    scene = synth_scenario(spec, seed=7)
-    ms = scene.sets[0]
+    ms = synth_scenario(spec, seed=7).sets[0]
+    # on the design's grid, flat weights make the weighted penalty the ridge's
+    fft_size = default_fft_size(ms.speaker_length, 11)
+    assert np.array_equal(_penalty_block(np.ones(fft_size // 2 + 1), 11, fft_size), np.eye(11))
     g = forward_path_ir(0.0, 8, RATE)
-    system = reduce_to_rtf(ms, g, 11, 4)
-    grid = FrequencyGrid(default_fft_size(ms.speaker_length, 11), RATE)
-    flat = np.ones(grid.fft_size // 2 + 1)
-    for lam in (1e-4, 0.1, 1.0):
-        weighted = solve_regularized(system, lam, flat, grid)
-        ridge = solve_regularized(system, lam)
-        assert np.array_equal(weighted.coefficients, ridge.coefficients)
-
-    _, w = frequency_weights(ms, g, 1.0, grid)
-    penalty = scipy.linalg.block_diag(*[_penalty_block(w, 11, grid.fft_size)] * 2)
+    m, t = padded_rtf_system(ms, g, 11, 4)
     lam = 0.1
-    filt = solve_regularized(system, lam, w, grid)
-    a = filt.coefficients.ravel()
-    m, t = system.matrix, system.target
+    a, penalty = weighted_design(ms, g, 11, 4, lam)
     gradient = float(
         np.linalg.norm((m.T @ m + lam * penalty) @ a - m.T @ t)
         / np.linalg.norm(m.T @ t)
@@ -172,21 +179,18 @@ def test_4_flat_weights_reduce_to_ridge_and_solver_is_optimal():
                      speaker_ir_length=6, reinsertion_level_db=None)
     small = synth_scenario(spec, seed=4).sets[0]
     g2 = forward_path_ir(6.0, 3, RATE)
-    system2 = reduce_to_rtf(small, g2, 5, 2)
-    grid2 = FrequencyGrid(default_fft_size(small.speaker_length, 5), RATE)
-    _, w2 = frequency_weights(small, g2, 1.0, grid2)
-    penalty2 = scipy.linalg.block_diag(*[_penalty_block(w2, 5, grid2.fft_size)] * 2)
+    m2, t2 = padded_rtf_system(small, g2, 5, 2)
     worst = 0.0
     for lam in (1e-6, 1e-2, 1.0):
-        got = solve_regularized(system2, lam, w2, grid2).coefficients.ravel()
+        got, penalty2 = weighted_design(small, g2, 5, 2, lam)
         chol = np.linalg.cholesky(penalty2 + 1e-15 * np.eye(10))
-        stacked = np.vstack([system2.matrix, math.sqrt(lam) * chol.T])
-        rhs = np.concatenate([system2.target, np.zeros(10)])
+        stacked = np.vstack([m2, math.sqrt(lam) * chol.T])
+        rhs = np.concatenate([t2, np.zeros(10)])
         oracle, _, _, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
         worst = max(worst, float(np.max(np.abs(got - oracle))
                                  / max(np.max(np.abs(oracle)), 1.0)))
     assert worst <= 1e-9
-    report("PASS [4/8] weighted solver: flat weights match plain ridge bit for bit,"
+    report("PASS [4/8] weighted solver: flat weights give exactly the ridge's identity penalty,"
            f" normal-equation gradient {gradient:.3e} <= 1e-8,"
            f" augmented-system oracle gap {worst:.3e} <= 1e-9")
 
@@ -228,13 +232,19 @@ def test_5_averaged_design_generalizes_across_reinsertions():
 
 def test_6_auditory_distance_is_calibrated():
     grid = FrequencyGrid(512, RATE)
+
+    def distance(h_aid, h_des):
+        """The band kernel that SetScorer and evaluate score with, on two responses."""
+        weights, des, band = _in_band(np.abs(np.fft.rfft(h_des, grid.fft_size)), grid)
+        return float(_band_distance(np.abs(np.fft.rfft(h_aid, grid.fft_size))[band], weights, des))
+
     rng = np.random.default_rng(0)
     h = rng.standard_normal(24)
-    assert auditory_spectral_distance(h, h, grid) == 0.0
-    doubled = auditory_spectral_distance(2.0 * h, h, grid)
+    assert distance(h, h) == 0.0
+    doubled = distance(2.0 * h, h)
     assert abs(doubled - 6.020599913279624) < 1e-9
     delayed = np.concatenate([np.zeros(9), h])
-    assert abs(auditory_spectral_distance(delayed, h, grid)) < 1e-9
+    assert abs(distance(delayed, h)) < 1e-9
     w = erb_weights(grid)
     assert abs(w.sum() - 1.0) < 1e-12
     assert abs(float(erb_bandwidth_hz(1000.0)) - 132.639) < 1e-9
@@ -251,27 +261,29 @@ def test_7_time_domain_simulation_matches_transfer_functions():
     config = DesignConfig(variant="MFR_DELTA_LS", filter_length=99,
                           acausal_delay=32, reg_lambda=0.1)
     filt = design_filter(scene, g, config)
-    stimulus = np.random.default_rng(0).standard_normal(4096)
-    aided, desired = simulate(ms, g, filt, stimulus)
-    ref_aid = np.convolve(aided_tf(ms, g, filt), stimulus)
-    ref_des = np.convolve(desired_tf(ms, g), stimulus)
-    err_aid = float(np.max(np.abs(aided - ref_aid)) / np.max(np.abs(ref_aid)))
-    err_des = float(np.max(np.abs(desired - ref_des)) / np.max(np.abs(ref_des)))
+    grid = config.grid(scene.sets)
+    scorer = SetScorer(ms, g, grid)
+    aided, _ = scorer.score(filt.coefficients[None])
+    h_aid, h_des = staged_chain(ms, g, filt.coefficients, [1.0])
+    ref_aid = np.abs(np.fft.rfft(h_aid, grid.fft_size))
+    ref_des = np.abs(np.fft.rfft(h_des, grid.fft_size))
+    err_aid = float(np.max(np.abs(aided[0] - ref_aid)) / np.max(ref_aid))
+    err_des = float(np.max(np.abs(np.abs(scorer.spectra[1]) - ref_des)) / np.max(ref_des))
     assert err_aid <= 1e-9
     assert err_des <= 1e-9
-    report(f"PASS [7/8] staged simulation agrees with transfer functions:"
+    report(f"PASS [7/8] scored spectra agree with the staged time-domain chain:"
            f" aided {err_aid:.3e}, desired {err_des:.3e}, both <= 1e-9")
 
 
 def test_8_forward_gain_rescales_leakage_ratio():
     spec = SynthSpec(num_sets=1, num_loudspeakers=1, reinsertion_level_db=None)
     scene = synth_scenario(spec, seed=6)
-    ms = scene.sets[0]
-    grid = FrequencyGrid(default_fft_size(ms.speaker_length, 99), RATE)
+    config = DesignConfig(filter_length=99)
+    silent = EqualizerFilter(np.zeros((1, 99)))
     ratios = {}
     for gain_db in (0.0, 10.0, 20.0):
         g = forward_path_ir(gain_db, 0, RATE)
-        ratios[gain_db], _ = frequency_weights(ms, g, 1.0, grid)
+        ratios[gain_db] = evaluate(scene, g, silent, config).leakage_ratio
     err10 = float(np.max(np.abs(ratios[10.0] / ratios[0.0] - 10.0 ** -0.5)))
     err20 = float(np.max(np.abs(ratios[20.0] / ratios[0.0] - 0.1)))
     assert err10 <= 1e-10

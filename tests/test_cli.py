@@ -1129,17 +1129,23 @@ README_DESIGN = {"variant": "MFR_DELTA_LS", "L_A": 99, "d_H": 32, "lambda": 0.1,
                  "G0_db": 0.0, "d_G": 96}
 
 
-@pytest.mark.parametrize("command, doc", [
-    ("design", {**README_DESIGN, "d_G": TOO_LARGE}),
-    ("design", {**README_DESIGN, "L_A": TOO_LARGE}),
-    ("design", {**README_DESIGN, "variant": "R_DELTA_LS", "d_H": TOO_LARGE}),
-    ("sweep", {**README_STUDY, "d_G": [96, TOO_LARGE]}),
-    # synth refuses both by the scene-size budget before it allocates anything
-    ("synth", {"source_ir_length": TOO_LARGE}),
-    ("synth", {"source_ir_length": 1e308, "leakage_attenuation_db": math.inf}),
-], ids=["design-d_G", "design-L_A", "design-d_H", "sweep-d_G", "synth-length",
+# each command refuses by the byte budget before it allocates anything, in
+# a bounded line that names every field that sets the size
+SYNTH_SIZE_FIELDS = ("num_sets", "source_ir_length", "num_loudspeakers", "speaker_ir_length")
+
+
+@pytest.mark.parametrize("command, doc, fields", [
+    ("design", {**README_DESIGN, "d_G": TOO_LARGE}, ("config.d_G",)),
+    ("design", {**README_DESIGN, "L_A": TOO_LARGE}, ("config.L_A",)),
+    ("design", {**README_DESIGN, "variant": "R_DELTA_LS", "d_H": TOO_LARGE}, ("config.d_H",)),
+    ("design", {**README_DESIGN, "L_FFT": TOO_LARGE}, ("config.L_FFT",)),
+    ("sweep", {**README_STUDY, "d_G": [96, TOO_LARGE]}, ("grid.d_G[1]",)),
+    ("synth", {"source_ir_length": TOO_LARGE}, SYNTH_SIZE_FIELDS),
+    # a size of 300 digits
+    ("synth", {"source_ir_length": 1e308, "leakage_attenuation_db": math.inf}, SYNTH_SIZE_FIELDS),
+], ids=["design-d_G", "design-L_A", "design-d_H", "design-L_FFT", "sweep-d_G", "synth-length",
         "synth-overflow"])
-def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command, doc):
+def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command, doc, fields):
     config = write_json(tmp_path / "config.json", doc)
     out = tmp_path / "out"
     if command == "synth":
@@ -1153,11 +1159,8 @@ def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command, doc):
     assert run(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: input too large: ")
-    if command == "synth":
-        # a bounded line, even for a size of 300 digits, that names every size field
-        assert len(err[0]) <= 200
-        assert all(field in err[0] for field in ("num_sets", "source_ir_length",
-                                                  "num_loudspeakers", "speaker_ir_length"))
+    assert len(err[0]) <= 200
+    assert all(field in err[0] for field in fields)
     assert not out.exists()
 
 

@@ -14,25 +14,25 @@ from eqdesign.design import (
     VARIANTS,
     DesignConfig,
     EqualizerFilter,
-    LinearSystem,
     NumericsError,
     assemble_atf_system,
     default_fft_size,
     design_filter,
     design_points,
-    frequency_weights,
-    reduce_to_rtf,
     solve_ls_atf,
-    solve_regularized,
     weights_from_ratio,
     _factor_normal_matrix,
     _fit_rtf,
+    _leakage_ratio,
     _penalty_block,
+    _penalty_lags,
     _rtf_path,
+    _rtf_target,
     _set_spectra,
     _solve_factored,
     _spectral_rcond_bound,
     _speaker_matrix,
+    _through_mic,
 )
 from eqdesign.scenario import (
     PHASE_FAMILIES,
@@ -41,13 +41,18 @@ from eqdesign.scenario import (
     SynthSpec,
     ValidationError,
     forward_path_ir,
+    select_loudspeakers,
     synth_scenario,
 )
 from eqdesign.evaluation import evaluate
 from eqdesign.signals import FrequencyGrid, ImpulseResponse, convolution_matrix
 
+from reference import padded_rtf_system
+
 RATE = 16000.0
 DELTA_G = forward_path_ir(0.0, 0, RATE)
+# perfbench's long scene
+LONG_SPEC = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=256, speaker_ir_length=200)
 
 
 def ir(values):
@@ -62,6 +67,18 @@ def delta_set(h_open, h_occ=None, d=((1.0,),)):
     if h_occ is None:
         h_occ = np.zeros_like(h_open)
     return MeasurementSet(ir(h_m), ir(h_open), ir(h_occ), tuple(ir(dn) for dn in d))
+
+
+def rtf_target(ms, g, filter_length, shift):
+    """The RTF target that the design fits for one set."""
+    return _rtf_target(ms, g, filter_length, shift, _rtf_path(_through_mic(ms, g)))
+
+
+def design(ms, g, variant, filter_length, shift=0, reg_lambda=None, **fields):
+    """design_filter's taps on the one set ms, stacked as the padded system's unknowns."""
+    config = DesignConfig(variant=variant, filter_length=filter_length, acausal_delay=shift,
+                          reg_lambda=reg_lambda, **fields)
+    return design_filter(Scenario((ms,), ms.sample_rate_hz), g, config).coefficients.ravel()
 
 
 def small_scene(seed, **overrides):
@@ -131,9 +148,9 @@ def test_design_config_grid(fft_size, rate):
 
 def test_assemble_identity_paths():
     ms = delta_set([0.75], h_occ=[0.25])
-    system = assemble_atf_system(ms, DELTA_G, 3)
-    assert np.array_equal(system.matrix, np.eye(3))
-    assert np.array_equal(system.target, [0.5, 0.0, 0.0])
+    matrix, target = assemble_atf_system(ms, DELTA_G, 3)
+    assert np.array_equal(matrix, np.eye(3))
+    assert np.array_equal(target, [0.5, 0.0, 0.0])
 
 
 def test_assemble_matches_direct_convolution():
@@ -141,11 +158,11 @@ def test_assemble_matches_direct_convolution():
     ms = scene.sets[0]
     g = forward_path_ir(6.0, 3, RATE)
     L_A = 5
-    system = assemble_atf_system(ms, g, L_A)
+    matrix, _ = assemble_atf_system(ms, g, L_A)
     rng = np.random.default_rng(1)
     a = rng.standard_normal((2, L_A))
-    predicted = system.matrix @ a.ravel()
-    direct = np.zeros(system.matrix.shape[0])
+    predicted = matrix @ a.ravel()
+    direct = np.zeros(matrix.shape[0])
     for n in range(2):
         chain = np.convolve(np.convolve(np.convolve(a[n], g.samples), ms.h_m.samples),
                             ms.d[n].samples)
@@ -155,35 +172,67 @@ def test_assemble_matches_direct_convolution():
 
 def test_assemble_shared_factor_makes_rank_deficient():
     ms = small_scene(seed=2).sets[0]
-    system = assemble_atf_system(ms, forward_path_ir(0.0, 4, RATE), 10)
-    cols = system.matrix.shape[1]
+    matrix, _ = assemble_atf_system(ms, forward_path_ir(0.0, 4, RATE), 10)
+    cols = matrix.shape[1]
     assert cols == 20
-    assert np.linalg.matrix_rank(system.matrix) < cols
+    assert np.linalg.matrix_rank(matrix) < cols
 
 
 def test_solve_ls_atf_reads_off_open_response():
     h_open = [0.9, 0.3, -0.2, 0.1]
-    system = assemble_atf_system(delta_set(h_open), DELTA_G, 6)
-    filt = solve_ls_atf(system)
-    assert np.allclose(filt.coefficients, [[0.9, 0.3, -0.2, 0.1, 0.0, 0.0]], atol=1e-14)
+    taps = solve_ls_atf(*assemble_atf_system(delta_set(h_open), DELTA_G, 6), 6)
+    assert np.allclose(taps, [[0.9, 0.3, -0.2, 0.1, 0.0, 0.0]], atol=1e-14)
 
     silent = assemble_atf_system(delta_set([0.0, 0.0]), DELTA_G, 4)
-    assert np.allclose(solve_ls_atf(silent).coefficients, 0.0, atol=1e-14)
+    assert np.allclose(solve_ls_atf(*silent, 4), 0.0, atol=1e-14)
+
+
+def checker_ls_atf(ms, g, filter_length):
+    """LS_ATF taps as perfbench's checker derives them: its matrix filled column by column."""
+    pickup = np.convolve(g.samples, ms.h_m.samples)
+    blocks = []
+    for d_n in ms.d:
+        chain = np.convolve(pickup, d_n.samples)
+        block = np.zeros((chain.size + filter_length - 1, filter_length))
+        for j in range(filter_length):
+            block[j : j + chain.size, j] = chain
+        blocks.append(block)
+    matrix = np.hstack(blocks)
+    target = np.zeros(matrix.shape[0])
+    open_branch = np.convolve(g.samples, ms.h_open.samples)
+    target[: open_branch.size] += open_branch
+    target[: len(ms.h_occ)] -= ms.h_occ.samples
+    coef = np.linalg.lstsq(matrix, target, rcond=1e-10)[0]
+    return coef.reshape(ms.num_loudspeakers, filter_length)
+
+
+@pytest.mark.parametrize("spec, seed, filter_length", [
+    pytest.param(LONG_SPEC, 7, 200, id="long-scene-7"),
+    pytest.param(SynthSpec(), 0, 99, id="readme-scene-0"),
+])
+@pytest.mark.parametrize("n_spk", [1, 2])
+def test_ls_atf_taps_are_the_checkers_bit_for_bit(spec, seed, filter_length, n_spk):
+    # at N 2 the taps are rounding-dominated: an exact row permutation of the
+    # system moves them by their own size, so only the checker's exact
+    # construction and the same gelsd call reproduce them
+    scene = select_loudspeakers(synth_scenario(spec, seed), n_spk)
+    g = forward_path_ir(0.0, 96, RATE)
+    taps = design_filter(scene, g, DesignConfig(variant="LS_ATF", filter_length=filter_length))
+    assert taps.coefficients.tobytes() == checker_ls_atf(scene.sets[0], g, filter_length).tobytes()
 
 
 def test_solve_ls_atf_is_min_norm_optimum():
     ms = small_scene(seed=4).sets[0]
-    system = assemble_atf_system(ms, forward_path_ir(0.0, 2, RATE), 10)
-    filt = solve_ls_atf(system)
-    a = filt.coefficients.ravel()
-    base = np.linalg.norm(system.matrix @ a - system.target)
+    matrix, target = assemble_atf_system(ms, forward_path_ir(0.0, 2, RATE), 10)
+    a = solve_ls_atf(matrix, target, 10).ravel()
+    base = np.linalg.norm(matrix @ a - target)
 
     rng = np.random.default_rng(7)
     for _ in range(1000):
         trial = a + rng.standard_normal(a.size) * rng.choice([1e-3, 1e-1, 1.0])
-        assert np.linalg.norm(system.matrix @ trial - system.target) >= base - 1e-12
+        assert np.linalg.norm(matrix @ trial - target) >= base - 1e-12
 
-    pinv_sol = np.linalg.pinv(system.matrix) @ system.target
+    pinv_sol = np.linalg.pinv(matrix) @ target
     assert np.max(np.abs(a - pinv_sol)) < 1e-9
 
 
@@ -195,23 +244,24 @@ def test_reduce_identity_mic_recovers_difference():
     h_open = [0.8, 0.4, 0.1]
     h_occ = [0.2, 0.0, -0.1]
     ms = delta_set(h_open, h_occ=h_occ, d=((1.0, 0.5),))
-    system = reduce_to_rtf(ms, DELTA_G, 4, 0)
     # n_taps = 2 + 4 - 1 = 5
     expected = np.array([0.6, 0.4, 0.2, 0.0, 0.0])
-    assert np.allclose(system.target, expected, atol=1e-12)
+    assert np.allclose(rtf_target(ms, DELTA_G, 4, 0), expected, atol=1e-12)
 
-    delayed = reduce_to_rtf(ms, DELTA_G, 4, 2)
     expected2 = np.zeros(7)
     expected2[2:5] = [0.6, 0.4, 0.2]
-    assert np.allclose(delayed.target, expected2, atol=1e-12)
-    assert np.array_equal(delayed.matrix[-2:], np.zeros((2, 4)))
+    assert np.allclose(rtf_target(ms, DELTA_G, 4, 2), expected2, atol=1e-12)
+    # the loudspeaker matrix meets the first 5 taps, and the last 2 meet zero rows
+    matrix, _ = padded_rtf_system(ms, DELTA_G, 4, 2)
+    assert np.array_equal(matrix[:5], _speaker_matrix(ms, 4))
+    assert np.array_equal(matrix[5:], np.zeros((2, 4)))
 
 
 def test_reduce_target_satisfies_normal_equations():
     ms = small_scene(seed=5).sets[0]
     g = forward_path_ir(3.0, 4, RATE)
     L_A, d_H = 6, 2
-    system = reduce_to_rtf(ms, g, L_A, d_H)
+    target = rtf_target(ms, g, L_A, d_H)
     n_taps = 8 + L_A - 1 + d_H
 
     through = np.convolve(g.samples, ms.h_m.samples)
@@ -220,11 +270,8 @@ def test_reduce_target_satisfies_normal_equations():
     open_branch = np.convolve(g.samples, ms.h_open.samples)
     v[d_H : d_H + open_branch.size] += open_branch
     v[d_H : d_H + len(ms.h_occ)] -= ms.h_occ.samples
-    gradient = lhs.T @ (lhs @ system.target - v)
+    gradient = lhs.T @ (lhs @ target - v)
     assert np.linalg.norm(gradient) < 1e-10 * np.linalg.norm(lhs.T @ v)
-
-
-LONG_SPEC = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=256, speaker_ir_length=200)
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,7 +286,7 @@ def test_shift_free_normal_equations_match_the_zero_padded_ones(
     if long_scene:
         ms = synth_scenario(LONG_SPEC, seed).sets[0]
         g = forward_path_ir(0.0, 96, RATE)
-        target = reduce_to_rtf(ms, g, filter_length, shift).target
+        target = rtf_target(ms, g, filter_length, shift)
     else:
         rng = np.random.default_rng(seed)
 
@@ -259,7 +306,7 @@ def test_shift_free_normal_equations_match_the_zero_padded_ones(
             d_n.samples, filter_length)
     m = _speaker_matrix(ms, filter_length)
     assert np.array_equal(m, padded[:rows])
-    assert np.array_equal(reduce_to_rtf(ms, g, filter_length, shift).matrix, padded)
+    assert np.array_equal(padded_rtf_system(ms, g, filter_length, shift)[0], padded)
     gram, rhs = m.T @ m, m.T @ target[:rows]
     padded_gram, padded_rhs = padded.T @ padded, padded.T @ target
     if shift == 0:
@@ -276,12 +323,11 @@ def test_shift_free_normal_equations_match_the_zero_padded_ones(
 
 def test_reduce_mint_two_speaker_exact():
     ms = delta_set([1.0, 0.0], d=((1.0, 0.5), (1.0, -0.5)))
-    system = reduce_to_rtf(ms, DELTA_G, 1, 0)
-    assert np.allclose(system.target, [1.0, 0.0], atol=1e-12)
-    filt = solve_regularized(system, 1e-12)
-    assert np.allclose(filt.coefficients, [[0.5], [0.5]], atol=1e-8)
-    residual = system.matrix @ filt.coefficients.ravel() - system.target
-    assert np.linalg.norm(residual) < 1e-8
+    matrix, target = padded_rtf_system(ms, DELTA_G, 1)
+    assert np.allclose(target, [1.0, 0.0], atol=1e-12)
+    taps = design(ms, DELTA_G, "R_DELTA_LS", 1, reg_lambda=1e-12)
+    assert np.allclose(taps, [0.5, 0.5], atol=1e-8)
+    assert np.linalg.norm(matrix @ taps - target) < 1e-8
 
 
 def test_reduce_rejects_dead_forward_path():
@@ -289,7 +335,7 @@ def test_reduce_rejects_dead_forward_path():
     dead = ImpulseResponse(np.zeros(3), RATE)
     with pytest.raises(NumericsError,
                        match=r"rank deficient: .*s_min/s_max 0 .*spectral rcond bound 0\)"):
-        reduce_to_rtf(ms, dead, 4, 0)
+        design(ms, dead, "R_DELTA_LS", 4)
 
 
 def test_rank_deficient_fit_names_its_singular_value_ratio():
@@ -333,13 +379,13 @@ def test_reduce_toeplitz_fit_matches_dense_lstsq(
     except ValidationError:
         assume(False)  # no loudspeaker pair of this family exists at this range
     g = forward_path_ir(G0_db, d_G, RATE)
-    system = reduce_to_rtf(ms, g, L_A, d_H)
+    target = rtf_target(ms, g, L_A, d_H)
     n_taps = ms.speaker_length + L_A - 1 + d_H
     lhs, expected = dense_rtf_fit(ms, g, n_taps, d_H)
     # the normal equations square the condition number of the fit; near
     # kappa 1 the rounding of either solver, up to about n_taps * eps, dominates
     rcond = np.linalg.cond(lhs) ** -2
-    gap = np.max(np.abs(system.target - expected)) / np.max(np.abs(expected))
+    gap = np.max(np.abs(target - expected)) / np.max(np.abs(expected))
     assert gap <= 10 * np.finfo(float).eps * (1 / rcond + n_taps)
 
 
@@ -351,7 +397,7 @@ def test_reduce_ill_conditioned_fit_falls_back_to_lstsq(L_A):
     ms = MeasurementSet(ir(h_m), ir(h_open), ir(np.zeros(5)), (ir([1.0]),))
     lhs, expected = dense_rtf_fit(ms, DELTA_G, L_A, 0)
     assert np.linalg.cond(lhs) ** -2 < NORMAL_RCOND
-    assert np.array_equal(reduce_to_rtf(ms, DELTA_G, L_A, 0).target, expected)
+    assert np.array_equal(rtf_target(ms, DELTA_G, L_A, 0), expected)
 
 
 @st.composite
@@ -449,7 +495,7 @@ def test_weight_unimodal_in_ratio():
 def test_frequency_weights_flag_dead_open_ear():
     ms = delta_set([0.0, 0.0], h_occ=[0.1, 0.0])
     with pytest.raises(NumericsError, match="bin 0"):
-        frequency_weights(ms, DELTA_G, 1.0, FrequencyGrid(32, RATE))
+        _leakage_ratio([_set_spectra(ms, DELTA_G, FrequencyGrid(32, RATE), 0)])
 
 
 def test_frequency_weights_ratio_definition():
@@ -457,7 +503,8 @@ def test_frequency_weights_ratio_definition():
     ms = scene.sets[0]
     g = forward_path_ir(8.0, 5, RATE)
     grid = FrequencyGrid(128, RATE)
-    ratio, w = frequency_weights(ms, g, 1.0, grid)
+    ratio = _leakage_ratio([_set_spectra(ms, g, grid, 0)])
+    w = weights_from_ratio(ratio, 1.0, grid)
     leak = np.abs(np.fft.fft(ms.h_occ.samples, 128))[:65]
     open_gain = np.abs(np.fft.fft(np.convolve(g.samples, ms.h_open.samples), 128))[:65]
     assert np.allclose(ratio, leak / open_gain, atol=1e-12)
@@ -568,22 +615,22 @@ def test_penalty_block_matches_two_sided_spectrum(fft_size, filter_length, seed)
 # regularized solvers
 
 
-def random_system(seed, rows=20, n_spk=2, length=4):
-    rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((rows, n_spk * length))
-    target = rng.standard_normal(rows)
-    return LinearSystem(matrix, target, n_spk, length)
+def weight_trace(sets, g, config):
+    """The leakage weight that eval reports, which the weighted designs regularize by."""
+    scene = Scenario(tuple(sets), RATE)
+    silent = EqualizerFilter(np.zeros((scene.num_loudspeakers, config.filter_length)))
+    return evaluate(scene, g, silent, config).weight_trace
 
 
 def test_ridge_matches_normal_equations():
-    system = random_system(seed=8)
+    ms = small_scene(seed=8).sets[0]
+    g = forward_path_ir(0.0, 3, RATE)
+    matrix, target = padded_rtf_system(ms, g, 4, 2)
     for lam in (1e-6, 1e-2, 1.0):
-        filt = solve_regularized(system, lam)
-        m = system.matrix
         oracle = np.linalg.solve(
-            m.T @ m + lam * np.eye(m.shape[1]), m.T @ system.target
+            matrix.T @ matrix + lam * np.eye(matrix.shape[1]), matrix.T @ target
         )
-        got = filt.coefficients.ravel()
+        got = design(ms, g, "R_DELTA_LS", 4, 2, lam)
         assert np.max(np.abs(got - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
 
@@ -591,38 +638,35 @@ def test_weighted_solve_matches_augmented_least_squares():
     scene = small_scene(seed=4, source_ir_length=10, speaker_ir_length=6)
     ms = scene.sets[0]
     g = forward_path_ir(6.0, 3, RATE)
-    system = reduce_to_rtf(ms, g, 5, 2)
+    matrix, target = padded_rtf_system(ms, g, 5, 2)
     grid = FrequencyGrid(64, RATE)
-    _, w = frequency_weights(ms, g, 1.0, grid)
-    penalty = spectral_penalty(w, 2, 5, grid)
+    config = DesignConfig(variant="FR_DELTA_LS", filter_length=5, acausal_delay=2)
+    assert config.grid(scene.sets) == grid
+    penalty = spectral_penalty(weight_trace(scene.sets, g, config), 2, 5, grid)
     for lam in (1e-6, 1e-2, 1.0):
-        filt = solve_regularized(system, lam, w, grid)
+        got = design(ms, g, "FR_DELTA_LS", 5, 2, lam)
         chol = np.linalg.cholesky(penalty + 1e-15 * np.eye(10))
-        stacked = np.vstack([system.matrix, math.sqrt(lam) * chol.T])
-        rhs = np.concatenate([system.target, np.zeros(10)])
+        stacked = np.vstack([matrix, math.sqrt(lam) * chol.T])
+        rhs = np.concatenate([target, np.zeros(10)])
         oracle, _, _, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        got = filt.coefficients.ravel()
         assert np.max(np.abs(got - oracle)) < 1e-9 * max(np.max(np.abs(oracle)), 1.0)
 
 
 def test_weighted_solve_checks_grid_congruence():
-    system = random_system(seed=9, length=4)
     with pytest.raises(ValueError, match="does not match fft_size"):
-        solve_regularized(system, 0.1, np.ones(32), FrequencyGrid(64, RATE))
+        _penalty_block(np.ones(32), 4, 64)
 
 
 def test_weighted_solve_needs_the_grid():
-    # 33 one-sided bins belong to fft_size 64 or 65 alike
-    system = random_system(seed=9, length=4)
-    with pytest.raises(ValueError, match="grid"):
-        solve_regularized(system, 0.1, np.ones(33))
+    # 33 one-sided bins belong to fft_size 64 or 65 alike, and the two penalties differ
+    w = np.random.default_rng(9).uniform(0.1, 2.0, 33)
+    assert not np.array_equal(_penalty_lags(w, 4, 64), _penalty_lags(w, 4, 65))
 
 
 def test_unregularized_singular_system_raises():
-    matrix = np.array([[1.0, 1.0], [2.0, 2.0]])  # two identical columns
-    system = LinearSystem(matrix, np.array([1.0, 0.0]), 2, 1)
+    ms = delta_set([1.0, 0.0], d=((1.0,), (1.0,)))  # two identical loudspeakers
     with pytest.raises(NumericsError, match="singular"):
-        solve_regularized(system, 0.0)
+        design(ms, DELTA_G, "R_DELTA_LS", 1, reg_lambda=0.0)
 
 
 def test_rounding_level_indefinite_system_solves_by_ldl():
@@ -657,27 +701,32 @@ def test_stacked_cholesky_solve_matches_one_column_solves(n, columns, weighted, 
 
 def test_penalty_block_is_added_per_loudspeaker():
     scene = small_scene(seed=4, num_loudspeakers=3, source_ir_length=10, speaker_ir_length=6)
+    ms = scene.sets[0]
     g = forward_path_ir(0.0, 2, RATE)
-    _, w = frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE))
+    config = DesignConfig(variant="FR_DELTA_LS", filter_length=5, acausal_delay=2, reg_lambda=0.3)
+    w = weight_trace(scene.sets, g, config)
     block = _penalty_block(w, 5, 64)
     assert block.shape == (5, 5)
-    m = reduce_to_rtf(scene.sets[0], g, 5, 2)
-    gram, rhs = m.matrix.T @ m.matrix, m.matrix.T @ m.target
-    full = gram + 0.3 * spectral_penalty(w, 3, 5, FrequencyGrid(64, RATE))
+    # the loudspeaker matrix and the RTF target rows it meets, as the design forms them
+    m = _speaker_matrix(ms, 5)
+    rhs = m.T @ rtf_target(ms, g, 5, 2)[: m.shape[0]]
+    full = m.T @ m + 0.3 * spectral_penalty(w, 3, 5, FrequencyGrid(64, RATE))
     assert np.array_equal(
-        solve_regularized(m, 0.3, w, FrequencyGrid(64, RATE)).coefficients.ravel(),
+        design_filter(scene, g, config).coefficients.ravel(),
         scipy.linalg.solve(full, rhs, assume_a="pos"),
     )
 
 
 def test_ridge_path_is_monotone():
-    system = random_system(seed=10, rows=12, n_spk=2, length=5)
+    ms = small_scene(seed=10).sets[0]
+    g = forward_path_ir(0.0, 3, RATE)
+    matrix, target = padded_rtf_system(ms, g, 5, 2)
     lambdas = [1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0]
     norms, residuals = [], []
     for lam in lambdas:
-        a = solve_regularized(system, lam).coefficients.ravel()
+        a = design(ms, g, "R_DELTA_LS", 5, 2, lam)
         norms.append(np.linalg.norm(a))
-        residuals.append(np.linalg.norm(system.matrix @ a - system.target))
+        residuals.append(np.linalg.norm(matrix @ a - target))
     for i in range(len(lambdas) - 1):
         assert norms[i + 1] <= norms[i] + 1e-10
         assert residuals[i + 1] >= residuals[i] - 1e-10
@@ -688,15 +737,14 @@ def test_ridge_path_is_monotone():
 
 
 def robust_objective(scene, g, config, filt):
-    grid = FrequencyGrid(default_fft_size(scene.sets[0].speaker_length,
-                                          config.filter_length), RATE)
-    _, w = frequency_weights(scene.sets, g, config.reg_beta, grid)
-    penalty = spectral_penalty(w, scene.num_loudspeakers, config.filter_length, grid)
+    grid = config.grid(scene.sets)
+    penalty = spectral_penalty(weight_trace(scene.sets, g, config), scene.num_loudspeakers,
+                               config.filter_length, grid)
     a = filt.coefficients.ravel()
     total = 0.0
     for ms in scene.sets:
-        system = reduce_to_rtf(ms, g, config.filter_length, config.acausal_delay)
-        total += np.sum((system.matrix @ a - system.target) ** 2)
+        matrix, target = padded_rtf_system(ms, g, config.filter_length, config.acausal_delay)
+        total += np.sum((matrix @ a - target) ** 2)
     return total / scene.num_sets + config.reg_lambda * a @ penalty @ a
 
 
@@ -791,10 +839,12 @@ def test_one_cache_serves_every_forward_path():
         lambda scene, g, variant=variant: design_filter(
             scene, g, DesignConfig(variant=variant, filter_length=9)),
         id=f"design_filter-{variant}") for variant in VARIANTS),
-    pytest.param(lambda scene, g: reduce_to_rtf(scene.sets[0], g, 9, 4), id="reduce_to_rtf"),
+    # the two stages that take g, by their layer names: the RTF reduction and
+    # the frequency weights, whose spectra _set_spectra takes
+    pytest.param(lambda scene, g: _through_mic(scene.sets[0], g), id="reduce_to_rtf"),
     pytest.param(lambda scene, g: assemble_atf_system(scene.sets[0], g, 9),
                  id="assemble_atf_system"),
-    pytest.param(lambda scene, g: frequency_weights(scene.sets, g, 1.0, FrequencyGrid(64, RATE)),
+    pytest.param(lambda scene, g: _set_spectra(scene.sets[0], g, FrequencyGrid(64, RATE), 0),
                  id="frequency_weights"),
     pytest.param(lambda scene, g: evaluate(scene, g, EqualizerFilter(np.zeros((2, 9))),
                                            DesignConfig(filter_length=9)),
@@ -808,31 +858,20 @@ def test_forward_path_at_another_rate_is_refused(call):
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: LinearSystem(np.zeros(4), np.zeros(4), 1, 4), "matrix must be 2-D",
-                 id="LinearSystem-1-D"),
-    pytest.param(lambda: LinearSystem(np.zeros((4, 2)), np.zeros(3), 1, 2),
-                 r"target length \(3,\) does not match matrix rows 4", id="LinearSystem-rows"),
-    pytest.param(lambda: LinearSystem(np.zeros((4, 2)), np.zeros(4), 2, 2),
-                 r"matrix has 2 columns, expected 2 \* 2", id="LinearSystem-columns"),
-    pytest.param(lambda: reduce_to_rtf(small_scene(6).sets[0], DELTA_G, 0),
-                 "filter_length must be a positive integer", id="reduce_to_rtf-L_A"),
-    pytest.param(lambda: reduce_to_rtf(small_scene(6).sets[0], DELTA_G, 9, -1),
-                 "acausal_delay must be a nonnegative integer", id="reduce_to_rtf-d_H"),
     pytest.param(lambda: assemble_atf_system(small_scene(6).sets[0], DELTA_G, 0),
                  "filter_length must be a positive integer", id="assemble_atf_system-L_A"),
     pytest.param(lambda: weights_from_ratio(np.ones(33), 0.0, FrequencyGrid(64, RATE)),
                  "reg_beta must be positive", id="weights_from_ratio-beta"),
-    pytest.param(lambda: frequency_weights([], DELTA_G, 1.0, FrequencyGrid(64, RATE)),
-                 "at least one measurement set is required", id="frequency_weights-no-sets"),
+    # the frequency-weights stage: _set_spectra takes the spectra, _leakage_ratio their ratio
+    pytest.param(lambda: _leakage_ratio([]), "at least one measurement set is required",
+                 id="frequency_weights-no-sets"),
     # small_scene's h_occ and h_open have 10 samples, and g*h_open 15 at d_G 5
-    pytest.param(lambda: frequency_weights(small_scene(3).sets, forward_path_ir(0.0, 5, RATE), 1.0,
-                                           FrequencyGrid(9, RATE)),
+    pytest.param(lambda: _set_spectra(small_scene(3).sets[0], forward_path_ir(0.0, 5, RATE),
+                                      FrequencyGrid(9, RATE), 0),
                  "impulse response of length 10 does not fit L_FFT 9", id="frequency_weights-h_occ-grid"),
-    pytest.param(lambda: frequency_weights(small_scene(3).sets, forward_path_ir(0.0, 5, RATE), 1.0,
-                                           FrequencyGrid(14, RATE)),
+    pytest.param(lambda: _set_spectra(small_scene(3).sets[0], forward_path_ir(0.0, 5, RATE),
+                                      FrequencyGrid(14, RATE), 0),
                  "impulse response of length 15 does not fit L_FFT 14", id="frequency_weights-open-grid"),
-    pytest.param(lambda: solve_regularized(random_system(0), -1.0),
-                 "reg_lambda must be nonnegative", id="solve_regularized-lambda"),
 ])
 def test_bad_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):

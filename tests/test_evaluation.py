@@ -9,19 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqdesign import design, evaluation
-from eqdesign.design import DesignConfig, EqualizerFilter, design_filter, frequency_weights
+from eqdesign.design import DesignConfig, EqualizerFilter, design_filter, weights_from_ratio
 from eqdesign.evaluation import (
     ERB_BAND_HZ,
     SetScorer,
+    _band_distance,
+    _in_band,
     _to_db,
-    aided_tf,
-    auditory_spectral_distance,
-    desired_tf,
     erb_bandwidth_hz,
     erb_weights,
     evaluate,
     mean_distances,
-    simulate,
 )
 from eqdesign.scenario import (
     MeasurementSet,
@@ -30,7 +28,9 @@ from eqdesign.scenario import (
     forward_path_ir,
     synth_scenario,
 )
-from eqdesign.signals import FrequencyGrid, ImpulseResponse, magnitude_response
+from eqdesign.signals import FrequencyGrid, ImpulseResponse
+
+from reference import staged_chain
 
 RATE = 16000.0
 DELTA_G = forward_path_ir(0.0, 0, RATE)
@@ -42,6 +42,22 @@ def ir(values):
 
 def make_set(h_m, h_open, h_occ, d):
     return MeasurementSet(ir(h_m), ir(h_open), ir(h_occ), tuple(ir(dn) for dn in d))
+
+
+def magnitudes(h, grid):
+    """|DFT| of the samples h on the grid's one-sided bins."""
+    return np.abs(np.fft.rfft(h, grid.fft_size))
+
+
+def distance(h_aid, h_des, grid):
+    """The band distance of two responses, by the kernel that SetScorer and evaluate share."""
+    weights, des, band = _in_band(magnitudes(h_des, grid), grid)
+    return float(_band_distance(magnitudes(h_aid, grid)[band], weights, des))
+
+
+def aided_response(ms, g, coefficients):
+    """The aided impulse response, formed stage by stage in time."""
+    return staged_chain(ms, g, coefficients, [1.0])[0]
 
 
 def scene(seed=0, **overrides):
@@ -117,13 +133,13 @@ def test_distance_identities():
     grid = FrequencyGrid(256, RATE)
     rng = np.random.default_rng(3)
     h = rng.standard_normal(20)
-    assert auditory_spectral_distance(h, h, grid) == 0.0
-    assert abs(auditory_spectral_distance(2.0 * h, h, grid)
+    assert distance(h, h, grid) == 0.0
+    assert abs(distance(2.0 * h, h, grid)
                - 6.020599913279624) < 1e-9
     for alpha in (0.25, 3.0):
-        got = auditory_spectral_distance(alpha * h, h, grid)
+        got = distance(alpha * h, h, grid)
         assert abs(got - abs(20.0 * math.log10(alpha))) < 1e-9
-    both = auditory_spectral_distance(5.0 * h, 5.0 * h, grid)
+    both = distance(5.0 * h, 5.0 * h, grid)
     assert both == 0.0
 
 
@@ -132,97 +148,97 @@ def test_distance_ignores_pure_delay():
     rng = np.random.default_rng(4)
     h = rng.standard_normal(20)
     ref = rng.standard_normal(20)
-    base = auditory_spectral_distance(h, ref, grid)
+    base = distance(h, ref, grid)
     shifted = np.concatenate([np.zeros(7), h])
-    assert abs(auditory_spectral_distance(shifted, ref, grid) - base) < 1e-9
+    assert abs(distance(shifted, ref, grid) - base) < 1e-9
 
 
 def test_distance_degenerate_inputs():
     grid = FrequencyGrid(256, RATE)
     h = np.array([1.0, 0.5, 0.25, 0.125])  # no nulls on the unit circle
     with pytest.raises(design.NumericsError, match="vanishes at 250.0 Hz"):
-        auditory_spectral_distance(h, np.zeros(4), grid)
-    assert auditory_spectral_distance(np.zeros(4), h, grid) == math.inf
+        distance(h, np.zeros(4), grid)
+    assert distance(np.zeros(4), h, grid) == math.inf
     # nonzero magnitudes whose ratio overflows or underflows give no distance
     for aid, des in ((1e300 * h, 1e-300 * h), (1e-300 * h, 1e300 * h)):
         with pytest.raises(design.NumericsError, match="left the float range"):
-            auditory_spectral_distance(aid, des, grid)
+            distance(aid, des, grid)
 
 
 # ---------------------------------------------------------------------------
-# transfer functions
+# transfer functions, as SetScorer takes them on the grid, and the signal chain
 
 
 def test_aided_tf_zero_filter_is_leakage():
     ms = scene(seed=1).sets[0]
-    filt = EqualizerFilter(np.zeros((1, 5)))
-    h_aid = aided_tf(ms, DELTA_G, filt)
-    expected = np.zeros(h_aid.size)
-    expected[:12] = ms.h_occ.samples
-    assert np.array_equal(h_aid, expected)
+    grid = FrequencyGrid(64, RATE)
+    aided, _ = SetScorer(ms, DELTA_G, grid).score(np.zeros((1, 1, 5)))
+    assert np.array_equal(aided[0], magnitudes(ms.h_occ.samples, grid))
 
 
 def test_aided_tf_identity_chain():
     ms = make_set([1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [[1.0, 0.0]])
-    filt = EqualizerFilter(np.array([[1.0, 0.0]]))
-    h_aid = aided_tf(ms, DELTA_G, filt)
-    assert h_aid[0] == 1.0 and np.all(h_aid[1:] == 0.0)
+    aided, _ = SetScorer(ms, DELTA_G, FrequencyGrid(8, RATE)).score(np.array([[[1.0, 0.0]]]))
+    assert np.array_equal(aided[0], np.ones(5))
 
 
 def test_aided_tf_agrees_with_impulse_probe():
     ms = scene(seed=2, num_loudspeakers=2).sets[0]
     g = forward_path_ir(4.0, 3, RATE)
-    rng = np.random.default_rng(5)
-    filt = EqualizerFilter(rng.standard_normal((2, 6)))
-    h_aid = aided_tf(ms, g, filt)
-    probe, _ = simulate(ms, g, filt, np.array([1.0]))
-    assert np.max(np.abs(h_aid - probe)) < 1e-12 * np.max(np.abs(h_aid))
+    coef = np.random.default_rng(5).standard_normal((2, 6))
+    grid = FrequencyGrid(64, RATE)
+    aided, _ = SetScorer(ms, g, grid).score(coef[None])
+    probe = magnitudes(aided_response(ms, g, coef), grid)
+    assert np.max(np.abs(aided[0] - probe)) < 1e-12 * np.max(probe)
 
 
 def test_desired_tf():
     ms = scene(seed=3).sets[0]
-    assert np.array_equal(desired_tf(ms, DELTA_G), ms.h_open.samples)
-    g = forward_path_ir(6.0, 5, RATE)
-    h_des = desired_tf(ms, g)
-    gain = 10.0 ** (6.0 / 20.0)
-    assert np.allclose(h_des, np.concatenate([np.zeros(5), gain * ms.h_open.samples]),
-                       atol=1e-15)
     grid = FrequencyGrid(128, RATE)
-    mag = np.abs(np.fft.fft(h_des, 128))
-    product = np.abs(np.fft.fft(g.samples, 128)) * np.abs(np.fft.fft(ms.h_open.samples, 128))
+    desired = SetScorer(ms, DELTA_G, grid).spectra[1]
+    assert np.array_equal(desired, np.fft.rfft(ms.h_open.samples, 128))
+    g = forward_path_ir(6.0, 5, RATE)
+    mag = np.abs(SetScorer(ms, g, grid).spectra[1])
+    gain = 10.0 ** (6.0 / 20.0)
+    product = gain * magnitudes(ms.h_open.samples, grid)
     assert np.max(np.abs(mag - product)) < 1e-12 * np.max(product)
 
 
 def test_simulate_matches_convolution():
+    # the staged chain in time is the scored transfer functions times the stimulus
     ms = scene(seed=4, num_loudspeakers=2).sets[0]
     g = forward_path_ir(2.0, 7, RATE)
     rng = np.random.default_rng(6)
-    filt = EqualizerFilter(rng.standard_normal((2, 5)))
+    coef = rng.standard_normal((2, 5))
     stimulus = rng.standard_normal(400)
-    aided, desired = simulate(ms, g, filt, stimulus)
-    ref_aid = np.convolve(aided_tf(ms, g, filt), stimulus)
-    ref_des = np.convolve(desired_tf(ms, g), stimulus)
-    assert np.max(np.abs(aided - ref_aid)) < 1e-9 * np.max(np.abs(ref_aid))
-    assert np.max(np.abs(desired - ref_des)) < 1e-9 * np.max(np.abs(ref_des))
+    grid = FrequencyGrid(512, RATE)  # holds the aided output of 400 + 8 + 5 + 7 + 12 - 3 samples
+    scorer = SetScorer(ms, g, grid)
+    aided, _ = scorer.score(coef[None])
+    out_aid, out_des = staged_chain(ms, g, coef, stimulus)
+    drive = magnitudes(stimulus, grid)
+    ref_aid, ref_des = aided[0] * drive, np.abs(scorer.spectra[1]) * drive
+    assert np.max(np.abs(magnitudes(out_aid, grid) - ref_aid)) < 1e-9 * np.max(ref_aid)
+    assert np.max(np.abs(magnitudes(out_des, grid) - ref_des)) < 1e-9 * np.max(ref_des)
 
 
 def test_simulate_silent_device_and_sealed_vent():
     ms = make_set([1.0, 0.2], [0.9, 0.1], [0.0, 0.0], [[1.0, 0.3]])
-    filt = EqualizerFilter(np.zeros((1, 4)))
-    aided, _ = simulate(ms, DELTA_G, filt, np.ones(16))
+    aided, distances = SetScorer(ms, DELTA_G, FrequencyGrid(16, RATE)).score(np.zeros((1, 1, 4)))
     assert np.all(aided == 0.0)
+    assert distances[0] == math.inf
 
 
 def test_simulate_input_validation():
-    ms = scene(seed=5).sets[0]
-    filt = EqualizerFilter(np.zeros((1, 4)))
-    with pytest.raises(ValueError, match="stimulus"):
-        simulate(ms, DELTA_G, filt, np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="stimulus"):
-        simulate(ms, DELTA_G, filt, [])
+    scn = scene(seed=5)
+    config = DesignConfig(filter_length=4)
+    scorer = SetScorer(scn.sets[0], DELTA_G, config.grid(scn.sets))
+    with pytest.raises(ValueError, match="designs x 1 loudspeakers x taps"):
+        scorer.score(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="designs x 1 loudspeakers x taps"):
+        scorer.score(np.zeros((1, 2, 4)))
     wide = EqualizerFilter(np.zeros((2, 4)))
     with pytest.raises(ValueError, match="drives 2 loudspeakers, scene has 1"):
-        simulate(ms, DELTA_G, wide, np.ones(4))
+        evaluate(scn, DELTA_G, wide, config)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +265,11 @@ def test_evaluate_report_contents():
         float(np.mean(report.delta_h_aud_db))
     )
     grid = FrequencyGrid(n, RATE)
-    ratio, weights = frequency_weights(scn.sets, g, config.reg_beta, grid)
-    assert np.array_equal(report.leakage_ratio, ratio)
-    assert np.array_equal(report.weight_trace, weights)
+    leak = np.mean([magnitudes(ms.h_occ.samples, grid) for ms in scn.sets], axis=0)
+    open_gain = np.mean([magnitudes(np.convolve(g.samples, ms.h_open.samples), grid)
+                         for ms in scn.sets], axis=0)
+    assert np.array_equal(report.leakage_ratio, leak / open_gain)
+    assert np.array_equal(report.weight_trace, weights_from_ratio(leak / open_gain, 1.0, grid))
 
 
 def test_evaluate_zero_filter_shows_leakage_only():
@@ -286,9 +304,11 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     grid = FrequencyGrid(1024, RATE)  # default_fft_size(100, 99)
 
     def mean_db(responses):
-        return _to_db(np.mean([magnitude_response(h, grid) for h in responses], axis=0))
+        return _to_db(np.mean([magnitudes(h, grid) for h in responses], axis=0))
 
-    ratio, weights = frequency_weights(scn.sets, g, config.reg_beta, grid)
+    desired = [np.convolve(g.samples, ms.h_open.samples) for ms in scn.sets]
+    ratio = (np.mean([magnitudes(ms.h_occ.samples, grid) for ms in scn.sets], axis=0)
+             / np.mean([magnitudes(h, grid) for h in desired], axis=0))
     calls = []
 
     def counted(a, *args, **kwargs):
@@ -303,17 +323,16 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     assert calls == [(4, 1024), (1, 2, 99)] * 5
     monkeypatch.undo()
     # the aided response is never formed in time: its spectrum agrees with
-    # aided_tf's to rounding
+    # the staged chain's to rounding
+    aided = [aided_response(ms, g, filt.coefficients) for ms in scn.sets]
     assert np.allclose(report.delta_h_aud_db, [
-        auditory_spectral_distance(aided_tf(ms, g, filt), desired_tf(ms, g), grid)
-        for ms in scn.sets
+        distance(h_aid, h_des, grid) for h_aid, h_des in zip(aided, desired)
     ], rtol=0, atol=1e-9)
-    assert np.allclose(report.mag_db_aid, mean_db([aided_tf(ms, g, filt) for ms in scn.sets]),
-                       rtol=0, atol=1e-9)
-    assert np.array_equal(report.mag_db_des, mean_db([desired_tf(ms, g) for ms in scn.sets]))
+    assert np.allclose(report.mag_db_aid, mean_db(aided), rtol=0, atol=1e-9)
+    assert np.array_equal(report.mag_db_des, mean_db(desired))
     assert np.array_equal(report.mag_db_occ, mean_db([ms.h_occ.samples for ms in scn.sets]))
     assert np.array_equal(report.leakage_ratio, ratio)
-    assert np.array_equal(report.weight_trace, weights)
+    assert np.array_equal(report.weight_trace, weights_from_ratio(ratio, config.reg_beta, grid))
 
 
 def test_mean_distances_transforms_each_batch_once(monkeypatch):
@@ -414,7 +433,7 @@ def test_a_stack_scores_each_design_as_alone_and_as_evaluate(case):
 @given(stack_cases(fft_pads=("pow2", "double")))
 @example((9, 3, 16, 12, 3, 0, 10.0, 5, 12, 6, 3, "pow2"))
 def test_aided_magnitudes_agree_with_the_time_response_to_rounding(case):
-    """Each aided magnitude lies within a first-order rounding bound of |rfft(aided_tf)|.
+    """Each aided magnitude lies within a first-order rounding bound of the staged chain's |rfft|.
 
     Both sides take the same t = g*h_m. Let y be the exact aided response
     from the taps a_n, the loudspeaker responses d_n (L_D taps), t (L_T
@@ -428,12 +447,12 @@ def test_aided_magnitudes_agree_with_the_time_response_to_rounding(case):
     error μ = u (Thm 24.2, whose per-stage bound holds entry by entry, and
     one path joins each input to each output). To first order:
 
-    - time: d_n*a_n γ(L_D), then *t γ(L_T), then N sums γ(N), all in ℓ1
+    - time: a_n*t γ(L_T), then d_n* γ(L_D), then N sums γ(N), all in ℓ1
       and so on every bin; then the FFT φ and |·| γ(4);
     - frequency: d_n*t γ(L_D) and its FFT φ, the taps' FFT φ, the product
       √2·γ(2), N complex sums √2·γ(N), and |·| γ(4).
 
-    So |mag − |rfft(aided_tf)|| ≤ c·u·S with
+    So |mag − |rfft(y)|| ≤ c·u·S, y the staged chain's impulse response, with
     c·u = 2γ(L_D) + γ(L_T) + (1 + √2)γ(N) + 3φ + √2·γ(2) + 2γ(4).
     """
     scn, g, config, stack = stack_case(*case)
@@ -454,7 +473,7 @@ def test_aided_magnitudes_agree_with_the_time_response_to_rounding(case):
         bounds = c_u * sizes
         aided, _ = SetScorer(ms, g, grid).score(stack)
         for coef, mags, bound in zip(stack, aided, bounds):
-            expected = magnitude_response(aided_tf(ms, g, EqualizerFilter(coef)), grid)
+            expected = magnitudes(aided_response(ms, g, coef), grid)
             assert np.max(np.abs(mags - expected)) <= bound
 
 

@@ -42,7 +42,7 @@ from eqdesign.scenario import (
     _write_json,
     _zeros_within,
 )
-from eqdesign.signals import FrequencyGrid, ImpulseResponse, magnitude_response
+from eqdesign.signals import FrequencyGrid, ImpulseResponse
 
 RATE = 16000.0
 
@@ -374,8 +374,8 @@ def test_non_minimum_phase_sibling_keeps_magnitude():
     grid = FrequencyGrid(256, RATE)
     d_min = minimum.sets[0].d[0].samples
     d_flip = flipped.sets[0].d[0].samples
-    m1 = magnitude_response(d_min, grid)
-    m2 = magnitude_response(d_flip, grid)
+    m1 = np.abs(np.fft.rfft(d_min, grid.fft_size))
+    m2 = np.abs(np.fft.rfft(d_flip, grid.fft_size))
     assert np.max(np.abs(m1 - m2) / m1) < 1e-10
     assert np.max(np.abs(np.roots(d_min))) < 1.0
     assert np.max(np.abs(np.roots(d_flip))) > 1.0
@@ -423,7 +423,8 @@ def test_leakage_levels():
     ms = tied.sets[0]
     grid = FrequencyGrid(2048, RATE)
     ratio_db = 20.0 * np.log10(
-        magnitude_response(ms.h_occ, grid) / magnitude_response(ms.h_open, grid)
+        np.abs(np.fft.rfft(ms.h_occ.samples, grid.fft_size))
+        / np.abs(np.fft.rfft(ms.h_open.samples, grid.fft_size))
     )
     expected = -20.0 * grid.frequencies_hz / 8000.0
     assert np.max(np.abs(ratio_db - expected)) < 0.2

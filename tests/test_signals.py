@@ -6,15 +6,28 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eqdesign.design import _set_spectra
+from eqdesign.scenario import MeasurementSet, forward_path_ir
 from eqdesign.signals import (
     FrequencyGrid,
     ImpulseResponse,
     convolution_matrix,
-    convolve,
-    delay,
     fractional_octave_smooth,
-    magnitude_response,
 )
+
+
+def by_matrix(h1, h2):
+    """Full linear convolution of two sample arrays, by convolution_matrix."""
+    return convolution_matrix(np.asarray(h1, dtype=float), len(h2)) @ np.asarray(h2, dtype=float)
+
+
+def leakage_spectrum(h, grid):
+    """The spectrum that design._set_spectra takes of a leakage response h on the grid."""
+    rate = grid.sample_rate_hz
+    h = ImpulseResponse(h, rate)
+    unit = ImpulseResponse(np.r_[1.0, np.zeros(len(h) - 1)], rate)
+    ms = MeasurementSet(unit, unit, h, (unit,))
+    return _set_spectra(ms, forward_path_ir(0.0, 0, rate), grid, 0)[0]
 
 
 def test_impulse_response_validates_and_copies():
@@ -45,22 +58,9 @@ def test_frequency_grid():
 
 
 def test_convolve_hand_values():
-    assert np.array_equal(convolve([1.0], [3.0, 4.0]), [3.0, 4.0])
-    assert np.array_equal(convolve([1.0, 1.0], [1.0, -1.0]), [1.0, 0.0, -1.0])
-    assert np.array_equal(convolve([1.0, 2.0], [3.0, 0.0, 1.0]), [3.0, 6.0, 1.0, 2.0])
-
-
-def test_convolve_wrapped_and_mixed():
-    a = ImpulseResponse([1.0, 2.0], 16000.0)
-    b = ImpulseResponse([3.0, 0.0, 1.0], 16000.0)
-    out = convolve(a, b)
-    assert isinstance(out, ImpulseResponse)
-    assert out.sample_rate_hz == 16000.0
-    assert np.array_equal(out.samples, [3.0, 6.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        convolve(a, ImpulseResponse([1.0], 8000.0))
-    with pytest.raises(ValueError):
-        convolve(a, [1.0, 2.0])
+    assert np.array_equal(by_matrix([1.0], [3.0, 4.0]), [3.0, 4.0])
+    assert np.array_equal(by_matrix([1.0, 1.0], [1.0, -1.0]), [1.0, 0.0, -1.0])
+    assert np.array_equal(by_matrix([1.0, 2.0], [3.0, 0.0, 1.0]), [3.0, 6.0, 1.0, 2.0])
 
 
 def test_convolve_commutative_associative():
@@ -69,9 +69,9 @@ def test_convolve_commutative_associative():
         a = rng.standard_normal(rng.integers(1, 9))
         b = rng.standard_normal(rng.integers(1, 9))
         c = rng.standard_normal(rng.integers(1, 9))
-        assert np.allclose(convolve(a, b), convolve(b, a), atol=1e-12)
+        assert np.allclose(by_matrix(a, b), by_matrix(b, a), atol=1e-12)
         assert np.allclose(
-            convolve(convolve(a, b), c), convolve(a, convolve(b, c)), atol=1e-12
+            by_matrix(by_matrix(a, b), c), by_matrix(a, by_matrix(b, c)), atol=1e-12
         )
 
 
@@ -89,7 +89,7 @@ def test_convolution_matrix_matches_convolve():
     for _ in range(20):
         h = rng.standard_normal(rng.integers(1, 12))
         x = rng.standard_normal(rng.integers(1, 12))
-        assert np.allclose(convolution_matrix(h, x.size) @ x, convolve(h, x), atol=1e-12)
+        assert np.allclose(convolution_matrix(h, x.size) @ x, np.convolve(h, x), atol=1e-12)
     with pytest.raises(ValueError):
         convolution_matrix([1.0], 0)
 
@@ -110,42 +110,48 @@ def test_convolution_matrix_is_scipys(h_length, num_cols, seed):
 
 
 def test_delay():
-    assert np.array_equal(delay([1.0, 2.0], 2), [0.0, 0.0, 1.0, 2.0])
-    assert np.array_equal(delay([5.0], 0), [5.0])
-    ir = delay(ImpulseResponse([1.0, 2.0], 16000.0), 3)
-    assert isinstance(ir, ImpulseResponse)
-    assert len(ir) == 5
+    # the forward path is a pure delay: zeros, then the gain
+    assert np.array_equal(forward_path_ir(0.0, 2, 16000.0).samples, [0.0, 0.0, 1.0])
+    assert np.array_equal(forward_path_ir(0.0, 0, 16000.0).samples, [1.0])
+    assert len(forward_path_ir(0.0, 4, 16000.0)) == 5
     with pytest.raises(ValueError):
-        delay([1.0], -1)
+        forward_path_ir(0.0, -1, 16000.0)
 
+    # a delay leaves the magnitude response unchanged
     grid = FrequencyGrid(64, 16000.0)
     rng = np.random.default_rng(2)
     h = rng.standard_normal(10)
+    delayed = by_matrix(forward_path_ir(0.0, 7, 16000.0).samples, h)
     assert np.allclose(
-        magnitude_response(delay(h, 7), grid), magnitude_response(h, grid), atol=1e-12
+        np.abs(leakage_spectrum(delayed, grid)), np.abs(leakage_spectrum(h, grid)), atol=1e-12
     )
+
+
+# the one-sided magnitude response, as design._set_spectra takes it
 
 
 def test_magnitude_response_hand_values():
     grid = FrequencyGrid(4, 16000.0)
-    assert np.allclose(magnitude_response([1.0], grid), np.ones(3), atol=1e-15)
-    assert np.allclose(magnitude_response([0.0, 1.0], grid), np.ones(3), atol=1e-15)
+    assert np.allclose(np.abs(leakage_spectrum([1.0], grid)), np.ones(3), atol=1e-15)
+    assert np.allclose(np.abs(leakage_spectrum([0.0, 1.0], grid)), np.ones(3), atol=1e-15)
     # 4-point DFT of [1, 1]: 2, 1-j, 0, 1+j; the one-sided bins are the first three
     expected = [2.0, np.sqrt(2.0), 0.0]
-    assert np.allclose(magnitude_response([1.0, 1.0], grid), expected, atol=1e-12)
+    assert np.allclose(np.abs(leakage_spectrum([1.0, 1.0], grid)), expected, atol=1e-12)
 
 
 def test_magnitude_response_layout_and_limits():
     rng = np.random.default_rng(3)
     for n in (8, 9, 16, 31):
         grid = FrequencyGrid(n, 16000.0)
-        mag = magnitude_response(rng.standard_normal(n - 2), grid)
+        mag = np.abs(leakage_spectrum(rng.standard_normal(n - 2), grid))
         assert mag.shape == (n // 2 + 1,)
         assert np.all(mag >= 0.0)
-    with pytest.raises(ValueError):
-        magnitude_response(np.ones(5), FrequencyGrid(4, 16000.0))
-    with pytest.raises(ValueError):
-        magnitude_response(ImpulseResponse([1.0], 8000.0), FrequencyGrid(4, 16000.0))
+    with pytest.raises(ValueError, match="does not fit L_FFT 4"):
+        leakage_spectrum(np.ones(5), FrequencyGrid(4, 16000.0))
+    one = ImpulseResponse([1.0], 8000.0)
+    with pytest.raises(ValueError, match="sample rate mismatch"):
+        _set_spectra(MeasurementSet(one, one, one, (one,)), forward_path_ir(0.0, 0, 16000.0),
+                     FrequencyGrid(4, 16000.0), 0)
 
 
 def test_smoothing_preserves_constants_exactly():
@@ -228,7 +234,7 @@ def test_smoothing_rejects_bad_input():
 
 
 def two_sided_magnitude(h, n):
-    """The mirrored magnitude_response that the one-sided one replaced."""
+    """The mirrored two-sided magnitude response that the one-sided spectra replaced."""
     half = np.abs(np.fft.rfft(h, n))
     out = np.empty(n)
     out[: half.size] = half
@@ -269,7 +275,7 @@ def test_magnitude_response_matches_two_sided_formula(half_size, seed):
         bins = n // 2 + 1
         assert np.array_equal(grid.frequencies_hz, (np.arange(n) * (16000.0 / n))[:bins])
         h = rng.standard_normal(int(rng.integers(1, n + 1)))
-        assert np.array_equal(magnitude_response(h, grid), two_sided_magnitude(h, n)[:bins])
+        assert np.array_equal(np.abs(leakage_spectrum(h, grid)), two_sided_magnitude(h, n)[:bins])
 
 
 @settings(max_examples=80)
