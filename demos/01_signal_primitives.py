@@ -12,12 +12,13 @@ from eqdesign.signals import (
 
 rate = 16000.0
 
-h = ImpulseResponse([1.0, -0.4, 0.12], rate)
-g = ImpulseResponse([0.5, 0.25], rate)
+# a response is its samples; the sample rate belongs to the scene and the grid
+h = ImpulseResponse([1.0, -0.4, 0.12])
+g = ImpulseResponse([0.5, 0.25])
 
 # the design convolves through Toeplitz matrices: column j is h delayed by j
 print("h * g       ", convolution_matrix(h.samples, len(g)) @ g.samples)
-print("forward path, 3 samples of delay", forward_path_ir(0.0, 3, rate).samples)
+print("forward path, 3 samples of delay", forward_path_ir(0.0, 3).samples)
 
 grid = FrequencyGrid(64, rate)
 mag = np.abs(np.fft.rfft(h.samples, grid.fft_size))  # the grid's one-sided bins

@@ -17,13 +17,13 @@ spec = SynthSpec(
     reinsertion_level_db=None, correlation=1.0,
 )
 scene = synth_scenario(spec, seed=3)
-g = forward_path_ir(0.0, 0, RATE)
+g = forward_path_ir(0.0, 0)
 
 print("speakers  filter_taps  distance_db")
 for n_spk in (1, 2):
     sub = select_loudspeakers(scene, n_spk)
     for taps in (4, 7, 12):
         config = DesignConfig(variant="R_DELTA_LS", filter_length=taps, acausal_delay=0,
-                              reg_lambda=1e-12)
+                              reg_lambda=1e-12, reg_beta=1.0)
         filt = design_filter(sub, g, config)
         print(f"{n_spk:8d}  {taps:11d}  {evaluate(sub, g, filt, config).delta_h_aud_db[0]:.3e}")

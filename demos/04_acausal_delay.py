@@ -16,12 +16,12 @@ RATE = 16000.0
 spec = SynthSpec(num_sets=1, num_loudspeakers=1, phase_family="non-minimum-phase",
                  reinsertion_level_db=None)
 scene = synth_scenario(spec, seed=3)
-g = forward_path_ir(0.0, 96, RATE)  # 6 ms of processing delay to hide behind
+g = forward_path_ir(0.0, 96)  # 6 ms of processing delay to hide behind
 
 print(" d_H   distance_db")
 for d_h in (0, 1, 2, 4, 8, 16, 32, 64):
     config = DesignConfig(variant="R_DELTA_LS", filter_length=99,
-                          acausal_delay=d_h, reg_lambda=1e-8)
+                          acausal_delay=d_h, reg_lambda=1e-8, reg_beta=1.0)
     filt = design_filter(scene, g, config)
     report = evaluate(scene, g, filt, config)
     print(f"{d_h:4d}   {report.delta_h_aud_db[0]:.4f}")

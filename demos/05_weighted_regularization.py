@@ -18,7 +18,7 @@ RATE = 16000.0
 scene = synth_scenario(
     SynthSpec(num_sets=1, num_loudspeakers=1, reinsertion_level_db=None), seed=0
 )
-g = forward_path_ir(0.0, 0, RATE)
+g = forward_path_ir(0.0, 0)
 
 
 def seminorm(taps, w, fft_size):
@@ -34,9 +34,9 @@ def seminorm(taps, w, fft_size):
 rows = []
 for lam in (1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0):
     config = DesignConfig(variant="FR_DELTA_LS", filter_length=99,
-                          acausal_delay=0, reg_lambda=lam)
-    filt = design_filter(scene, g, config)
-    rows.append((lam, filt.coefficients[0], evaluate(scene, g, filt, config)))
+                          acausal_delay=0, reg_lambda=lam, reg_beta=1.0)
+    taps = design_filter(scene, g, config)
+    rows.append((lam, taps[0], evaluate(scene, g, taps, config)))
 
 # every lambda shares the leakage ratio V and its weight W, which eval reports
 report = rows[0][2]
@@ -47,7 +47,7 @@ print(f"weight peaks at {report.frequencies_hz[peak]:.0f} Hz "
       f"where the ratio is {ratio[peak]:.3f}\n")
 
 print("   lambda   seminorm   tap_norm   distance_db")
-fft_size = config.grid(scene.sets).fft_size
+fft_size = config.grid(scene).fft_size
 for lam, a, report in rows:
     print(f"{lam:9.0e}   {seminorm(a, w, fft_size):8.4f}   {np.linalg.norm(a):8.4f}"
           f"   {report.delta_h_aud_db[0]:.4f}")

@@ -16,7 +16,7 @@ RATE = 16000.0
 
 spec = SynthSpec(num_sets=5, num_loudspeakers=2, reinsertion_level_db=-20.0)
 scene = synth_scenario(spec, seed=12)
-g = forward_path_ir(0.0, 96, RATE)
+g = forward_path_ir(0.0, 96)
 kwargs = dict(filter_length=99, acausal_delay=32, reg_lambda=0.1, reg_beta=1.0)
 score_config = DesignConfig(variant="MFR_DELTA_LS", **kwargs)
 

@@ -22,7 +22,6 @@ from .scenario import (
 from .design import (
     VARIANTS,
     DesignConfig,
-    EqualizerFilter,
     NumericsError,
     assemble_atf_system,
     default_fft_size,

@@ -36,7 +36,6 @@ from .scenario import (
 from .design import (
     VARIANTS,
     DesignConfig,
-    EqualizerFilter,
     NumericsError,
     _check_grid_holds,
     _set_spectra,
@@ -54,10 +53,12 @@ _CONFIG_FIELDS = ("variant", "L_A", "d_H", "lambda", "beta", "G0_db", "d_G")
 _GRID_FIELDS = ("variant", "N", "d_H", "lambda", "beta", "G0_db", "d_G")
 
 # the float64 array that each size field sets, and its sample count at size n:
-# every command that takes the field allocates at least that much
+# every command that takes the field allocates at least that much, except
+# that an RTF fit builds its matrix only when it leaves Levinson, whose
+# O(n_taps²) steps take as long
 _SIZE_FIELDS = {
     "L_A": ("an L_A x L_A float64 matrix, which every design builds", lambda n: n * n),
-    "d_H": ("a float64 RTF target of more than d_H samples", lambda n: n),
+    "d_H": ("a d_H x d_H float64 matrix, less than an RTF fit's dense fallback", lambda n: n * n),
     "d_G": ("a float64 forward path of d_G + 1 samples", lambda n: n + 1),
     "L_FFT": ("float64 spectra of L_FFT samples", lambda n: n),
 }
@@ -162,25 +163,27 @@ def _grid_points(data: dict) -> tuple[list[tuple], list[DesignConfig]]:
 # filter file: the one writer and the one reader of its layout
 
 
-def _filter_doc(filt: EqualizerFilter, scenario, config: DesignConfig, gain_db: float, path_delay: int) -> dict:
-    """The filter file of filt, designed on scenario under config and the forward path (G0_db, d_G)."""
+def _filter_doc(taps: np.ndarray, scenario, config: DesignConfig, gain_db: float, path_delay: int) -> dict:
+    """The filter file of taps, designed on scenario under config and the forward path (G0_db, d_G)."""
     return {
-        "num_loudspeakers": filt.num_loudspeakers,
-        "filter_length": filt.filter_length,
+        "num_loudspeakers": taps.shape[0],
+        "filter_length": taps.shape[1],
         "d_H": config.acausal_delay,
-        "coefficients": filt.coefficients.tolist(),
+        "coefficients": taps.tolist(),
         "config": {
             "variant": config.variant, "L_A": config.filter_length, "d_H": config.acausal_delay,
             "lambda": config.reg_lambda, "beta": config.reg_beta,
-            "L_FFT": config.grid(scenario.sets).fft_size, "G0_db": gain_db, "d_G": path_delay,
+            "L_FFT": config.grid(scenario).fft_size, "G0_db": gain_db, "d_G": path_delay,
         },
         "scenario_fingerprint": scenario_fingerprint(scenario),
     }
 
 
-def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float, int, str]:
-    """The filter of a filter file, with the DesignConfig, G0_db and d_G of its
-    config and the fingerprint of the scene it was designed on."""
+def _filter_from_dict(data: dict) -> tuple[np.ndarray, DesignConfig, float, int, str]:
+    """The taps of a filter file, loudspeakers x L_A, with the DesignConfig,
+    G0_db and d_G of its config and the fingerprint of the scene it was
+    designed on. This is the one check of a filter's taps: their shape and
+    that every one is a finite number."""
     required = (
         "num_loudspeakers",
         "filter_length",
@@ -191,6 +194,8 @@ def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float,
     )
     _require_fields(data, required, "filter")
     n = _as_int(data["num_loudspeakers"], "filter.num_loudspeakers")
+    if n < 1:
+        raise ValidationError("filter.num_loudspeakers: must be at least 1")
     taps = _as_int(data["filter_length"], "filter.filter_length")
     shift = _as_int(data["d_H"], "filter.d_H")
     coef = data["coefficients"]
@@ -214,11 +219,7 @@ def _filter_from_dict(data: dict) -> tuple[EqualizerFilter, DesignConfig, float,
     if not isinstance(data["scenario_fingerprint"], str):
         raise ValidationError("filter.scenario_fingerprint: expected a string")
     rows = [_number_list(row, f"filter.coefficients[{i}]") for i, row in enumerate(coef)]
-    try:
-        filt = EqualizerFilter(np.array(rows))
-    except ValueError as exc:
-        raise ValidationError(f"filter: {exc}") from exc
-    return filt, config, gain_db, path_delay, data["scenario_fingerprint"]
+    return np.array(rows), config, gain_db, path_delay, data["scenario_fingerprint"]
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +246,20 @@ def cmd_design(scenario_path, config_path, out_path) -> None:
     scenario = load_scenario(scenario_path)
     data = _load_json(config_path, "config")
     config, gain_db, path_delay = _design_inputs_from_dict(data, "config")
-    g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
-    filt = design_filter(scenario, g, config)
+    g = forward_path_ir(gain_db, path_delay)
+    taps = design_filter(scenario, g, config)
     # eval's own rule, so that no command writes a filter that eval refuses to score
-    grid = config.grid(scenario.sets)
+    grid = config.grid(scenario)
     for ms in scenario.sets:
         _in_band(np.abs(_set_spectra(ms, g, grid, 0)[1]), grid)
-    _write_json(_filter_doc(filt, scenario, config, gain_db, path_delay), out_path)
+    _write_json(_filter_doc(taps, scenario, config, gain_db, path_delay), out_path)
 
 
 def cmd_eval(scenario_path, filter_path, out_prefix) -> None:
     scenario = load_scenario(scenario_path)
-    filt, config, gain_db, path_delay, fingerprint = _filter_from_dict(_load_json(filter_path, "filter"))
-    g = forward_path_ir(gain_db, path_delay, scenario.sample_rate_hz)
-    report = evaluate(scenario, g, filt, config)
+    taps, config, gain_db, path_delay, fingerprint = _filter_from_dict(_load_json(filter_path, "filter"))
+    g = forward_path_ir(gain_db, path_delay)
+    report = evaluate(scenario, g, taps, config)
     for i, distance in enumerate(report.delta_h_aud_db):
         if distance == np.inf:  # which JSON cannot hold
             raise NumericsError(
@@ -292,16 +293,15 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     points, configs = _grid_points(_load_json(grid_path, "grid"))
     if mode == "leave-one-out" and scenario.num_sets < 2:
         raise ValidationError("leave-one-out needs a scenario with at least two sets")
-    rate = scenario.sample_rate_hz
-    paths = {path: forward_path_ir(*path, rate) for path in dict.fromkeys(p[5:] for p in points)}
+    paths = {path: forward_path_ir(*path) for path in dict.fromkeys(p[5:] for p in points)}
     try:
-        scenes = {n: select_loudspeakers(scenario, n).sets for n in dict.fromkeys(p[1] for p in points)}
+        scenes = {n: select_loudspeakers(scenario, n) for n in dict.fromkeys(p[1] for p in points)}
     except ValidationError as exc:
         raise ValidationError(f"grid.N: {exc}") from exc
     # every point shares L_A and L_FFT, so the longest forward path decides
-    grid = configs[0].grid(scenario.sets)
+    grid = configs[0].grid(scenario)
     longest = max(paths.values(), key=len)
-    _check_grid_holds(grid, scenario.sets, longest, configs[0].filter_length)
+    _check_grid_holds(grid, scenario.sets[0], longest, configs[0].filter_length)
     everything = tuple(range(scenario.num_sets))
     if mode == "resubstitution":
         folds = [(-1, everything, everything)]
@@ -319,7 +319,7 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
             batches.setdefault(keys[index, f][:3], {}).setdefault(keys[index, f][-1], coef)
     scores = {}
     for (n_spk, path, f), batch in batches.items():
-        scorers = [SetScorer(scenes[n_spk][i], paths[path], grid) for i in folds[f][2]]
+        scorers = [SetScorer(scenes[n_spk].sets[i], paths[path], grid) for i in folds[f][2]]
         means = mean_distances(scorers, np.array(list(batch.values())))
         scores.update(zip(((n_spk, path, f, taps) for taps in batch), means.tolist()))
 

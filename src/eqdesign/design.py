@@ -36,7 +36,6 @@ __all__ = [
     "NORMAL_RCOND",
     "NumericsError",
     "DesignConfig",
-    "EqualizerFilter",
     "default_fft_size",
     "assemble_atf_system",
     "solve_ls_atf",
@@ -57,17 +56,6 @@ RANK_RTOL = 1e-10
 # fit leaves them for dense least squares on the convolution matrix
 NORMAL_RCOND = 1e-8
 
-# ridge used when a plain-RLS config leaves the strength unspecified
-STABILITY_LAMBDA = 1e-8
-
-_DEFAULT_LAMBDA = {
-    "LS_ATF": 0.0,
-    "RLS": STABILITY_LAMBDA,
-    "R_DELTA_LS": 0.1,
-    "FR_DELTA_LS": 0.1,
-    "MFR_DELTA_LS": 0.1,
-}
-
 
 class NumericsError(RuntimeError):
     """The linear algebra gave up: rank-deficient or singular design system."""
@@ -87,20 +75,17 @@ def default_fft_size(speaker_length: int, filter_length: int) -> int:
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Solver settings.
+    """Solver settings: what a design config file, or a sweep grid point, sets.
 
-    acausal_delay and reg_lambda default per variant: the delay-free
-    variants (LS_ATF, RLS) get 0 slack, RLS gets a tiny stability ridge,
-    and the delayed variants get the delay-32 / lambda-0.1 operating point
-    that behaves well at the default scene dimensions. fft_size None means
-    "derive from the measurement sets"; grid() resolves it.
+    filter_length defaults to 99 taps, as a sweep grid's L_A does. fft_size
+    None means "derive from the scene"; grid() resolves it.
     """
 
-    variant: str = "MFR_DELTA_LS"
+    variant: str
+    acausal_delay: int
+    reg_lambda: float
+    reg_beta: float
     filter_length: int = 99
-    acausal_delay: int | None = None
-    reg_lambda: float | None = None
-    reg_beta: float = 1.0
     fft_size: int | None = None
 
     def __post_init__(self):
@@ -108,16 +93,10 @@ class DesignConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not _is_whole(self.filter_length, 1):
             raise ValueError("filter_length must be a positive integer")
-        if self.acausal_delay is None:
-            object.__setattr__(
-                self, "acausal_delay", 0 if self.variant in ("LS_ATF", "RLS") else 32
-            )
         if not _is_whole(self.acausal_delay, 0):
             raise ValueError("acausal_delay must be a nonnegative integer")
         if self.variant in ("LS_ATF", "RLS") and self.acausal_delay != 0:
             raise ValueError(f"variant {self.variant} does not take an acausal delay")
-        if self.reg_lambda is None:
-            object.__setattr__(self, "reg_lambda", _DEFAULT_LAMBDA[self.variant])
         if not self.reg_lambda >= 0:
             raise ValueError("reg_lambda must be nonnegative")
         if not self.reg_beta > 0:
@@ -129,54 +108,33 @@ class DesignConfig:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, int(getattr(self, name)))
 
-    def grid(self, sets) -> FrequencyGrid:
-        """The analysis grid of this config on these measurement sets.
+    def grid(self, scenario: Scenario) -> FrequencyGrid:
+        """The analysis grid of this config on this scene.
 
-        fft_size is taken as given; None gives default_fft_size of the sets'
-        loudspeaker response length and filter_length. The rate is the sets'.
+        fft_size is taken as given; None gives default_fft_size of the
+        scene's loudspeaker response length and filter_length. The rate is
+        the scene's.
         """
         fft_size = self.fft_size
         if fft_size is None:
-            fft_size = default_fft_size(sets[0].speaker_length, self.filter_length)
-        return FrequencyGrid(fft_size, sets[0].sample_rate_hz)
+            fft_size = default_fft_size(scenario.sets[0].speaker_length, self.filter_length)
+        return FrequencyGrid(fft_size, scenario.sample_rate_hz)
 
 
-def _check_grid_holds(grid: FrequencyGrid, sets, g: ImpulseResponse, filter_length: int) -> None:
+def _check_grid_holds(grid: FrequencyGrid, ms: MeasurementSet, g: ImpulseResponse, filter_length: int) -> None:
     """Raise ValueError unless the grid holds every spectrum a design and its eval take.
 
     The longest is the aided response, L_D + L_A + d_G + L_S − 2 samples for
     loudspeaker responses of L_D taps, a forward path of d_G + 1 taps and
     source responses of L_S taps; the desired and leakage responses are shorter.
+    Every set of a scene shares ms's lengths.
     """
-    length = sets[0].speaker_length + filter_length + len(g) + sets[0].source_length - 3
+    length = ms.speaker_length + filter_length + len(g) + ms.source_length - 3
     if grid.fft_size < length:
         raise ValueError(
             f"L_FFT {grid.fft_size} cannot hold the aided response at d_G {len(g) - 1} "
             f"and L_A {filter_length}: it has {length} samples, so L_FFT must be at least {length}"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class EqualizerFilter:
-    """Designed FIR filters, one row per loudspeaker."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=float)
-        if coef.ndim != 2:
-            raise ValueError("coefficients must be a 2-D array (loudspeakers x taps)")
-        if not np.all(np.isfinite(coef)):
-            raise ValueError("coefficients contain non-finite values")
-        object.__setattr__(self, "coefficients", coef)
-
-    @property
-    def num_loudspeakers(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def filter_length(self) -> int:
-        return self.coefficients.shape[1]
 
 
 def _raw_target(ms: MeasurementSet, g: ImpulseResponse, rows: int, shift: int) -> np.ndarray:
@@ -188,16 +146,8 @@ def _raw_target(ms: MeasurementSet, g: ImpulseResponse, rows: int, shift: int) -
     return v
 
 
-def _check_rates(ms: MeasurementSet, g: ImpulseResponse) -> None:
-    if ms.sample_rate_hz != g.sample_rate_hz:
-        raise ValueError(
-            f"sample rate mismatch: scene at {ms.sample_rate_hz} Hz, forward path at {g.sample_rate_hz} Hz"
-        )
-
-
 def _through_mic(ms: MeasurementSet, g: ImpulseResponse) -> np.ndarray:
-    """g * h_m, the forward path through the set's microphone; a g at another rate raises ValueError."""
-    _check_rates(ms, g)
+    """g * h_m, the forward path through the set's microphone."""
     return np.convolve(g.samples, ms.h_m.samples)
 
 
@@ -286,7 +236,8 @@ def _fit_rtf(path: tuple, v: np.ndarray, n_taps: int) -> np.ndarray:
         column[: min(acorr.size, n_taps)] = acorr[:n_taps]
         import scipy.linalg
 
-        return scipy.linalg.solve_toeplitz(column, xcorr)
+        # _rtf_path and the line above checked both arguments finite
+        return scipy.linalg.solve_toeplitz(column, xcorr, check_finite=False)
     lhs = convolution_matrix(through_mic, n_taps)
     target, _, _, singulars = np.linalg.lstsq(lhs, v, rcond=None)
     if singulars[0] == 0.0 or singulars[-1] <= RANK_RTOL * singulars[0]:
@@ -348,10 +299,9 @@ def weights_from_ratio(ratio, reg_beta: float, grid: FrequencyGrid) -> np.ndarra
     density in the smoothed ratio with spread sigma^2 = beta * ln(10)/20, so
     it peaks where leakage and target are comparable and fades where either
     side dominates. Bins where the smoothed ratio is zero get weight zero.
-    ratio and the weight are one-sided, length fft_size // 2 + 1.
+    ratio and the weight are one-sided, length fft_size // 2 + 1, and
+    reg_beta is a DesignConfig's, so positive.
     """
-    if not reg_beta > 0:
-        raise ValueError("reg_beta must be positive")
     smoothed = fractional_octave_smooth(np.asarray(ratio, dtype=float), grid)
     return _log_normal_weight(smoothed, reg_beta)
 
@@ -362,13 +312,11 @@ def _set_spectra(ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid, lo
     Row 0 is the leakage h_occ, row 1 the processed open ear g*h_open, and
     rows 2.. the paths d_n*g*h_m of the first `loudspeakers` loudspeakers.
     One transform takes them all, and each row is rfft(response, L_FFT) bit
-    for bit. A g at another sample rate than the set's, or a response longer
-    than L_FFT, raises ValueError.
+    for bit. A response longer than L_FFT raises ValueError.
     """
-    _check_rates(ms, g)
     responses = [ms.h_occ.samples, np.convolve(g.samples, ms.h_open.samples)]
     if loudspeakers:
-        through_mic = np.convolve(g.samples, ms.h_m.samples)
+        through_mic = _through_mic(ms, g)
         responses += [np.convolve(d_n.samples, through_mic) for d_n in ms.d[:loudspeakers]]
     padded = np.zeros((len(responses), grid.fft_size))
     for row, response in zip(padded, responses):
@@ -396,8 +344,11 @@ def _penalty_lags(weights: np.ndarray, filter_length: int, fft_size: int) -> np.
     """The first filter_length lags of the autocorrelation of the squared weight curve.
 
     weights is one-sided, length fft_size // 2 + 1, and the autocorrelation is
-    taken over its two-sided mirror image. The lags are the first column of
-    _penalty_block, which is their Toeplitz matrix.
+    taken over its two-sided mirror image. Their _toeplitz matrix is the
+    quadratic form of the weighted-spectrum seminorm of one loudspeaker's
+    taps: with the DFT scaled by 1/sqrt(fft_size), all-ones weights give
+    exactly the identity, which keeps lambda comparable between the
+    identity-regularized and frequency-weighted variants.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (fft_size // 2 + 1,):
@@ -416,18 +367,6 @@ def _toeplitz(lags: np.ndarray) -> np.ndarray:
     """The symmetric Toeplitz matrix whose first column is lags."""
     index = np.arange(lags.size)
     return lags[np.abs(index[:, None] - index)]
-
-
-def _penalty_block(weights: np.ndarray, filter_length: int, fft_size: int) -> np.ndarray:
-    """Quadratic form of the weighted-spectrum seminorm of one loudspeaker's taps.
-
-    weights is one-sided, length fft_size // 2 + 1. With the DFT scaled by
-    1/sqrt(fft_size) the penalty for all-ones weights is exactly the
-    identity, which keeps lambda comparable between the identity-regularized
-    and frequency-weighted variants. The block is the Toeplitz matrix of the
-    _penalty_lags of the weights.
-    """
-    return _toeplitz(_penalty_lags(weights, filter_length, fft_size))
 
 
 def _mean(parts) -> np.ndarray:
@@ -525,14 +464,14 @@ def _add_right_hand_sides(ms: MeasurementSet, i: int, columns, filter_length: in
 
 
 def design_points(designs, train: tuple, cache: dict) -> list:
-    """Taps of each (sets, g, config) of designs trained on the sets indexed by train, in order.
+    """Taps of each (scenario, g, config) of designs trained on the sets indexed by train, in order.
 
-    Each design's taps have shape (N, L_A), N = sets[0].num_loudspeakers.
+    Each design's taps have shape (N, L_A), N = scenario.num_loudspeakers.
     LS_ATF solves the full system of the first training set; RLS, R_DELTA_LS
     and FR_DELTA_LS reduce that set alone; MFR_DELTA_LS averages the normal
     equations of every training set. The weighted variants regularize by the
     leakage penalty of the sets they train on, the others by a ridge. Every
-    design shares L_A and L_FFT, and a `sets` of N loudspeakers is the same
+    design shares L_A and L_FFT, and a scenario of N loudspeakers is the same
     in every design.
 
     Designs that share their regularized normal matrix form a group: they
@@ -564,15 +503,15 @@ def design_points(designs, train: tuple, cache: dict) -> list:
     taps = [None] * len(designs)
     # (N, training sets) -> factor key -> (g, d_H) -> the designs that column solves
     groups, scenes = {}, {}
-    for index, (sets, g, config) in enumerate(designs):
-        n_spk = sets[0].num_loudspeakers
-        scenes.setdefault(n_spk, sets)
+    for index, (scenario, g, config) in enumerate(designs):
+        n_spk = scenario.num_loudspeakers
+        scenes.setdefault(n_spk, scenario.sets)
         if config.variant == "LS_ATF":
             key = ("LS_ATF", g, n_spk, train[0])
             if key not in cache:
                 # the system is a temporary: it dies with this statement
                 length = config.filter_length
-                cache[key] = solve_ls_atf(*assemble_atf_system(sets[train[0]], g, length), length)
+                cache[key] = solve_ls_atf(*assemble_atf_system(scenario.sets[train[0]], g, length), length)
             taps[index] = cache[key]
             continue
         sel = train if config.variant == "MFR_DELTA_LS" else train[:1]
@@ -620,14 +559,14 @@ def design_points(designs, train: tuple, cache: dict) -> list:
     return taps
 
 
-def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -> EqualizerFilter:
-    """Design under the configured variant.
+def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) -> np.ndarray:
+    """The taps, loudspeakers x L_A, designed under the configured variant.
 
     The single-set variants (everything except MFR_DELTA_LS) work on the
     first measurement set of the scenario; the multi-set variant averages
     over all of them. A grid too short for the filter's eval raises ValueError.
-    The filter is its taps alone; the command line writes the file around them.
+    A filter is its taps alone; the command line writes the file around them.
     """
-    _check_grid_holds(config.grid(scenario.sets), scenario.sets, g, config.filter_length)
+    _check_grid_holds(config.grid(scenario), scenario.sets[0], g, config.filter_length)
     train = tuple(range(scenario.num_sets))
-    return EqualizerFilter(design_points([(scenario.sets, g, config)], train, {})[0])
+    return design_points([(scenario, g, config)], train, {})[0]

@@ -18,7 +18,6 @@ from .signals import FrequencyGrid, ImpulseResponse
 from .scenario import MeasurementSet, Scenario
 from .design import (
     DesignConfig,
-    EqualizerFilter,
     NumericsError,
     _check_grid_holds,
     _finite,
@@ -164,7 +163,7 @@ class SetScorer:
     def __init__(self, ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid):
         self._ms, self._g, self._grid = ms, g, grid
         # a path response is the longest here, as long as a one-tap aided response
-        _check_grid_holds(grid, (ms,), g, 1)
+        _check_grid_holds(grid, ms, g, 1)
         self.spectra = _set_spectra(ms, g, grid, ms.num_loudspeakers)
         self._leakage, desired, *self._paths = self.spectra
         self._weights, self._desired_in_band, self._band = _in_band(np.abs(desired), grid)
@@ -189,7 +188,7 @@ class SetScorer:
             raise ValueError(
                 f"expected designs x {len(self._paths)} loudspeakers x taps, got shape {coef.shape}"
             )
-        _check_grid_holds(self._grid, (self._ms,), self._g, coef.shape[2])
+        _check_grid_holds(self._grid, self._ms, self._g, coef.shape[2])
         return coef
 
     def _score_spectra(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,10 +230,10 @@ def mean_distances(scorers, coefficients) -> np.ndarray:
 def evaluate(
     scenario: Scenario,
     g: ImpulseResponse,
-    filt: EqualizerFilter,
+    taps: np.ndarray,
     config: DesignConfig,
 ) -> EvaluationReport:
-    """Score a filter against every measurement set of a scenario.
+    """Score a filter, its taps loudspeakers x L_A, against every measurement set of a scenario.
 
     delta_h_aud_db holds one distance per set; the magnitude traces, the
     leakage ratio and the weight trace are set averages, matching what the
@@ -242,18 +241,16 @@ def evaluate(
     ValueError, and an aided response or set average past the float range
     raises NumericsError.
     """
-    if filt.num_loudspeakers != scenario.num_loudspeakers:
-        raise ValueError(
-            f"filter drives {filt.num_loudspeakers} loudspeakers, scene has {scenario.num_loudspeakers}"
-        )
-    grid = config.grid(scenario.sets)
-    _check_grid_holds(grid, scenario.sets, g, filt.filter_length)
+    if len(taps) != scenario.num_loudspeakers:
+        raise ValueError(f"filter drives {len(taps)} loudspeakers, scene has {scenario.num_loudspeakers}")
+    grid = config.grid(scenario)
+    _check_grid_holds(grid, scenario.sets[0], g, taps.shape[1])
     # each spectrum once: the traces and the leakage ratio average the
     # scorers' own leakage and processed open-ear spectra
     distances, mags_aid, spectra = [], [], []
     for ms in scenario.sets:
         scorer = SetScorer(ms, g, grid)
-        aided, distance = scorer.score(filt.coefficients[None])
+        aided, distance = scorer.score(taps[None])
         distances.append(float(distance[0]))
         mags_aid.append(aided[0])
         spectra.append(scorer.spectra)

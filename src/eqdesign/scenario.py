@@ -52,7 +52,7 @@ class MeasurementSet:
     """One insertion's worth of acoustic transfer functions.
 
     h_m, h_open and h_occ share one length; every loudspeaker response in d
-    shares another. All responses must agree on the sample rate.
+    shares another. The sample rate is the scene's.
     """
 
     h_m: ImpulseResponse
@@ -80,19 +80,10 @@ class MeasurementSet:
         for j, ir in enumerate(self.d):
             if len(ir) != m:
                 raise ValidationError(f"d[{j}]: length {len(ir)} does not match d[0] length {m}")
-        rate = self.h_m.sample_rate_hz
-        for name, ir in self._named_irs():
-            if ir.sample_rate_hz != rate:
-                raise ValidationError(
-                    f"{name}: sample rate {ir.sample_rate_hz} Hz does not match h_m at {rate} Hz"
-                )
 
-    def _named_irs(self):
-        yield "h_m", self.h_m
-        yield "h_open", self.h_open
-        yield "h_occ", self.h_occ
-        for j, ir in enumerate(self.d):
-            yield f"d[{j}]", ir
+    def _responses(self) -> tuple[ImpulseResponse, ...]:
+        """h_m, h_open, h_occ, d[0], d[1], ...: the set's responses in file order."""
+        return (self.h_m, self.h_open, self.h_occ, *self.d)
 
     @property
     def num_loudspeakers(self) -> int:
@@ -106,14 +97,10 @@ class MeasurementSet:
     def speaker_length(self) -> int:
         return len(self.d[0])
 
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.h_m.sample_rate_hz
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A congruent family of measurement sets at one sample rate."""
+    """A congruent family of measurement sets, all sampled at the scene's one rate."""
 
     sets: tuple[MeasurementSet, ...]
     sample_rate_hz: float
@@ -122,15 +109,12 @@ class Scenario:
         object.__setattr__(self, "sets", tuple(self.sets))
         if len(self.sets) < 1:
             raise ValidationError("sets: at least one measurement set is required")
+        if not self.sample_rate_hz > 0:
+            raise ValidationError("sample_rate_hz must be positive")
         ref = self.sets[0]
         for i, ms in enumerate(self.sets):
             if not isinstance(ms, MeasurementSet):
                 raise ValidationError(f"sets[{i}]: expected a MeasurementSet")
-            if ms.sample_rate_hz != self.sample_rate_hz:
-                raise ValidationError(
-                    f"sets[{i}]: sample rate {ms.sample_rate_hz} Hz does not match "
-                    f"scenario rate {self.sample_rate_hz} Hz"
-                )
             if ms.num_loudspeakers != ref.num_loudspeakers:
                 raise ValidationError(
                     f"sets[{i}].d: expected {ref.num_loudspeakers} loudspeakers, got {ms.num_loudspeakers}"
@@ -167,13 +151,13 @@ def select_loudspeakers(scenario: Scenario, count: int) -> Scenario:
     return Scenario(trimmed, scenario.sample_rate_hz)
 
 
-def forward_path_ir(gain_db: float, delay_samples: int, sample_rate_hz: float) -> ImpulseResponse:
+def forward_path_ir(gain_db: float, delay_samples: int) -> ImpulseResponse:
     """Hearing-device forward path: a flat gain behind an integer processing delay."""
     if not _is_whole(delay_samples, 0):
         raise ValidationError("delay_samples must be a nonnegative integer")
     g = np.zeros(int(delay_samples) + 1)
     g[-1] = _db_to_gain(gain_db, "forward path gain")
-    return ImpulseResponse(g, sample_rate_hz)
+    return ImpulseResponse(g)
 
 
 def _db_to_gain(level_db: float, name: str) -> float:
@@ -324,18 +308,13 @@ def _refuse_over_budget(size: int, what: str) -> None:
         )
 
 
-def _refuse_dense(size: int, taps: int, purpose: str) -> None:
-    """Raise ValidationError if a size x size float64 matrix exceeds the budget."""
-    if 8 * size * size > _DENSE_BYTE_BUDGET:
-        raise ValidationError(
-            f"a response of {taps} taps needs a {size} x {size} matrix to {purpose}: "
-            f"{8 * size * size:,} bytes, over synth's budget of {_DENSE_BYTE_BUDGET:,} "
-            "(1 GiB); lower source_ir_length or speaker_ir_length"
-        )
-
-
 def _roots(h: np.ndarray) -> np.ndarray:
-    _refuse_dense(h.size - 1, h.size, "find its zeros")
+    size = h.size - 1
+    _refuse_over_budget(
+        8 * size * size,
+        f"the zeros of a response of {h.size} taps, set by source_ir_length or "
+        f"speaker_ir_length, take a {size} x {size} float64 companion matrix",
+    )
     return np.roots(h)
 
 
@@ -491,7 +470,11 @@ def _coprimality_margin(p: np.ndarray, q: np.ndarray) -> float:
     would make an exact multichannel inverse ill-conditioned.
     """
     size = p.size + q.size - 2
-    _refuse_dense(size, max(p.size, q.size), "check that the loudspeakers are co-prime")
+    _refuse_over_budget(
+        8 * size * size,
+        f"the co-prime check of loudspeaker responses of {max(p.size, q.size)} taps, set by "
+        f"speaker_ir_length, takes a {size} x {size} float64 Sylvester matrix",
+    )
     pu = p / np.linalg.norm(p)
     qu = q / np.linalg.norm(q)
     return float(np.linalg.svd(_sylvester_matrix(pu, qu), compute_uv=False)[-1])
@@ -558,7 +541,6 @@ def synth_scenario(spec: SynthSpec, seed: int) -> Scenario:
         h_occ = _cepstral_min_phase(occ_curve - rolloff, spec.source_ir_length, normalize=False)
     speakers = _draw_speaker_irs(rng, spec, fft_size)
 
-    rate = spec.sample_rate_hz
     sigma = None
     if spec.reinsertion_level_db is not None:
         sigma = _db_to_gain(spec.reinsertion_level_db, "reinsertion_level_db")
@@ -575,13 +557,13 @@ def synth_scenario(spec: SynthSpec, seed: int) -> Scenario:
             d_i = [_jitter(ir, rng, sigma) for ir in speakers]
         sets.append(
             MeasurementSet(
-                ImpulseResponse(hm_i, rate),
-                ImpulseResponse(hopen_i, rate),
-                ImpulseResponse(hocc_i, rate),
-                tuple(ImpulseResponse(ir, rate) for ir in d_i),
+                ImpulseResponse(hm_i),
+                ImpulseResponse(hopen_i),
+                ImpulseResponse(hocc_i),
+                tuple(ImpulseResponse(ir) for ir in d_i),
             )
         )
-    return Scenario(tuple(sets), rate)
+    return Scenario(tuple(sets), spec.sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +600,7 @@ def scenario_fingerprint(scenario: Scenario) -> str:
         struct.pack("<dqq", scenario.sample_rate_hz, scenario.num_sets, scenario.num_loudspeakers)
     )
     for ms in scenario.sets:
-        for _, ir in ms._named_irs():
+        for ir in ms._responses():
             digest.update(struct.pack("<q", len(ir)))
             digest.update(ir.samples.astype("<f8", copy=False).tobytes())
     return digest.hexdigest()
@@ -747,14 +729,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         path = f"sets[{i}]"
         _require_fields(raw, ("h_m", "h_open", "h_occ", "d"), path)
         h = [
-            ImpulseResponse(_number_list(raw[key], f"{path}.{key}"), rate)
+            ImpulseResponse(_number_list(raw[key], f"{path}.{key}"))
             for key in ("h_m", "h_open", "h_occ")
         ]
         if not isinstance(raw["d"], list) or len(raw["d"]) != n_spk:
             got = len(raw["d"]) if isinstance(raw["d"], list) else type(raw["d"]).__name__
             raise ValidationError(f"{path}.d: expected {n_spk} loudspeaker responses, got {got}")
         d = tuple(
-            ImpulseResponse(_number_list(node, f"{path}.d[{j}]"), rate)
+            ImpulseResponse(_number_list(node, f"{path}.d[{j}]"))
             for j, node in enumerate(raw["d"])
         )
         try:

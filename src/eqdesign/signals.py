@@ -1,10 +1,9 @@
 """Discrete-time building blocks shared across the toolkit.
 
-Impulse responses here are short FIR sequences: plain 1-D float arrays, plus
-a sample rate so that mixed-rate operations fail loudly instead of silently
-producing garbage. Spectral quantities (magnitude responses, smoothing,
-design weights) all live on the one-sided bins of one uniform DFT grid so
-they stay bin-compatible with each other.
+Impulse responses here are short FIR sequences: checked 1-D float arrays.
+The sample rate is the scene's, not theirs. Spectral quantities (magnitude
+responses, smoothing, design weights) all live on the one-sided bins of one
+uniform DFT grid so they stay bin-compatible with each other.
 """
 
 from __future__ import annotations
@@ -57,30 +56,23 @@ def _sampling_margin(magnitudes: np.ndarray, nfft: int) -> tuple[int, float]:
     return int(centre), margin
 
 
-def _clean_samples(samples) -> np.ndarray:
-    arr = np.array(samples, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("impulse response must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("impulse response contains non-finite samples")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ImpulseResponse:
-    """A finite impulse response tied to a sample rate.
+    """A finite impulse response.
 
     The sample array is copied and validated on construction, so downstream
     code can rely on float dtype and finite values.
     """
 
     samples: np.ndarray
-    sample_rate_hz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _clean_samples(self.samples))
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        arr = np.array(self.samples, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("impulse response must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("impulse response contains non-finite samples")
+        object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
         return self.samples.size

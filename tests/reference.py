@@ -1,6 +1,6 @@
 """Reference systems that the tests compare the commands' computations against.
 
-Two, and only these:
+Three, and only these:
 
 - padded_rtf_system: the d_H-padded least-squares system of the reduction to
   the relative transfer function. The design solves its normal equations
@@ -8,12 +8,15 @@ Two, and only these:
 - staged_chain: the aided and desired signal chains run stage by stage in
   time. SetScorer never forms a time response, so this is what its aided
   magnitudes are checked against.
+- _penalty_block: the quadratic form of the weighted-spectrum seminorm of
+  one loudspeaker's taps, as a matrix. The design gathers it from its lags;
+  the claims on the regularized optimum take the seminorm through it.
 """
 
 import numpy as np
 import scipy.linalg
 
-from eqdesign.design import _rtf_path, _rtf_target, _through_mic
+from eqdesign.design import _penalty_lags, _rtf_path, _rtf_target, _through_mic, _toeplitz
 
 
 def padded_rtf_system(ms, g, filter_length, acausal_delay=0):
@@ -47,3 +50,15 @@ def staged_chain(ms, g, coefficients, stimulus):
     aided[: leak.size] += leak
     desired = np.convolve(g.samples, np.convolve(ms.h_open.samples, s))
     return aided, desired
+
+
+def _penalty_block(weights, filter_length, fft_size):
+    """Quadratic form of the weighted-spectrum seminorm of one loudspeaker's taps.
+
+    weights is one-sided, length fft_size // 2 + 1. With the DFT scaled by
+    1/sqrt(fft_size) the penalty for all-ones weights is exactly the
+    identity, which keeps lambda comparable between the identity-regularized
+    and frequency-weighted variants. The block is the Toeplitz matrix of the
+    _penalty_lags of the weights, as the design gathers it.
+    """
+    return _toeplitz(_penalty_lags(weights, filter_length, fft_size))

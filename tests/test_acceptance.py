@@ -11,13 +11,7 @@ from time import perf_counter
 import numpy as np
 import scipy.linalg
 
-from eqdesign.design import (
-    DesignConfig,
-    EqualizerFilter,
-    default_fft_size,
-    design_filter,
-    _penalty_block,
-)
+from eqdesign.design import DesignConfig, default_fft_size, design_filter
 from eqdesign.evaluation import (
     SetScorer,
     erb_bandwidth_hz,
@@ -34,7 +28,7 @@ from eqdesign.scenario import (
 )
 from eqdesign.signals import FrequencyGrid
 
-from reference import padded_rtf_system, staged_chain
+from reference import _penalty_block, padded_rtf_system, staged_chain
 
 RATE = 16000.0
 
@@ -47,15 +41,15 @@ def report(line: str) -> None:
 def rel_residual(system, filt) -> float:
     matrix, target = system
     return float(
-        np.linalg.norm(matrix @ filt.coefficients.ravel() - target)
+        np.linalg.norm(matrix @ filt.ravel() - target)
         / np.linalg.norm(target)
     )
 
 
 def ridge_design(scene, g, filter_length, reg_lambda, fft_size=None):
     """design_filter's R_DELTA_LS taps without slack; the ridge does not depend on L_FFT."""
-    config = DesignConfig(variant="R_DELTA_LS", filter_length=filter_length,
-                          acausal_delay=0, reg_lambda=reg_lambda, fft_size=fft_size)
+    config = DesignConfig(variant="R_DELTA_LS", filter_length=filter_length, acausal_delay=0,
+                          reg_lambda=reg_lambda, reg_beta=1.0, fft_size=fft_size)
     return design_filter(scene, g, config)
 
 
@@ -67,14 +61,14 @@ def test_1_exact_inversion_with_coprime_speaker_pair():
         reinsertion_level_db=None, correlation=1.0,
     )
     scene = synth_scenario(spec, seed=3)
-    g = forward_path_ir(0.0, 0, RATE)
+    g = forward_path_ir(0.0, 0)
 
     filt = ridge_design(scene, g, 7, 1e-12)
     residual = rel_residual(padded_rtf_system(scene.sets[0], g, 7), filt)
     assert residual < 1e-6
 
     config = DesignConfig(variant="R_DELTA_LS", filter_length=7, acausal_delay=0,
-                          reg_lambda=1e-12)
+                          reg_lambda=1e-12, reg_beta=1.0)
     delta = evaluate(scene, g, filt, config).delta_h_aud_db[0]
     assert delta < 0.01
 
@@ -91,10 +85,10 @@ def test_2_acausal_delay_recovers_nonminimum_phase_scenes():
         spec = SynthSpec(num_sets=1, num_loudspeakers=1,
                          phase_family="non-minimum-phase", reinsertion_level_db=None)
         scene = synth_scenario(spec, seed=seed)
-        g = forward_path_ir(0.0, 96, RATE)
+        g = forward_path_ir(0.0, 96)
         for d_h in (0, 32):
             config = DesignConfig(variant="R_DELTA_LS", filter_length=99,
-                                  acausal_delay=d_h, reg_lambda=1e-8)
+                                  acausal_delay=d_h, reg_lambda=1e-8, reg_beta=1.0)
             filt = design_filter(scene, g, config)
             scores[d_h] = evaluate(scene, g, filt, config).delta_h_aud_db[0]
         wins += scores[32] < scores[0]
@@ -108,7 +102,7 @@ def test_2_acausal_delay_recovers_nonminimum_phase_scenes():
         reinsertion_level_db=None, correlation=1.0,
     )
     scene = synth_scenario(spec, seed=0)
-    g = forward_path_ir(0.0, 96, RATE)
+    g = forward_path_ir(0.0, 96)
     # a grid that holds the aided response under 96 samples of delay
     filt = ridge_design(scene, g, 15, 1e-12, fft_size=256)
     residual = rel_residual(padded_rtf_system(scene.sets[0], g, 15), filt)
@@ -121,7 +115,7 @@ def test_3_regularization_trades_residual_for_seminorm():
     spec = SynthSpec(num_sets=1, num_loudspeakers=1, reinsertion_level_db=None)
     scene = synth_scenario(spec, seed=0)
     ms = scene.sets[0]
-    g = forward_path_ir(0.0, 0, RATE)
+    g = forward_path_ir(0.0, 0)
     matrix, target = padded_rtf_system(ms, g, 99)
 
     lambdas = (1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0)
@@ -132,8 +126,8 @@ def test_3_regularization_trades_residual_for_seminorm():
         filt = design_filter(scene, g, config)
         result = evaluate(scene, g, filt, config)
         # the seminorm of the weight the design regularizes by, as eval reports it
-        penalty = _penalty_block(result.weight_trace, 99, config.grid(scene.sets).fft_size)
-        a = filt.coefficients.ravel()
+        penalty = _penalty_block(result.weight_trace, 99, config.grid(scene).fft_size)
+        a = filt.ravel()
         seminorms.append(float(np.sqrt(a @ penalty @ a)))
         residuals.append(float(np.linalg.norm(matrix @ a - target)))
         distances.append(result.delta_h_aud_db[0])
@@ -156,8 +150,8 @@ def test_4_flat_weights_reduce_to_ridge_and_solver_is_optimal():
                               acausal_delay=acausal_delay, reg_lambda=lam, reg_beta=1.0)
         filt = design_filter(scene, g, config)
         w = evaluate(scene, g, filt, config).weight_trace
-        block = _penalty_block(w, filter_length, config.grid(scene.sets).fft_size)
-        return filt.coefficients.ravel(), scipy.linalg.block_diag(*[block] * ms.num_loudspeakers)
+        block = _penalty_block(w, filter_length, config.grid(scene).fft_size)
+        return filt.ravel(), scipy.linalg.block_diag(*[block] * ms.num_loudspeakers)
 
     spec = SynthSpec(num_sets=1, num_loudspeakers=2, source_ir_length=20,
                      speaker_ir_length=12, reinsertion_level_db=None)
@@ -165,7 +159,7 @@ def test_4_flat_weights_reduce_to_ridge_and_solver_is_optimal():
     # on the design's grid, flat weights make the weighted penalty the ridge's
     fft_size = default_fft_size(ms.speaker_length, 11)
     assert np.array_equal(_penalty_block(np.ones(fft_size // 2 + 1), 11, fft_size), np.eye(11))
-    g = forward_path_ir(0.0, 8, RATE)
+    g = forward_path_ir(0.0, 8)
     m, t = padded_rtf_system(ms, g, 11, 4)
     lam = 0.1
     a, penalty = weighted_design(ms, g, 11, 4, lam)
@@ -178,7 +172,7 @@ def test_4_flat_weights_reduce_to_ridge_and_solver_is_optimal():
     spec = SynthSpec(num_sets=1, num_loudspeakers=2, source_ir_length=10,
                      speaker_ir_length=6, reinsertion_level_db=None)
     small = synth_scenario(spec, seed=4).sets[0]
-    g2 = forward_path_ir(6.0, 3, RATE)
+    g2 = forward_path_ir(6.0, 3)
     m2, t2 = padded_rtf_system(small, g2, 5, 2)
     worst = 0.0
     for lam in (1e-6, 1e-2, 1.0):
@@ -202,7 +196,7 @@ def test_5_averaged_design_generalizes_across_reinsertions():
         spec = SynthSpec(num_sets=5, num_loudspeakers=n_spk,
                          reinsertion_level_db=-20.0)
         scene = synth_scenario(spec, seed=12)
-        g = forward_path_ir(0.0, 96, RATE)
+        g = forward_path_ir(0.0, 96)
         kwargs = dict(filter_length=99, acausal_delay=32, reg_lambda=0.1,
                       reg_beta=1.0)
         robust_scores, single_scores = [], []
@@ -257,14 +251,14 @@ def test_7_time_domain_simulation_matches_transfer_functions():
     spec = SynthSpec(num_sets=1, num_loudspeakers=2, reinsertion_level_db=None)
     scene = synth_scenario(spec, seed=2)
     ms = scene.sets[0]
-    g = forward_path_ir(10.0, 96, RATE)
+    g = forward_path_ir(10.0, 96)
     config = DesignConfig(variant="MFR_DELTA_LS", filter_length=99,
-                          acausal_delay=32, reg_lambda=0.1)
+                          acausal_delay=32, reg_lambda=0.1, reg_beta=1.0)
     filt = design_filter(scene, g, config)
-    grid = config.grid(scene.sets)
+    grid = config.grid(scene)
     scorer = SetScorer(ms, g, grid)
-    aided, _ = scorer.score(filt.coefficients[None])
-    h_aid, h_des = staged_chain(ms, g, filt.coefficients, [1.0])
+    aided, _ = scorer.score(filt[None])
+    h_aid, h_des = staged_chain(ms, g, filt, [1.0])
     ref_aid = np.abs(np.fft.rfft(h_aid, grid.fft_size))
     ref_des = np.abs(np.fft.rfft(h_des, grid.fft_size))
     err_aid = float(np.max(np.abs(aided[0] - ref_aid)) / np.max(ref_aid))
@@ -278,11 +272,13 @@ def test_7_time_domain_simulation_matches_transfer_functions():
 def test_8_forward_gain_rescales_leakage_ratio():
     spec = SynthSpec(num_sets=1, num_loudspeakers=1, reinsertion_level_db=None)
     scene = synth_scenario(spec, seed=6)
-    config = DesignConfig(filter_length=99)
-    silent = EqualizerFilter(np.zeros((1, 99)))
+    # the README default operating point
+    config = DesignConfig(variant="MFR_DELTA_LS", filter_length=99, acausal_delay=32,
+                          reg_lambda=0.1, reg_beta=1.0)
+    silent = np.zeros((1, 99))
     ratios = {}
     for gain_db in (0.0, 10.0, 20.0):
-        g = forward_path_ir(gain_db, 0, RATE)
+        g = forward_path_ir(gain_db, 0)
         ratios[gain_db] = evaluate(scene, g, silent, config).leakage_ratio
     err10 = float(np.max(np.abs(ratios[10.0] / ratios[0.0] - 10.0 ** -0.5)))
     err20 = float(np.max(np.abs(ratios[20.0] / ratios[0.0] - 0.1)))

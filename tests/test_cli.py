@@ -161,9 +161,11 @@ def test_synth_refuses_a_dense_matrix_past_its_budget(tmp_path, capsys, spec, ta
     with mock.patch.object(np, "roots", side_effect=ran), \
             mock.patch.object(np.linalg, "svd", side_effect=ran):
         assert run("synth", "--config", config, "--seed", 0, "--out", tmp_path / "x.json") == 2
-    err = capsys.readouterr().err
-    assert f"a response of {taps} taps needs a" in err
-    assert "lower source_ir_length or speaker_ir_length" in err
+    err = capsys.readouterr().err.splitlines()
+    # the one budget message, naming the response length and the fields that set it
+    assert len(err) == 1 and err[0].startswith("error: input too large: ")
+    assert err[0].endswith(" bytes, over the budget of 1,073,741,824 (1 GiB)")
+    assert f" {taps} taps, set by " in err[0] and "speaker_ir_length" in err[0]
     assert not (tmp_path / "x.json").exists()
 
 
@@ -213,9 +215,9 @@ def test_design_writes_the_filter_file_layout(tmp_path, fft_size):
     assert (doc["num_loudspeakers"], doc["filter_length"], doc["d_H"]) == (2, 11, 4)
     scene = load_scenario(scene_path)
     assert doc["scenario_fingerprint"] == scenario_fingerprint(scene)
-    filt = design_filter(scene, forward_path_ir(-3.0, 8, scene.sample_rate_hz),
-                         DesignConfig("MFR_DELTA_LS", 11, 4, 0.1, 2.0, fft_size))
-    assert doc["coefficients"] == filt.coefficients.tolist()
+    config = DesignConfig(variant="MFR_DELTA_LS", filter_length=11, acausal_delay=4,
+                          reg_lambda=0.1, reg_beta=2.0, fft_size=fft_size)
+    assert doc["coefficients"] == design_filter(scene, forward_path_ir(-3.0, 8), config).tolist()
 
     # eval echoes the file's fingerprint, whatever scene it names
     write_json(out, {**doc, "scenario_fingerprint": "another scene"})
@@ -1036,7 +1038,7 @@ def reference_sweep_csv(scene, grid, mode):
         sub = select_loudspeakers(scene, n)
         config = DesignConfig(variant=variant, filter_length=grid["L_A"], acausal_delay=d_h,
                               reg_lambda=lam, reg_beta=beta)
-        g = forward_path_ir(gain_db, d_g, sub.sample_rate_hz)
+        g = forward_path_ir(gain_db, d_g)
         if mode == "resubstitution":
             folds = [(-1, sub, sub)]
         else:
@@ -1138,13 +1140,16 @@ SYNTH_SIZE_FIELDS = ("num_sets", "source_ir_length", "num_loudspeakers", "speake
     ("design", {**README_DESIGN, "d_G": TOO_LARGE}, ("config.d_G",)),
     ("design", {**README_DESIGN, "L_A": TOO_LARGE}, ("config.L_A",)),
     ("design", {**README_DESIGN, "variant": "R_DELTA_LS", "d_H": TOO_LARGE}, ("config.d_H",)),
+    # small enough to allocate, but an RTF fit of 10^8 taps would run for days
+    ("design", {**README_DESIGN, "variant": "R_DELTA_LS", "d_H": 10**8}, ("config.d_H",)),
     ("design", {**README_DESIGN, "L_FFT": TOO_LARGE}, ("config.L_FFT",)),
     ("sweep", {**README_STUDY, "d_G": [96, TOO_LARGE]}, ("grid.d_G[1]",)),
+    ("sweep", {**README_STUDY, "d_H": [0, 10**8]}, ("grid.d_H[1]",)),
     ("synth", {"source_ir_length": TOO_LARGE}, SYNTH_SIZE_FIELDS),
     # a size of 300 digits
     ("synth", {"source_ir_length": 1e308, "leakage_attenuation_db": math.inf}, SYNTH_SIZE_FIELDS),
-], ids=["design-d_G", "design-L_A", "design-d_H", "design-L_FFT", "sweep-d_G", "synth-length",
-        "synth-overflow"])
+], ids=["design-d_G", "design-L_A", "design-d_H", "design-d_H-fit", "design-L_FFT", "sweep-d_G",
+        "sweep-d_H-fit", "synth-length", "synth-overflow"])
 def test_input_too_large_to_allocate_exits_2(tmp_path, capsys, command, doc, fields):
     config = write_json(tmp_path / "config.json", doc)
     out = tmp_path / "out"

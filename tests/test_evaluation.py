@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqdesign import design, evaluation
-from eqdesign.design import DesignConfig, EqualizerFilter, design_filter, weights_from_ratio
+from eqdesign.design import DesignConfig, design_filter, weights_from_ratio
 from eqdesign.evaluation import (
     ERB_BAND_HZ,
     SetScorer,
@@ -33,11 +33,11 @@ from eqdesign.signals import FrequencyGrid, ImpulseResponse
 from reference import staged_chain
 
 RATE = 16000.0
-DELTA_G = forward_path_ir(0.0, 0, RATE)
+DELTA_G = forward_path_ir(0.0, 0)
 
 
 def ir(values):
-    return ImpulseResponse(np.asarray(values, dtype=float), RATE)
+    return ImpulseResponse(np.asarray(values, dtype=float))
 
 
 def make_set(h_m, h_open, h_occ, d):
@@ -184,7 +184,7 @@ def test_aided_tf_identity_chain():
 
 def test_aided_tf_agrees_with_impulse_probe():
     ms = scene(seed=2, num_loudspeakers=2).sets[0]
-    g = forward_path_ir(4.0, 3, RATE)
+    g = forward_path_ir(4.0, 3)
     coef = np.random.default_rng(5).standard_normal((2, 6))
     grid = FrequencyGrid(64, RATE)
     aided, _ = SetScorer(ms, g, grid).score(coef[None])
@@ -197,7 +197,7 @@ def test_desired_tf():
     grid = FrequencyGrid(128, RATE)
     desired = SetScorer(ms, DELTA_G, grid).spectra[1]
     assert np.array_equal(desired, np.fft.rfft(ms.h_open.samples, 128))
-    g = forward_path_ir(6.0, 5, RATE)
+    g = forward_path_ir(6.0, 5)
     mag = np.abs(SetScorer(ms, g, grid).spectra[1])
     gain = 10.0 ** (6.0 / 20.0)
     product = gain * magnitudes(ms.h_open.samples, grid)
@@ -207,7 +207,7 @@ def test_desired_tf():
 def test_simulate_matches_convolution():
     # the staged chain in time is the scored transfer functions times the stimulus
     ms = scene(seed=4, num_loudspeakers=2).sets[0]
-    g = forward_path_ir(2.0, 7, RATE)
+    g = forward_path_ir(2.0, 7)
     rng = np.random.default_rng(6)
     coef = rng.standard_normal((2, 5))
     stimulus = rng.standard_normal(400)
@@ -230,13 +230,14 @@ def test_simulate_silent_device_and_sealed_vent():
 
 def test_simulate_input_validation():
     scn = scene(seed=5)
-    config = DesignConfig(filter_length=4)
-    scorer = SetScorer(scn.sets[0], DELTA_G, config.grid(scn.sets))
+    config = DesignConfig(variant="MFR_DELTA_LS", acausal_delay=32, reg_lambda=0.1, reg_beta=1.0,
+                          filter_length=4)
+    scorer = SetScorer(scn.sets[0], DELTA_G, config.grid(scn))
     with pytest.raises(ValueError, match="designs x 1 loudspeakers x taps"):
         scorer.score(np.zeros((4, 4)))
     with pytest.raises(ValueError, match="designs x 1 loudspeakers x taps"):
         scorer.score(np.zeros((1, 2, 4)))
-    wide = EqualizerFilter(np.zeros((2, 4)))
+    wide = np.zeros((2, 4))
     with pytest.raises(ValueError, match="drives 2 loudspeakers, scene has 1"):
         evaluate(scn, DELTA_G, wide, config)
 
@@ -249,9 +250,9 @@ def test_evaluate_report_contents():
     spec = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=12,
                      speaker_ir_length=8, reinsertion_level_db=-25.0)
     scn = synth_scenario(spec, seed=6)
-    g = forward_path_ir(0.0, 8, RATE)
+    g = forward_path_ir(0.0, 8)
     config = DesignConfig(variant="MFR_DELTA_LS", filter_length=9, acausal_delay=4,
-                          reg_lambda=0.1)
+                          reg_lambda=0.1, reg_beta=1.0)
     filt = design_filter(scn, g, config)
     report = evaluate(scn, g, filt, config)
 
@@ -275,8 +276,8 @@ def test_evaluate_report_contents():
 def test_evaluate_zero_filter_shows_leakage_only():
     scn = scene(seed=7)
     config = DesignConfig(variant="R_DELTA_LS", filter_length=9, acausal_delay=0,
-                          reg_lambda=1e-8)
-    filt = EqualizerFilter(np.zeros((1, 9)))
+                          reg_lambda=1e-8, reg_beta=1.0)
+    filt = np.zeros((1, 9))
     report = evaluate(scn, DELTA_G, filt, config)
     assert np.array_equal(report.mag_db_aid, report.mag_db_occ)
 
@@ -288,7 +289,7 @@ def test_evaluate_exact_inversion_scene():
                      correlation=1.0)
     scn = synth_scenario(spec, seed=3)
     config = DesignConfig(variant="R_DELTA_LS", filter_length=7, acausal_delay=0,
-                          reg_lambda=1e-12)
+                          reg_lambda=1e-12, reg_beta=1.0)
     filt = design_filter(scn, DELTA_G, config)
     report = evaluate(scn, DELTA_G, filt, config)
     assert report.delta_h_aud_db[0] < 0.01
@@ -297,9 +298,9 @@ def test_evaluate_exact_inversion_scene():
 def test_evaluate_takes_each_spectrum_once(monkeypatch):
     # the README default scene and operating point
     scn = synth_scenario(SynthSpec(), seed=0)
-    g = forward_path_ir(0.0, 96, RATE)
+    g = forward_path_ir(0.0, 96)
     config = DesignConfig(variant="MFR_DELTA_LS", filter_length=99, acausal_delay=32,
-                          reg_lambda=0.1)
+                          reg_lambda=0.1, reg_beta=1.0)
     filt = design_filter(scn, g, config)
     grid = FrequencyGrid(1024, RATE)  # default_fft_size(100, 99)
 
@@ -324,7 +325,7 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     monkeypatch.undo()
     # the aided response is never formed in time: its spectrum agrees with
     # the staged chain's to rounding
-    aided = [aided_response(ms, g, filt.coefficients) for ms in scn.sets]
+    aided = [aided_response(ms, g, filt) for ms in scn.sets]
     assert np.allclose(report.delta_h_aud_db, [
         distance(h_aid, h_des, grid) for h_aid, h_des in zip(aided, desired)
     ], rtol=0, atol=1e-9)
@@ -338,7 +339,7 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
 def test_mean_distances_transforms_each_batch_once(monkeypatch):
     # the README default scene: five sets score one batch of three designs
     scn = synth_scenario(SynthSpec(), seed=0)
-    g = forward_path_ir(0.0, 96, RATE)
+    g = forward_path_ir(0.0, 96)
     grid = FrequencyGrid(1024, RATE)  # default_fft_size(100, 99)
     scorers = [SetScorer(ms, g, grid) for ms in scn.sets]
     stack = 0.1 * np.random.default_rng(0).standard_normal((3, 2, 99))
@@ -387,8 +388,9 @@ def stack_case(num_sets, loudspeakers, source_length, speaker_length, seed, leak
     need = speaker_length + taps + path_delay + source_length - 2
     pow2 = 1 << (need - 1).bit_length()
     fft_size = {"none": need, "pow2": pow2, "double": 2 * pow2}[fft_pad]
-    config = DesignConfig(filter_length=taps, fft_size=max(fft_size, 2))
-    return (Scenario(tuple(sets), RATE), forward_path_ir(gain_db, path_delay, RATE), config,
+    config = DesignConfig(variant="MFR_DELTA_LS", acausal_delay=32, reg_lambda=0.1, reg_beta=1.0,
+                          filter_length=taps, fft_size=max(fft_size, 2))
+    return (Scenario(tuple(sets), RATE), forward_path_ir(gain_db, path_delay), config,
             np.array(rows))
 
 
@@ -411,7 +413,7 @@ def stack_cases(draw, fft_pads=("none", "pow2", "double")):
 @example((8, 2, 16, 12, 1, None, -6.0, 5, 12, 5, 2, "none"))
 def test_a_stack_scores_each_design_as_alone_and_as_evaluate(case):
     scn, g, config, stack = stack_case(*case)
-    grid = config.grid(scn.sets)
+    grid = config.grid(scn)
     scorers = [SetScorer(ms, g, grid) for ms in scn.sets]
     means = mean_distances(scorers, stack)
     scored = [scorer.score(stack) for scorer in scorers]
@@ -422,7 +424,7 @@ def test_a_stack_scores_each_design_as_alone_and_as_evaluate(case):
             aided_alone, distance_alone = scorer.score(stack[i : i + 1])
             assert aided_alone.tobytes() == aided[i : i + 1].tobytes()
             assert distance_alone.tobytes() == distances[i : i + 1].tobytes()
-        report = evaluate(scn, g, EqualizerFilter(coef), config)
+        report = evaluate(scn, g, coef, config)
         assert report.delta_h_aud_db == tuple(float(d[i]) for _, d in scored)
         assert np.float64(report.mean_delta_h_aud_db).tobytes() == means[i : i + 1].tobytes()
         if case[5] is not None and not coef.any():
@@ -456,7 +458,7 @@ def test_aided_magnitudes_agree_with_the_time_response_to_rounding(case):
     c·u = 2γ(L_D) + γ(L_T) + (1 + √2)γ(N) + 3φ + √2·γ(2) + 2γ(4).
     """
     scn, g, config, stack = stack_case(*case)
-    grid = config.grid(scn.sets)
+    grid = config.grid(scn)
     u = np.finfo(float).eps / 2
 
     def gamma(m):
@@ -479,7 +481,7 @@ def test_aided_magnitudes_agree_with_the_time_response_to_rounding(case):
 
 def test_scorer_refuses_taps_its_grid_cannot_hold():
     ms = scene(seed=8, num_loudspeakers=2).sets[0]
-    g = forward_path_ir(0.0, 3, RATE)
+    g = forward_path_ir(0.0, 3)
     # L_D + L_A + d_G + L_S − 2 = 8 + 4 + 3 + 12 − 2
     scorer = SetScorer(ms, g, FrequencyGrid(25, RATE))
     assert scorer.score(np.ones((2, 2, 4)))[0].shape == (2, 13)

@@ -259,14 +259,16 @@ def test_infinite_distance_is_numerical_failure(tmp_path):
     ("scene", {("sets", 0, "h_m"): []}, "sets[0].h_m: expected a non-empty list of numbers"),
     ("config", {("d_H",): -1}, "config: acausal_delay must be a nonnegative integer"),
     ("filter", {("num_loudspeakers",): 0, ("coefficients",): []},
-     "filter: coefficients must be a 2-D array (loudspeakers x taps)"),
+     "filter.num_loudspeakers: must be at least 1"),
     ("synth", {("num_loudspeakers",): 0}, "num_loudspeakers must be a positive integer"),
     ("synth", {("sample_rate_hz",): 0}, "sample_rate_hz must be positive"),
+    ("scene", {("sample_rate_hz",): 0}, "sample_rate_hz must be positive"),
+    ("scene", {("sample_rate_hz",): -16000.0}, "sample_rate_hz must be positive"),
     ("synth", {("phase_family",): "non-minimum-phase", ("speaker_ir_length",): 1},
      "non-minimum-phase needs speaker_ir_length of at least 2"),
 ], ids=["h_m-lengths-differ", "sets-not-a-list", "empty-h_m", "negative-d_H",
         "no-loudspeakers-filter", "no-loudspeakers-synth",
-        "zero-rate", "one-tap-non-minimum-phase"])
+        "zero-rate", "zero-rate-scene", "negative-rate-scene", "one-tap-non-minimum-phase"])
 def test_refused_values_name_their_field(tmp_path, kind, changes, message):
     doc = copy.deepcopy(valid_docs()[kind])
     for path, value in changes.items():
@@ -281,6 +283,18 @@ def test_refused_values_name_their_field(tmp_path, kind, changes, message):
 def test_filter_taps_must_be_numbers(tmp_path, tap):
     code, err = run_with("filter", mutate("filter", ("coefficients", 0, 3), "set", tap), tmp_path)
     assert (code, err) == (2, "error: filter.coefficients[0][3]: expected a number\n")
+
+
+def test_filter_taps_are_a_finite_matrix(tmp_path):
+    # the filter reader is the one check of a filter's taps: a row of taps per
+    # loudspeaker, every tap a finite number
+    for coefficients, message in [
+        ([0.0] * 4, "filter.coefficients: expected 2 rows of 4 numbers"),
+        ([[0.0, float("nan"), 0.0, 0.0], [0.0] * 4], "filter.coefficients[0][1]: non-finite value"),
+        ([[0.0] * 4, [0.0, 0.0, -float("inf"), 0.0]], "filter.coefficients[1][2]: non-finite value"),
+    ]:
+        doc = mutate("filter", ("coefficients",), "set", coefficients)
+        assert run_with("filter", doc, tmp_path) == (2, f"error: {message}\n")
 
 
 def test_filter_row_count_is_checked_before_taps(tmp_path):

@@ -34,9 +34,11 @@ from eqdesign.scenario import (
     _number_list,
     _pow2_at_least,
     _pull_roots_inside,
+    _coprimality_margin,
     _random_log_magnitude_db,
-    _refuse_dense,
+    _refuse_over_budget,
     _replace_factor,
+    _roots,
     _scenario_dict,
     _winding_certificate,
     _write_json,
@@ -48,7 +50,7 @@ RATE = 16000.0
 
 
 def ir(*samples):
-    return ImpulseResponse(np.array(samples, dtype=float), RATE)
+    return ImpulseResponse(np.array(samples, dtype=float))
 
 
 def small_set(n_spk=1):
@@ -68,9 +70,6 @@ def test_measurement_set_validation_names_fields():
         MeasurementSet(ir(1.0, 0.2), ir(0.9, 0.1), ir(0.05, 0.0), (ir(1.0), ir(1.0, 0.5)))
     with pytest.raises(ValidationError, match="d:"):
         MeasurementSet(ir(1.0, 0.2), ir(0.9, 0.1), ir(0.05, 0.0), ())
-    other_rate = ImpulseResponse([1.0, 0.0], 8000.0)
-    with pytest.raises(ValidationError, match="sample rate"):
-        MeasurementSet(ir(1.0, 0.2), ir(0.9, 0.1), ir(0.05, 0.0), (other_rate,))
     with pytest.raises(ValidationError, match="h_m"):
         MeasurementSet(np.ones(2), ir(0.9, 0.1), ir(0.05, 0.0), (ir(1.0),))
 
@@ -85,8 +84,9 @@ def test_scenario_congruence_names_set_index():
         Scenario((good, two_speakers), RATE)
     with pytest.raises(ValidationError, match="sets"):
         Scenario((), RATE)
-    with pytest.raises(ValidationError, match=r"sets\[0\]"):
-        Scenario((good,), 8000.0)
+    for rate in (0.0, -RATE):
+        with pytest.raises(ValidationError, match="^sample_rate_hz must be positive$"):
+            Scenario((good,), rate)
 
 
 def test_select_loudspeakers():
@@ -102,13 +102,13 @@ def test_select_loudspeakers():
 
 
 def test_forward_path_ir():
-    assert np.array_equal(forward_path_ir(0.0, 1, RATE).samples, [0.0, 1.0])
-    assert np.allclose(forward_path_ir(20.0, 0, RATE).samples, [10.0], atol=1e-15)
-    g = forward_path_ir(0.0, 96, RATE)
+    assert np.array_equal(forward_path_ir(0.0, 1).samples, [0.0, 1.0])
+    assert np.allclose(forward_path_ir(20.0, 0).samples, [10.0], atol=1e-15)
+    g = forward_path_ir(0.0, 96)
     assert len(g) == 97
     assert 96 / RATE == 0.006  # 6 ms processing delay
     with pytest.raises(ValidationError):
-        forward_path_ir(0.0, -1, RATE)
+        forward_path_ir(0.0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_synth_determinism():
     b = synth_scenario(spec, seed=17)
     assert scenario_fingerprint(a) == scenario_fingerprint(b)
     for ms_a, ms_b in zip(a.sets, b.sets):
-        for (_, ir_a), (_, ir_b) in zip(ms_a._named_irs(), ms_b._named_irs()):
+        for ir_a, ir_b in zip(ms_a._responses(), ms_b._responses()):
             assert np.array_equal(ir_a.samples, ir_b.samples)
     c = synth_scenario(spec, seed=18)
     assert scenario_fingerprint(c) != scenario_fingerprint(a)
@@ -170,7 +170,7 @@ def test_minimum_phase_roots_inside_unit_circle():
             speaker_ir_length=speaker_len, reinsertion_level_db=None,
         )
         ms = synth_scenario(spec, seed=1).sets[0]
-        for _, response in ms._named_irs():
+        for response in ms._responses():
             h = response.samples
             if np.any(h != 0.0):
                 assert np.max(np.abs(np.roots(h))) < _ROOT_CEILING
@@ -317,9 +317,19 @@ def test_winding_certificate_is_sound_on_short_responses(h):
 
 
 def test_dense_matrix_budget_is_one_gibibyte():
-    _refuse_dense(11585, 11586, "find its zeros")
-    with pytest.raises(ValidationError, match="a response of 11587 taps needs a 11586 x 11586 matrix"):
-        _refuse_dense(11586, 11587, "find its zeros")
+    # the companion matrix of an 11586-tap response fits; refusals come before any matrix
+    _refuse_over_budget(8 * 11585 * 11585, "an 11585 x 11585 float64 matrix")
+    with pytest.raises(ValidationError, match=(
+        r"^input too large: the zeros of a response of 11587 taps, set by source_ir_length or "
+        r"speaker_ir_length, take a 11586 x 11586 float64 companion matrix: 1\.07e\+9 bytes, "
+        r"over the budget of 1,073,741,824 \(1 GiB\)$"
+    )):
+        _roots(np.ones(11587))
+    with pytest.raises(ValidationError, match=(
+        r"^input too large: the co-prime check of loudspeaker responses of 5794 taps, set by "
+        r"speaker_ir_length, takes a 11586 x 11586 float64 Sylvester matrix: 1\.07e\+9 bytes"
+    )):
+        _coprimality_margin(np.ones(5794), np.ones(5794))
 
 
 # scenario_fingerprint of the README default scene and the perfbench long
@@ -463,7 +473,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert loaded.sets[0].speaker_length == 100
     assert scenario_fingerprint(loaded) == scenario_fingerprint(scene)
     for ms_a, ms_b in zip(scene.sets, loaded.sets):
-        for (_, ir_a), (_, ir_b) in zip(ms_a._named_irs(), ms_b._named_irs()):
+        for ir_a, ir_b in zip(ms_a._responses(), ms_b._responses()):
             assert np.array_equal(ir_a.samples, ir_b.samples)
 
 
@@ -500,7 +510,7 @@ def shaped_scene(samples, num_sets, num_loudspeakers, source_length, speaker_len
     def take(n):
         nonlocal pos
         pos += n
-        return ImpulseResponse(np.array(samples[pos - n : pos], dtype=float), rate)
+        return ImpulseResponse(np.array(samples[pos - n : pos], dtype=float))
 
     sets = []
     for _ in range(num_sets):
