@@ -42,7 +42,7 @@ from .design import (
     design_filter,
     design_points,
 )
-from .evaluation import SetScorer, _in_band, evaluate, mean_distances
+from .evaluation import _in_band, evaluate, score_designs
 
 __all__ = ["cmd_synth", "cmd_design", "cmd_eval", "cmd_sweep", "main"]
 
@@ -250,8 +250,7 @@ def cmd_design(scenario_path, config_path, out_path) -> None:
     taps = design_filter(scenario, g, config)
     # eval's own rule, so that no command writes a filter that eval refuses to score
     grid = config.grid(scenario)
-    for ms in scenario.sets:
-        _in_band(np.abs(_set_spectra(ms, g, grid, 0)[1]), grid)
+    _in_band(np.abs(_set_spectra(scenario.sets, g, grid, 0)[:, 1]), grid)
     _write_json(_filter_doc(taps, scenario, config, gain_db, path_delay), out_path)
 
 
@@ -308,19 +307,24 @@ def cmd_sweep(scenario_path, grid_path, out_path, mode: str = "resubstitution") 
     else:
         folds = [(k, everything[:k] + everything[k + 1 :], (k,)) for k in everything]
     # One cache serves the whole sweep, each piece keyed by all it depends on;
-    # design_points designs every point of a fold in one call. Equal taps
-    # score alike, so each (N, forward path, fold) keeps its distinct taps,
-    # and scores them afterwards in one batch per held-out set.
+    # design_points designs every point of a fold in one call. It starts with
+    # one spectra stack per forward path, every set with the largest N's
+    # loudspeakers, which a smaller N reads the first rows of: the weighted
+    # designs' leakage ratios read it, and each fold scores on its held-out
+    # rows. Equal taps score alike, so each (N, forward path, fold) keeps its
+    # distinct taps, and scores them afterwards in one batch.
     designs = [(scenes[point[1]], paths[point[5:]], config) for point, config in zip(points, configs)]
-    cache, batches, keys = {}, {}, {}
+    widest = scenes[max(scenes)]
+    cache = {("spectra", g): _set_spectra(widest.sets, g, grid, widest.num_loudspeakers) for g in paths.values()}
+    batches, keys = {}, {}
     for f, (_, train, _) in enumerate(folds):
         for index, (point, coef) in enumerate(zip(points, design_points(designs, train, cache))):
             keys[index, f] = (point[1], point[5:], f, coef.tobytes())
             batches.setdefault(keys[index, f][:3], {}).setdefault(keys[index, f][-1], coef)
     scores = {}
     for (n_spk, path, f), batch in batches.items():
-        scorers = [SetScorer(scenes[n_spk].sets[i], paths[path], grid) for i in folds[f][2]]
-        means = mean_distances(scorers, np.array(list(batch.values())))
+        spectra = cache["spectra", paths[path]][list(folds[f][2])]
+        means = score_designs(spectra, np.array(list(batch.values())), grid)[1].mean(axis=-1)
         scores.update(zip(((n_spk, path, f, taps) for taps in batch), means.tolist()))
 
     # the point's own values: G0_db 0.0 and -0.0 share a path, not a row

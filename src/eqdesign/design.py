@@ -161,9 +161,6 @@ def assemble_atf_system(ms: MeasurementSet, g: ImpulseResponse, filter_length: i
     structurally rank deficient because every block shares the
     forward-path-and-microphone factor.
     """
-    if not _is_whole(filter_length, 1):
-        raise ValueError("filter_length must be a positive integer")
-    filter_length = int(filter_length)
     through_mic = _through_mic(ms, g)
     chains = [np.convolve(through_mic, d_n.samples) for d_n in ms.d]
     matrix = np.hstack([convolution_matrix(chain, filter_length) for chain in chains])
@@ -306,32 +303,33 @@ def weights_from_ratio(ratio, reg_beta: float, grid: FrequencyGrid) -> np.ndarra
     return _log_normal_weight(smoothed, reg_beta)
 
 
-def _set_spectra(ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid, loudspeakers: int) -> np.ndarray:
-    """A set's spectra under g on the grid's one-sided bins, one row per response.
+def _set_spectra(sets, g: ImpulseResponse, grid: FrequencyGrid, loudspeakers: int) -> np.ndarray:
+    """The spectra of sets under g on the grid's one-sided bins: a sets x rows x bins stack.
 
-    Row 0 is the leakage h_occ, row 1 the processed open ear g*h_open, and
-    rows 2.. the paths d_n*g*h_m of the first `loudspeakers` loudspeakers.
+    A set's row 0 is the leakage h_occ, row 1 the processed open ear g*h_open,
+    and rows 2.. the paths d_n*g*h_m of its first `loudspeakers` loudspeakers.
     One transform takes them all, and each row is rfft(response, L_FFT) bit
     for bit. A response longer than L_FFT raises ValueError.
     """
-    responses = [ms.h_occ.samples, np.convolve(g.samples, ms.h_open.samples)]
-    if loudspeakers:
-        through_mic = _through_mic(ms, g)
-        responses += [np.convolve(d_n.samples, through_mic) for d_n in ms.d[:loudspeakers]]
-    padded = np.zeros((len(responses), grid.fft_size))
-    for row, response in zip(padded, responses):
-        if response.size > grid.fft_size:
-            raise ValueError(f"impulse response of length {response.size} does not fit L_FFT {grid.fft_size}")
-        row[: response.size] = response
+    padded = np.zeros((len(sets), 2 + loudspeakers, grid.fft_size))
+    for rows, ms in zip(padded, sets):
+        responses = [ms.h_occ.samples, np.convolve(g.samples, ms.h_open.samples)]
+        if loudspeakers:
+            through_mic = _through_mic(ms, g)
+            responses += [np.convolve(d_n.samples, through_mic) for d_n in ms.d[:loudspeakers]]
+        for row, response in zip(rows, responses):
+            if response.size > grid.fft_size:
+                raise ValueError(f"impulse response of length {response.size} does not fit L_FFT {grid.fft_size}")
+            row[: response.size] = response
     return np.fft.rfft(padded)
 
 
 def _leakage_ratio(spectra) -> np.ndarray:
-    """|leakage| over |processed open-ear target|, each averaged over the sets' _set_spectra."""
-    if not spectra:
+    """|leakage| over |processed open-ear target|, each averaged over the sets of a _set_spectra stack."""
+    if len(spectra) == 0:
         raise ValueError("at least one measurement set is required")
-    leak = np.mean([np.abs(s[0]) for s in spectra], axis=0)
-    open_gain = np.mean([np.abs(s[1]) for s in spectra], axis=0)
+    leak = np.mean(np.abs(spectra[:, 0]), axis=0)
+    open_gain = np.mean(np.abs(spectra[:, 1]), axis=0)
     if np.any(open_gain == 0.0):
         bad = int(np.flatnonzero(open_gain == 0.0)[0])
         raise NumericsError(
@@ -479,11 +477,12 @@ def design_points(designs, train: tuple, cache: dict) -> list:
     g too. Each group's matrix is built and factored once, and one dpotrs
     solves all of the group's distinct (g, d_H) right-hand sides, so RLS and
     R_DELTA_LS at equal lambda share a solve, and a ridge factor serves every
-    g. LS_ATF designs run first, as their dense lstsq is the largest
-    transient and no Gram is held yet then. Every speaker matrix is freed
-    before any factor is made. The mean Gram of a training-set selection and
-    the averaged right-hand sides live in the call; at most one mean Gram and
-    one factor are alive at a time.
+    g. A weighted penalty is built once per run of a group's matrices that
+    share beta and g. LS_ATF designs run first, as their dense lstsq is the
+    largest transient and no Gram is held yet then. Every speaker matrix is
+    freed before any factor is made. The mean Gram of a training-set
+    selection and the averaged right-hand sides live in the call; at most one
+    mean Gram and one factor are alive at a time.
 
     cache collects what other calls can reuse, each piece keyed by all it
     depends on, with d_H = config.acausal_delay and g by identity, so an equal
@@ -492,10 +491,13 @@ def design_points(designs, train: tuple, cache: dict) -> list:
     set i's _rtf_path under ("path", g, i) and its RTF target under
     ("target", g, i, d_H); its Gram MᵀM under ("gram", N, i), where M is
     _speaker_matrix, and Mᵀt on the target's first rows under
-    ("rhs", g, N, i, d_H); the smoothed leakage
-    ratio of the training sets `sel` under ("ratio", g, sel), and its penalty's
-    _penalty_lags at beta under ("lags", g, sel, beta); and LS_ATF taps under
-    ("LS_ATF", g, N, i). Pass {} for a one-off.
+    ("rhs", g, N, i, d_H); the smoothed leakage ratio of the training sets
+    `sel` under ("ratio", g, sel), and its penalty's _penalty_lags at beta
+    under ("lags", g, sel, beta); and LS_ATF taps under ("LS_ATF", g, N, i).
+    Pass {} for a one-off. A caller that scores on a _set_spectra stack of
+    every set under g, as a sweep does, puts it under ("spectra", g) first,
+    and the leakage ratios read their sets' rows from it; a call without one
+    transforms the training sets' leakage and open-ear responses alone.
 
     A correlation, Gram, right-hand side or tap vector that overflows raises
     NumericsError.
@@ -535,17 +537,24 @@ def design_points(designs, train: tuple, cache: dict) -> list:
     for (n_spk, sel), factors in groups.items():
         gram = _mean([cache["gram", n_spk, i] for i in sel])
         means = {}  # (g, d_H) -> the right-hand side averaged over sel
+        # the penalty of the current run of factor keys that share a weighting,
+        # [beta, g], or [] for the ridge, whose penalty is None
+        penalty, run = None, []
         for (reg_lambda, *weighting), columns in factors.items():
-            penalty = None  # the ridge
-            if weighting:
-                beta, g = weighting
-                if ("lags", g, sel, beta) not in cache:
-                    if ("ratio", g, sel) not in cache:
-                        ratio = _leakage_ratio([_set_spectra(scenes[n_spk][i], g, grid, 0) for i in sel])
-                        cache["ratio", g, sel] = fractional_octave_smooth(ratio, grid)
-                    weight = _log_normal_weight(cache["ratio", g, sel], beta)
-                    cache["lags", g, sel, beta] = _penalty_lags(weight, filter_length, grid.fft_size)
-                penalty = _toeplitz(cache["lags", g, sel, beta])
+            if weighting != run:
+                run, penalty = weighting, None
+                if weighting:
+                    beta, g = weighting
+                    if ("lags", g, sel, beta) not in cache:
+                        if ("ratio", g, sel) not in cache:
+                            if ("spectra", g) in cache:
+                                spectra = cache["spectra", g][list(sel)]
+                            else:
+                                spectra = _set_spectra([scenes[n_spk][i] for i in sel], g, grid, 0)
+                            cache["ratio", g, sel] = fractional_octave_smooth(_leakage_ratio(spectra), grid)
+                        weight = _log_normal_weight(cache["ratio", g, sel], beta)
+                        cache["lags", g, sel, beta] = _penalty_lags(weight, filter_length, grid.fft_size)
+                    penalty = _toeplitz(cache["lags", g, sel, beta])
             for g, shift in columns:
                 if (g, shift) not in means:
                     means[g, shift] = _mean([cache["rhs", g, n_spk, i, shift] for i in sel])

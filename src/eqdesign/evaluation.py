@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import FrequencyGrid, ImpulseResponse
-from .scenario import MeasurementSet, Scenario
+from .scenario import Scenario
 from .design import (
     DesignConfig,
     NumericsError,
@@ -31,8 +31,7 @@ __all__ = [
     "EvaluationReport",
     "erb_bandwidth_hz",
     "erb_weights",
-    "SetScorer",
-    "mean_distances",
+    "score_designs",
     "evaluate",
 ]
 
@@ -90,18 +89,19 @@ def _band_weights(grid: FrequencyGrid):
 def _in_band(des: np.ndarray, grid: FrequencyGrid):
     """ERB weights and desired magnitudes of the weighted bins, and their slice.
 
-    des is the desired response's magnitude on all of the grid's one-sided bins.
-    A desired magnitude of 0 in the band, as under a dead forward path or a
-    silent open ear, raises NumericsError.
+    des is the desired response's magnitude on all of the grid's one-sided
+    bins, or a stack of them along leading axes. A desired magnitude of 0 in
+    the band, as under a dead forward path or a silent open ear, raises
+    NumericsError naming the first such bin of the first response with one.
     """
     weights, band = _band_weights(grid)
-    vanishing = np.flatnonzero(des[band] == 0.0)
+    vanishing = np.argwhere(des[..., band] == 0.0)
     if vanishing.size:
-        bad = band.start + vanishing[0]
+        bad = band.start + vanishing[0, -1]
         raise NumericsError(
             f"desired response vanishes at {grid.frequencies_hz[bad]:.1f} Hz; distance undefined"
         )
-    return weights, des[band], band
+    return weights, des[..., band], band
 
 
 def _band_distance(aid, weights: np.ndarray, des: np.ndarray):
@@ -142,89 +142,46 @@ def _to_db(mag: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(mag, _MAG_FLOOR))
 
 
-class SetScorer:
-    """Auditory spectral distance of stacked filters on one set under one forward path.
+def score_designs(spectra: np.ndarray, taps: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Aided magnitudes and auditory spectral distances of a stack of designs on a stack of sets.
 
-    It holds what every filter scored there shares, on the grid's one-sided
-    bins: the set's `spectra`, as design._set_spectra takes them, which are
+    spectra is a design._set_spectra stack on the grid, sets x rows x bins:
     the leakage spectrum H_occ, the DFT of h_occ, the desired spectrum, and
-    each loudspeaker's path spectrum P_n, the DFT of d_n * g * h_m; and the
-    ERB weights and desired magnitudes of the band's bins.
-    The aided spectrum of taps a_n is the sum of A_n P_n over the
-    loudspeakers plus H_occ, where A_n is the DFT of a_n. No time response is
-    formed: on a grid that holds the aided response, which `score` checks,
-    this is its DFT, the linear convolution exactly. In floating point each
-    aided magnitude lies within c·u·(Σ_n ‖a_n‖₁‖d_n‖₁‖g*h_m‖₁ + ‖h_occ‖₁) of
-    the |rfft| of the aided impulse response, formed stage by stage in time,
-    on the same bin, for unit roundoff u and a c set by the convolution
-    lengths and log2 L_FFT; tests/test_evaluation.py derives it.
+    each loudspeaker's path spectrum P_n, the DFT of d_n * g * h_m. taps is a
+    designs x N x taps array, and the first N path rows score it. Returns the
+    sets x designs x bins aided magnitudes on all one-sided bins and the
+    designs x sets distances in dB, the distances of a design along a
+    contiguous last axis, which np.mean sums as it sums a 1-D array.
+
+    The taps are transformed once. On a set, the aided spectrum of taps a_n
+    is the sum of A_n P_n over the loudspeakers plus H_occ, where A_n is the
+    DFT of a_n. No time response is formed: on a grid that holds the aided
+    response, which the commands check on entry, this is its DFT, the linear
+    convolution exactly. In floating point each aided magnitude lies within
+    c·u·(Σ_n ‖a_n‖₁‖d_n‖₁‖g*h_m‖₁ + ‖h_occ‖₁) of the |rfft| of the aided
+    impulse response, formed stage by stage in time, on the same bin, for
+    unit roundoff u and a c set by the convolution lengths and log2 L_FFT;
+    tests/test_evaluation.py derives it. A design scores bit for bit alike
+    alone or in any stack, on a set alone or in any stack of sets.
+
+    The sets are scored in order, each once its desired response is checked:
+    a desired magnitude of 0 in the band, or finite taps that drive the aided
+    response past the float range, raise NumericsError.
     """
-
-    def __init__(self, ms: MeasurementSet, g: ImpulseResponse, grid: FrequencyGrid):
-        self._ms, self._g, self._grid = ms, g, grid
-        # a path response is the longest here, as long as a one-tap aided response
-        _check_grid_holds(grid, ms, g, 1)
-        self.spectra = _set_spectra(ms, g, grid, ms.num_loudspeakers)
-        self._leakage, desired, *self._paths = self.spectra
-        self._weights, self._desired_in_band, self._band = _in_band(np.abs(desired), grid)
-
-    def score(self, coefficients) -> tuple[np.ndarray, np.ndarray]:
-        """Aided magnitudes and distances in dB of a stack of designs.
-
-        coefficients is a (designs x loudspeakers x taps) array. Returns the
-        (designs x bins) aided magnitudes on all one-sided bins and the
-        distance of each design. A design scores bit for bit alike alone or
-        in any stack. Raises ValueError when the grid cannot hold the aided
-        response of these taps, and NumericsError when finite taps drive it
-        past the float range.
-        """
-        coef = self._checked(coefficients)
-        return self._score_spectra(_tap_spectra(coef, self._grid))
-
-    def _checked(self, coefficients) -> np.ndarray:
-        """coefficients as a float array, once its shape and the grid fit this set."""
-        coef = np.asarray(coefficients, dtype=float)
-        if coef.ndim != 3 or coef.shape[1] != len(self._paths):
-            raise ValueError(
-                f"expected designs x {len(self._paths)} loudspeakers x taps, got shape {coef.shape}"
-            )
-        _check_grid_holds(self._grid, self._ms, self._g, coef.shape[2])
-        return coef
-
-    def _score_spectra(self, spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """score, from the _tap_spectra of the checked designs."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            aided = spectra[:, 0] * self._paths[0]
-            for n in range(1, len(self._paths)):
-                aided += spectra[:, n] * self._paths[n]
-            aided += self._leakage
-            aided = _finite("aided response", np.abs(aided))
-        return aided, _band_distance(aided[:, self._band], self._weights, self._desired_in_band)
-
-
-def _tap_spectra(coef: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """The one-sided spectra of a stack of designs' taps on the grid."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.rfft(coef, grid.fft_size)
-
-
-def mean_distances(scorers, coefficients) -> np.ndarray:
-    """Mean distance in dB over the scorers' sets of each design in a stack.
-
-    The scorers share one grid, so the taps are transformed once and every
-    scorer scores that one transform, as its score would. Each design's
-    mean is np.mean of its per-set distances bit for bit, as evaluate's
-    mean_delta_h_aud_db takes it, in a stack of any size: the distances lie
-    along a contiguous last axis, which np.mean sums as it sums a 1-D array.
-    """
-    coef = np.asarray(coefficients, dtype=float)
-    for scorer in scorers:
-        scorer._checked(coef)
-    spectra = _tap_spectra(coef, scorers[0]._grid)
-    distances = np.empty((len(coef), len(scorers)))
-    for j, scorer in enumerate(scorers):
-        distances[:, j] = scorer._score_spectra(spectra)[1]
-    return distances.mean(axis=-1)
+        tap_spectra = np.fft.rfft(taps, grid.fft_size)
+    aided = np.empty((len(spectra), len(taps), spectra.shape[-1]))
+    distances = np.empty((len(taps), len(spectra)))
+    for s, (leakage, desired, *paths) in enumerate(spectra):
+        weights, des, band = _in_band(np.abs(desired), grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            response = tap_spectra[:, 0] * paths[0]
+            for n in range(1, taps.shape[1]):
+                response += tap_spectra[:, n] * paths[n]
+            response += leakage
+            aided[s] = _finite("aided response", np.abs(response))
+        distances[:, s] = _band_distance(aided[s, :, band], weights, des)
+    return aided, distances
 
 
 def evaluate(
@@ -246,20 +203,15 @@ def evaluate(
     grid = config.grid(scenario)
     _check_grid_holds(grid, scenario.sets[0], g, taps.shape[1])
     # each spectrum once: the traces and the leakage ratio average the
-    # scorers' own leakage and processed open-ear spectra
-    distances, mags_aid, spectra = [], [], []
-    for ms in scenario.sets:
-        scorer = SetScorer(ms, g, grid)
-        aided, distance = scorer.score(taps[None])
-        distances.append(float(distance[0]))
-        mags_aid.append(aided[0])
-        spectra.append(scorer.spectra)
+    # scored stack's leakage and processed open-ear rows
+    spectra = _set_spectra(scenario.sets, g, grid, scenario.num_loudspeakers)
+    aided, distances = score_designs(spectra, taps[None], grid)
     with np.errstate(over="ignore"):
-        mag_aid = _finite("set-averaged aided magnitude", np.mean(mags_aid, axis=0))
-    mag_occ, mag_des = (np.mean([np.abs(s[row]) for s in spectra], axis=0) for row in (0, 1))
+        mag_aid = _finite("set-averaged aided magnitude", np.mean(aided[:, 0], axis=0))
+    mag_occ, mag_des = (np.mean(np.abs(spectra[:, row]), axis=0) for row in (0, 1))
     ratio = _leakage_ratio(spectra)
     return EvaluationReport(
-        tuple(distances),
+        tuple(distances[0].tolist()),
         grid.frequencies_hz,
         _to_db(mag_aid),
         _to_db(mag_des),

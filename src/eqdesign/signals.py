@@ -83,7 +83,8 @@ class FrequencyGrid:
     """Uniform DFT grid; bin l sits at l * sample_rate_hz / fft_size.
 
     Spectra on the grid are one-sided: bins 0 .. fft_size // 2, from 0 Hz up
-    to the Nyquist frequency (reached only when fft_size is even).
+    to the Nyquist frequency (reached only when fft_size is even). The rate
+    is a scene's, which Scenario has checked positive.
     """
 
     fft_size: int
@@ -92,8 +93,6 @@ class FrequencyGrid:
     def __post_init__(self):
         if not _is_whole(self.fft_size, 2):
             raise ValueError("fft_size must be an integer of at least 2")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
 
     @property
     def frequencies_hz(self) -> np.ndarray:

@@ -6,7 +6,7 @@ Three, and only these:
   the relative transfer function. The design solves its normal equations
   without the padding rows; residuals and optimality are taken on it.
 - staged_chain: the aided and desired signal chains run stage by stage in
-  time. SetScorer never forms a time response, so this is what its aided
+  time. score_designs never forms a time response, so this is what its aided
   magnitudes are checked against.
 - _penalty_block: the quadratic form of the weighted-spectrum seminorm of
   one loudspeaker's taps, as a matrix. The design gathers it from its lags;

@@ -11,12 +11,12 @@ from time import perf_counter
 import numpy as np
 import scipy.linalg
 
-from eqdesign.design import DesignConfig, default_fft_size, design_filter
+from eqdesign.design import DesignConfig, _set_spectra, default_fft_size, design_filter
 from eqdesign.evaluation import (
-    SetScorer,
     erb_bandwidth_hz,
     erb_weights,
     evaluate,
+    score_designs,
     _band_distance,
     _in_band,
 )
@@ -228,7 +228,7 @@ def test_6_auditory_distance_is_calibrated():
     grid = FrequencyGrid(512, RATE)
 
     def distance(h_aid, h_des):
-        """The band kernel that SetScorer and evaluate score with, on two responses."""
+        """The band kernel that score_designs, and so every command, scores with, on two responses."""
         weights, des, band = _in_band(np.abs(np.fft.rfft(h_des, grid.fft_size)), grid)
         return float(_band_distance(np.abs(np.fft.rfft(h_aid, grid.fft_size))[band], weights, des))
 
@@ -256,13 +256,13 @@ def test_7_time_domain_simulation_matches_transfer_functions():
                           acausal_delay=32, reg_lambda=0.1, reg_beta=1.0)
     filt = design_filter(scene, g, config)
     grid = config.grid(scene)
-    scorer = SetScorer(ms, g, grid)
-    aided, _ = scorer.score(filt[None])
+    spectra = _set_spectra(scene.sets, g, grid, scene.num_loudspeakers)
+    aided, _ = score_designs(spectra, filt[None], grid)
     h_aid, h_des = staged_chain(ms, g, filt, [1.0])
     ref_aid = np.abs(np.fft.rfft(h_aid, grid.fft_size))
     ref_des = np.abs(np.fft.rfft(h_des, grid.fft_size))
-    err_aid = float(np.max(np.abs(aided[0] - ref_aid)) / np.max(ref_aid))
-    err_des = float(np.max(np.abs(np.abs(scorer.spectra[1]) - ref_des)) / np.max(ref_des))
+    err_aid = float(np.max(np.abs(aided[0, 0] - ref_aid)) / np.max(ref_aid))
+    err_des = float(np.max(np.abs(np.abs(spectra[0, 1]) - ref_des)) / np.max(ref_des))
     assert err_aid <= 1e-9
     assert err_des <= 1e-9
     report(f"PASS [7/8] scored spectra agree with the staged time-domain chain:"

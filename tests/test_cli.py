@@ -734,7 +734,7 @@ def test_sweep_forms_one_gram_per_n_and_set(tmp_path, monkeypatch, synth, grid, 
 
 def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
     factored, calls = [], {"RTF autocorrelation": 0, "_speaker_matrix": 0, "_penalty_lags": 0,
-                           "dpotrs": 0}
+                           "_toeplitz": 0, "_set_spectra": 0, "_check_grid_holds": 0, "dpotrs": 0}
 
     def spied_factor(*args):
         # the previous factor was released before this one is made
@@ -751,7 +751,8 @@ def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
     monkeypatch.setattr(design, "_factor_normal_matrix", spied_factor)
     monkeypatch.setattr(design, "_finite", counted_finite)
     for module, name in ((design, "_speaker_matrix"), (design, "_penalty_lags"),
-                         (scipy.linalg.lapack, "dpotrs")):
+                         (design, "_toeplitz"), (cli, "_set_spectra"),
+                         (cli, "_check_grid_holds"), (scipy.linalg.lapack, "dpotrs")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
@@ -771,7 +772,10 @@ def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
     # one forward path: each set's autocorrelation and speaker matrix once,
     # and one penalty per training fold, whatever lambda and d_H are
     assert calls["RTF autocorrelation"] == calls["_speaker_matrix"] == 5
-    assert calls["_penalty_lags"] == 5
+    assert calls["_penalty_lags"] == calls["_toeplitz"] == 5
+    # one spectra stack of the five sets serves the folds' leakage ratios and
+    # held-out scores, and the grid is checked once, before any design
+    assert calls["_set_spectra"] == calls["_check_grid_holds"] == 1
 
 
 def test_commands_refuse_a_grid_shorter_than_the_aided_response(tmp_path, monkeypatch, capsys):
@@ -866,19 +870,20 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     factor, finite = design._factor_normal_matrix, design._finite
     monkeypatch.setattr(design, "_factor_normal_matrix", spied_factor)
     monkeypatch.setattr(design, "_finite", counted)
-    counts, batches = {"scorers": 0, "scored": 0}, []
+    stacks, batches = [], []
 
-    class CountedScorer(cli.SetScorer):
-        def __init__(self, *args):
-            counts["scorers"] += 1
-            super().__init__(*args)
+    def counted_spectra(sets, g, grid, loudspeakers):
+        stacks.append((len(sets), loudspeakers))
+        return set_spectra(sets, g, grid, loudspeakers)
 
-        def _score_spectra(self, spectra):
-            counts["scored"] += len(spectra)
-            batches.append(len(spectra))
-            return super()._score_spectra(spectra)
+    def counted_scores(spectra, taps, grid):
+        batches.append((len(taps), taps.shape[1], len(spectra)))
+        return score(spectra, taps, grid)
 
-    monkeypatch.setattr(cli, "SetScorer", CountedScorer)
+    set_spectra, score = cli._set_spectra, cli.score_designs
+    monkeypatch.setattr(cli, "_set_spectra", counted_spectra)
+    monkeypatch.setattr(design, "_set_spectra", None)  # the sweep's stacks serve every design
+    monkeypatch.setattr(cli, "score_designs", counted_scores)
     # G0_db, d_G and beta vary within each N
     lambdas, betas, gains, delays = [1e-3, 0.1], [0.5, 2.0], [0.0, -6.0], [0, 2]
     grid = write_json(tmp_path / "grid.json", {
@@ -899,11 +904,13 @@ def test_sweep_shares_work_across_forward_paths(tmp_path, sweep_scene_path, monk
     # and the forward path are; per path, FR_DELTA_LS and MFR_DELTA_LS factor
     # once per (lambda, beta)
     assert len(factors) == spk_counts * len(lambdas) + paths * 2 * len(lambdas) * len(betas)
-    # per path, LS_ATF and each distinct solution are scored once on every
-    # set, all in one batch per set
+    # one spectra stack per forward path, with both loudspeakers' rows, which
+    # the weighted designs and the scoring of both N read
+    assert stacks == [(sets, 2)] * (len(gains) * len(delays))
+    # per N and path, LS_ATF and each distinct solution are scored once on
+    # every set, in one batch
     per_path = 1 + len(lambdas) + 2 * len(lambdas) * len(betas)
-    assert counts == {"scorers": paths * sets, "scored": paths * per_path * sets}
-    assert batches == [per_path] * (paths * sets)
+    assert batches == [(per_path, n, sets) for n in (1, 2) for _ in range(len(gains) * len(delays))]
 
 
 def test_sweep_smooths_each_leakage_ratio_once_per_forward_path_across_every_n(

@@ -498,7 +498,7 @@ def test_weight_unimodal_in_ratio():
 def test_frequency_weights_flag_dead_open_ear():
     ms = delta_set([0.0, 0.0], h_occ=[0.1, 0.0])
     with pytest.raises(NumericsError, match="bin 0"):
-        _leakage_ratio([_set_spectra(ms, DELTA_G, FrequencyGrid(32, RATE), 0)])
+        _leakage_ratio(_set_spectra([ms], DELTA_G, FrequencyGrid(32, RATE), 0))
 
 
 def test_frequency_weights_ratio_definition():
@@ -506,7 +506,7 @@ def test_frequency_weights_ratio_definition():
     ms = scene.sets[0]
     g = forward_path_ir(8.0, 5)
     grid = FrequencyGrid(128, RATE)
-    ratio = _leakage_ratio([_set_spectra(ms, g, grid, 0)])
+    ratio = _leakage_ratio(_set_spectra([ms], g, grid, 0))
     w = weights_from_ratio(ratio, 1.0, grid)
     leak = np.abs(np.fft.fft(ms.h_occ.samples, 128))[:65]
     open_gain = np.abs(np.fft.fft(np.convolve(g.samples, ms.h_open.samples), 128))[:65]
@@ -544,8 +544,8 @@ def test_set_spectra_rows_are_each_responses_rfft(case):
     h_m, h_open, h_occ = (ir(scale * rng.standard_normal(source)) for _ in range(3))
     d = tuple(ir(rng.standard_normal(speaker)) for _ in range(n_spk))
     g = ir(rng.standard_normal(delay + 1))
-    spectra = _set_spectra(MeasurementSet(h_m, h_open, h_occ, d), g, FrequencyGrid(fft_size, RATE),
-                           loudspeakers)
+    spectra = _set_spectra([MeasurementSet(h_m, h_open, h_occ, d)], g,
+                           FrequencyGrid(fft_size, RATE), loudspeakers)[0]
     through_mic = np.convolve(g.samples, h_m.samples)
     responses = [h_occ.samples, np.convolve(g.samples, h_open.samples),
                  *(np.convolve(d_n.samples, through_mic) for d_n in d[:loudspeakers])]
@@ -844,16 +844,14 @@ def test_one_cache_serves_every_forward_path():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: assemble_atf_system(small_scene(6).sets[0], DELTA_G, 0),
-                 "filter_length must be a positive integer", id="assemble_atf_system-L_A"),
     # the frequency-weights stage: _set_spectra takes the spectra, _leakage_ratio their ratio
     pytest.param(lambda: _leakage_ratio([]), "at least one measurement set is required",
                  id="frequency_weights-no-sets"),
     # small_scene's h_occ and h_open have 10 samples, and g*h_open 15 at d_G 5
-    pytest.param(lambda: _set_spectra(small_scene(3).sets[0], forward_path_ir(0.0, 5),
+    pytest.param(lambda: _set_spectra(small_scene(3).sets, forward_path_ir(0.0, 5),
                                       FrequencyGrid(9, RATE), 0),
                  "impulse response of length 10 does not fit L_FFT 9", id="frequency_weights-h_occ-grid"),
-    pytest.param(lambda: _set_spectra(small_scene(3).sets[0], forward_path_ir(0.0, 5),
+    pytest.param(lambda: _set_spectra(small_scene(3).sets, forward_path_ir(0.0, 5),
                                       FrequencyGrid(14, RATE), 0),
                  "impulse response of length 15 does not fit L_FFT 14", id="frequency_weights-open-grid"),
 ])

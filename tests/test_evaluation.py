@@ -9,17 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqdesign import design, evaluation
-from eqdesign.design import DesignConfig, design_filter, weights_from_ratio
+from eqdesign.design import DesignConfig, _set_spectra, design_filter, weights_from_ratio
 from eqdesign.evaluation import (
     ERB_BAND_HZ,
-    SetScorer,
     _band_distance,
     _in_band,
     _to_db,
     erb_bandwidth_hz,
     erb_weights,
     evaluate,
-    mean_distances,
+    score_designs,
 )
 from eqdesign.scenario import (
     MeasurementSet,
@@ -50,9 +49,15 @@ def magnitudes(h, grid):
 
 
 def distance(h_aid, h_des, grid):
-    """The band distance of two responses, by the kernel that SetScorer and evaluate share."""
+    """The band distance of two responses, by the kernel that score_designs scores with."""
     weights, des, band = _in_band(magnitudes(h_des, grid), grid)
     return float(_band_distance(magnitudes(h_aid, grid)[band], weights, des))
+
+
+def score_on_set(ms, g, grid, stack):
+    """Aided magnitudes and distances of a stack of designs on one set, as score_designs gives them."""
+    aided, distances = score_designs(_set_spectra([ms], g, grid, stack.shape[1]), stack, grid)
+    return aided[0], distances[:, 0]
 
 
 def aided_response(ms, g, coefficients):
@@ -166,19 +171,19 @@ def test_distance_degenerate_inputs():
 
 
 # ---------------------------------------------------------------------------
-# transfer functions, as SetScorer takes them on the grid, and the signal chain
+# transfer functions, as score_designs takes them on the grid, and the signal chain
 
 
 def test_aided_tf_zero_filter_is_leakage():
     ms = scene(seed=1).sets[0]
     grid = FrequencyGrid(64, RATE)
-    aided, _ = SetScorer(ms, DELTA_G, grid).score(np.zeros((1, 1, 5)))
+    aided, _ = score_on_set(ms, DELTA_G, grid, np.zeros((1, 1, 5)))
     assert np.array_equal(aided[0], magnitudes(ms.h_occ.samples, grid))
 
 
 def test_aided_tf_identity_chain():
     ms = make_set([1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [[1.0, 0.0]])
-    aided, _ = SetScorer(ms, DELTA_G, FrequencyGrid(8, RATE)).score(np.array([[[1.0, 0.0]]]))
+    aided, _ = score_on_set(ms, DELTA_G, FrequencyGrid(8, RATE), np.array([[[1.0, 0.0]]]))
     assert np.array_equal(aided[0], np.ones(5))
 
 
@@ -187,7 +192,7 @@ def test_aided_tf_agrees_with_impulse_probe():
     g = forward_path_ir(4.0, 3)
     coef = np.random.default_rng(5).standard_normal((2, 6))
     grid = FrequencyGrid(64, RATE)
-    aided, _ = SetScorer(ms, g, grid).score(coef[None])
+    aided, _ = score_on_set(ms, g, grid, coef[None])
     probe = magnitudes(aided_response(ms, g, coef), grid)
     assert np.max(np.abs(aided[0] - probe)) < 1e-12 * np.max(probe)
 
@@ -195,10 +200,10 @@ def test_aided_tf_agrees_with_impulse_probe():
 def test_desired_tf():
     ms = scene(seed=3).sets[0]
     grid = FrequencyGrid(128, RATE)
-    desired = SetScorer(ms, DELTA_G, grid).spectra[1]
+    desired = _set_spectra([ms], DELTA_G, grid, 0)[0, 1]
     assert np.array_equal(desired, np.fft.rfft(ms.h_open.samples, 128))
     g = forward_path_ir(6.0, 5)
-    mag = np.abs(SetScorer(ms, g, grid).spectra[1])
+    mag = np.abs(_set_spectra([ms], g, grid, 0)[0, 1])
     gain = 10.0 ** (6.0 / 20.0)
     product = gain * magnitudes(ms.h_open.samples, grid)
     assert np.max(np.abs(mag - product)) < 1e-12 * np.max(product)
@@ -212,34 +217,33 @@ def test_simulate_matches_convolution():
     coef = rng.standard_normal((2, 5))
     stimulus = rng.standard_normal(400)
     grid = FrequencyGrid(512, RATE)  # holds the aided output of 400 + 8 + 5 + 7 + 12 - 3 samples
-    scorer = SetScorer(ms, g, grid)
-    aided, _ = scorer.score(coef[None])
+    aided, _ = score_on_set(ms, g, grid, coef[None])
     out_aid, out_des = staged_chain(ms, g, coef, stimulus)
     drive = magnitudes(stimulus, grid)
-    ref_aid, ref_des = aided[0] * drive, np.abs(scorer.spectra[1]) * drive
+    ref_aid, ref_des = aided[0] * drive, np.abs(_set_spectra([ms], g, grid, 0)[0, 1]) * drive
     assert np.max(np.abs(magnitudes(out_aid, grid) - ref_aid)) < 1e-9 * np.max(ref_aid)
     assert np.max(np.abs(magnitudes(out_des, grid) - ref_des)) < 1e-9 * np.max(ref_des)
 
 
 def test_simulate_silent_device_and_sealed_vent():
     ms = make_set([1.0, 0.2], [0.9, 0.1], [0.0, 0.0], [[1.0, 0.3]])
-    aided, distances = SetScorer(ms, DELTA_G, FrequencyGrid(16, RATE)).score(np.zeros((1, 1, 4)))
+    aided, distances = score_on_set(ms, DELTA_G, FrequencyGrid(16, RATE), np.zeros((1, 1, 4)))
     assert np.all(aided == 0.0)
     assert distances[0] == math.inf
 
 
 def test_simulate_input_validation():
+    # a filter file's taps are a loudspeakers x L_A matrix (cli._filter_from_dict),
+    # and evaluate checks the loudspeaker count against the scene
     scn = scene(seed=5)
     config = DesignConfig(variant="MFR_DELTA_LS", acausal_delay=32, reg_lambda=0.1, reg_beta=1.0,
                           filter_length=4)
-    scorer = SetScorer(scn.sets[0], DELTA_G, config.grid(scn))
-    with pytest.raises(ValueError, match="designs x 1 loudspeakers x taps"):
-        scorer.score(np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="designs x 1 loudspeakers x taps"):
-        scorer.score(np.zeros((1, 2, 4)))
     wide = np.zeros((2, 4))
     with pytest.raises(ValueError, match="drives 2 loudspeakers, scene has 1"):
         evaluate(scn, DELTA_G, wide, config)
+    two = scene(seed=5, num_loudspeakers=2)
+    with pytest.raises(ValueError, match="drives 1 loudspeakers, scene has 2"):
+        evaluate(two, DELTA_G, np.zeros((1, 4)), config)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +314,25 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     desired = [np.convolve(g.samples, ms.h_open.samples) for ms in scn.sets]
     ratio = (np.mean([magnitudes(ms.h_occ.samples, grid) for ms in scn.sets], axis=0)
              / np.mean([magnitudes(h, grid) for h in desired], axis=0))
-    calls = []
+    calls, checks = [], []
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
         return rfft(a, *args, **kwargs)
 
-    rfft = np.fft.rfft
+    def counted_check(*args):
+        checks.append(args[3])
+        return check(*args)
+
+    rfft, check = np.fft.rfft, evaluation._check_grid_holds
     monkeypatch.setattr(np.fft, "rfft", counted)
+    monkeypatch.setattr(evaluation, "_check_grid_holds", counted_check)
     report = evaluate(scn, g, filt, config)
-    # per set, one transform of h_occ, g*h_open and each loudspeaker's
-    # d_n*g*h_m, each padded to the grid, and one of the taps
-    assert calls == [(4, 1024), (1, 2, 99)] * 5
+    # one transform of every set's h_occ, g*h_open and each loudspeaker's
+    # d_n*g*h_m, each padded to the grid, and one of the taps; and one grid
+    # check, at entry, for the filter's L_A
+    assert calls == [(5, 4, 1024), (1, 2, 99)]
+    assert checks == [99]
     monkeypatch.undo()
     # the aided response is never formed in time: its spectrum agrees with
     # the staged chain's to rounding
@@ -337,15 +348,16 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
 
 
 def test_mean_distances_transforms_each_batch_once(monkeypatch):
-    # the README default scene: five sets score one batch of three designs
+    # the README default scene: five sets score one batch of three designs,
+    # and the sweep's mean over the held-out sets is a mean over each row
     scn = synth_scenario(SynthSpec(), seed=0)
     g = forward_path_ir(0.0, 96)
     grid = FrequencyGrid(1024, RATE)  # default_fft_size(100, 99)
-    scorers = [SetScorer(ms, g, grid) for ms in scn.sets]
+    spectra = _set_spectra(scn.sets, g, grid, 2)
     stack = 0.1 * np.random.default_rng(0).standard_normal((3, 2, 99))
-    per_set = np.empty((3, len(scorers)))
-    for j, scorer in enumerate(scorers):
-        per_set[:, j] = scorer.score(stack)[1]
+    per_set = np.empty((3, len(spectra)))
+    for j in range(len(spectra)):
+        per_set[:, j] = score_designs(spectra[j : j + 1], stack, grid)[1][:, 0]
     calls = []
 
     def counted(a, *args, **kwargs):
@@ -354,10 +366,11 @@ def test_mean_distances_transforms_each_batch_once(monkeypatch):
 
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", counted)
-    means = mean_distances(scorers, stack)
+    _, distances = score_designs(spectra, stack, grid)
     # one transform of the taps serves every set
     assert calls == [(3, 2, 99)]
-    assert means.tobytes() == per_set.mean(axis=-1).tobytes()
+    assert distances.tobytes() == per_set.tobytes()
+    assert distances.mean(axis=-1).tobytes() == per_set.mean(axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +427,16 @@ def stack_cases(draw, fft_pads=("none", "pow2", "double")):
 def test_a_stack_scores_each_design_as_alone_and_as_evaluate(case):
     scn, g, config, stack = stack_case(*case)
     grid = config.grid(scn)
-    scorers = [SetScorer(ms, g, grid) for ms in scn.sets]
-    means = mean_distances(scorers, stack)
-    scored = [scorer.score(stack) for scorer in scorers]
+    spectra = _set_spectra(scn.sets, g, grid, scn.num_loudspeakers)
+    aided, distances = score_designs(spectra, stack, grid)
+    means = distances.mean(axis=-1)
     for i, coef in enumerate(stack):
-        alone = mean_distances(scorers, stack[i : i + 1])
-        assert alone.tobytes() == means[i : i + 1].tobytes()
-        for (aided, distances), scorer in zip(scored, scorers):
-            aided_alone, distance_alone = scorer.score(stack[i : i + 1])
-            assert aided_alone.tobytes() == aided[i : i + 1].tobytes()
-            assert distance_alone.tobytes() == distances[i : i + 1].tobytes()
+        aided_alone, alone = score_designs(spectra, stack[i : i + 1], grid)
+        assert aided_alone.tobytes() == aided[:, i : i + 1].tobytes()
+        assert alone.tobytes() == distances[i : i + 1].tobytes()
+        assert alone.mean(axis=-1).tobytes() == means[i : i + 1].tobytes()
         report = evaluate(scn, g, coef, config)
-        assert report.delta_h_aud_db == tuple(float(d[i]) for _, d in scored)
+        assert report.delta_h_aud_db == tuple(distances[i].tolist())
         assert np.float64(report.mean_delta_h_aud_db).tobytes() == means[i : i + 1].tobytes()
         if case[5] is not None and not coef.any():
             assert means[i] == math.inf
@@ -473,22 +484,78 @@ def test_aided_magnitudes_agree_with_the_time_response_to_rounding(case):
         d_norms = np.array([np.abs(d_n.samples).sum() for d_n in ms.d])
         sizes = np.abs(stack).sum(axis=2) @ d_norms * np.abs(t).sum() + np.abs(ms.h_occ.samples).sum()
         bounds = c_u * sizes
-        aided, _ = SetScorer(ms, g, grid).score(stack)
+        aided, _ = score_on_set(ms, g, grid, stack)
         for coef, mags, bound in zip(stack, aided, bounds):
             expected = magnitudes(aided_response(ms, g, coef), grid)
             assert np.max(np.abs(mags - expected)) <= bound
 
 
 def test_scorer_refuses_taps_its_grid_cannot_hold():
-    ms = scene(seed=8, num_loudspeakers=2).sets[0]
+    # evaluate checks the grid once, at entry, for the filter's own L_A
+    scn = scene(seed=8, num_loudspeakers=2)
     g = forward_path_ir(0.0, 3)
+    config = DesignConfig(variant="RLS", acausal_delay=0, reg_lambda=0.1, reg_beta=1.0,
+                          filter_length=4, fft_size=25)
     # L_D + L_A + d_G + L_S − 2 = 8 + 4 + 3 + 12 − 2
-    scorer = SetScorer(ms, g, FrequencyGrid(25, RATE))
-    assert scorer.score(np.ones((2, 2, 4)))[0].shape == (2, 13)
+    assert evaluate(scn, g, np.ones((2, 4)), config).mag_db_aid.shape == (13,)
     with pytest.raises(ValueError, match="^L_FFT 25 cannot hold the aided response at d_G 3 "
                        "and L_A 5: it has 26 samples, so L_FFT must be at least 26$"):
-        scorer.score(np.ones((1, 2, 5)))
-    with pytest.raises(ValueError, match="L_A 1: it has 22 samples, so L_FFT must be at least 22$"):
-        SetScorer(ms, g, FrequencyGrid(21, RATE))
-    with pytest.raises(ValueError, match="designs x 2 loudspeakers x taps"):
-        scorer.score(np.ones((2, 4)))
+        evaluate(scn, g, np.ones((2, 5)), config)
+
+
+def stacked_case(num_sets, loudspeakers, source, speaker, taps, path_delay, fft_size, fewer,
+                 designs, seed):
+    """Random sets, a forward path, a grid, a loudspeaker count up to N and a stack of designs."""
+    rng = np.random.default_rng(seed)
+    sets = [make_set(*rng.standard_normal((3, source)), rng.standard_normal((loudspeakers, speaker)))
+            for _ in range(num_sets)]
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(designs, 1, 1))
+    stack = scales * rng.standard_normal((designs, loudspeakers, taps))
+    g = forward_path_ir(rng.choice([0.0, -6.0, 10.0]), path_delay)
+    return sets, g, FrequencyGrid(fft_size, RATE), fewer, stack
+
+
+@st.composite
+def stacked_cases(draw):
+    """stacked_case arguments whose aided responses fit an odd or even grid, d_G up to the most it holds."""
+    fft_size = draw(st.integers(4, 300))
+    source, speaker = draw(st.integers(1, fft_size // 3)), draw(st.integers(1, fft_size // 3))
+    taps = draw(st.integers(1, fft_size - source - speaker + 2))
+    n_spk = draw(st.integers(1, 3))
+    return (draw(st.integers(1, 6)), n_spk, source, speaker, taps,
+            draw(st.integers(0, fft_size - source - speaker - taps + 2)), fft_size,
+            draw(st.integers(1, n_spk)), draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_cases())
+# the README default scene's lengths on its grid, and a forward path that fills an odd grid
+@example((5, 2, 130, 100, 99, 96, 1024, 1, 2, 0))
+@example((6, 3, 4, 5, 3, 5, 15, 2, 3, 1))
+def test_stacked_spectra_and_scores_match_one_set_calls(case):
+    # each row of the stack is the 1-D rfft of its response, and every
+    # (design, set) distance is the one a one-design, one-set call gives, bit
+    # for bit; a stack's first N loudspeaker rows score N-loudspeaker taps
+    # as a stack of N rows does
+    sets, g, grid, fewer, stack = stacked_case(*case)
+    n_spk = stack.shape[1]
+    spectra = _set_spectra(sets, g, grid, n_spk)
+    assert spectra.shape == (len(sets), 2 + n_spk, grid.fft_size // 2 + 1)
+    for ms, rows in zip(sets, spectra):
+        through_mic = np.convolve(g.samples, ms.h_m.samples)
+        responses = [ms.h_occ.samples, np.convolve(g.samples, ms.h_open.samples),
+                     *(np.convolve(d_n.samples, through_mic) for d_n in ms.d)]
+        for row, response in zip(rows, responses, strict=True):
+            assert row.tobytes() == np.fft.rfft(response, grid.fft_size).tobytes()
+    aided, distances = score_designs(spectra, stack, grid)
+    assert aided.shape == (len(sets), len(stack), grid.fft_size // 2 + 1)
+    assert distances.shape == (len(stack), len(sets))
+    for i in range(len(stack)):
+        for s in range(len(sets)):
+            one_aided, one = score_designs(spectra[s : s + 1], stack[i : i + 1], grid)
+            assert one_aided.tobytes() == aided[s : s + 1, i : i + 1].tobytes()
+            assert one.tobytes() == distances[i : i + 1, s : s + 1].tobytes()
+    narrow = stack[:, :fewer]
+    sliced = score_designs(spectra, narrow, grid)
+    own = score_designs(_set_spectra(sets, g, grid, fewer), narrow, grid)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sliced, own))
