@@ -324,12 +324,9 @@ def _set_spectra(sets, g: ImpulseResponse, grid: FrequencyGrid, loudspeakers: in
     return np.fft.rfft(padded)
 
 
-def _leakage_ratio(spectra) -> np.ndarray:
-    """|leakage| over |processed open-ear target|, each averaged over the sets of a _set_spectra stack."""
-    if len(spectra) == 0:
-        raise ValueError("at least one measurement set is required")
-    leak = np.mean(np.abs(spectra[:, 0]), axis=0)
-    open_gain = np.mean(np.abs(spectra[:, 1]), axis=0)
+def _leakage_ratio(leak: np.ndarray, open_gain: np.ndarray) -> np.ndarray:
+    """|leakage| over |processed open-ear target|, given each one averaged over the sets of a
+    _set_spectra stack: np.mean(np.abs(spectra[:, :2]), axis=0)."""
     if np.any(open_gain == 0.0):
         bad = int(np.flatnonzero(open_gain == 0.0)[0])
         raise NumericsError(
@@ -494,10 +491,9 @@ def design_points(designs, train: tuple, cache: dict) -> list:
     ("rhs", g, N, i, d_H); the smoothed leakage ratio of the training sets
     `sel` under ("ratio", g, sel), and its penalty's _penalty_lags at beta
     under ("lags", g, sel, beta); and LS_ATF taps under ("LS_ATF", g, N, i).
-    Pass {} for a one-off. A caller that scores on a _set_spectra stack of
-    every set under g, as a sweep does, puts it under ("spectra", g) first,
-    and the leakage ratios read their sets' rows from it; a call without one
-    transforms the training sets' leakage and open-ear responses alone.
+    The caller puts a _set_spectra stack of every set under each weighted
+    design's g in it first, under ("spectra", g), and the leakage ratios read
+    their sets' rows from it.
 
     A correlation, Gram, right-hand side or tap vector that overflows raises
     NumericsError.
@@ -547,11 +543,8 @@ def design_points(designs, train: tuple, cache: dict) -> list:
                     beta, g = weighting
                     if ("lags", g, sel, beta) not in cache:
                         if ("ratio", g, sel) not in cache:
-                            if ("spectra", g) in cache:
-                                spectra = cache["spectra", g][list(sel)]
-                            else:
-                                spectra = _set_spectra([scenes[n_spk][i] for i in sel], g, grid, 0)
-                            cache["ratio", g, sel] = fractional_octave_smooth(_leakage_ratio(spectra), grid)
+                            averages = np.mean(np.abs(cache["spectra", g][list(sel), :2]), axis=0)
+                            cache["ratio", g, sel] = fractional_octave_smooth(_leakage_ratio(*averages), grid)
                         weight = _log_normal_weight(cache["ratio", g, sel], beta)
                         cache["lags", g, sel, beta] = _penalty_lags(weight, filter_length, grid.fft_size)
                     penalty = _toeplitz(cache["lags", g, sel, beta])
@@ -574,8 +567,18 @@ def design_filter(scenario: Scenario, g: ImpulseResponse, config: DesignConfig) 
     The single-set variants (everything except MFR_DELTA_LS) work on the
     first measurement set of the scenario; the multi-set variant averages
     over all of them. A grid too short for the filter's eval raises ValueError.
-    A filter is its taps alone; the command line writes the file around them.
+    One _set_spectra stack of every set serves a weighted design's leakage
+    ratio and then eval's own rule, so that no filter comes out that eval
+    refuses to score: a desired response that vanishes in the band raises
+    NumericsError, after the design. A filter is its taps alone; the command
+    line writes the file around them.
     """
-    _check_grid_holds(config.grid(scenario), scenario.sets[0], g, config.filter_length)
+    from .evaluation import _in_band  # evaluation imports this module
+
+    grid = config.grid(scenario)
+    _check_grid_holds(grid, scenario.sets[0], g, config.filter_length)
+    spectra = _set_spectra(scenario.sets, g, grid, 0)
     train = tuple(range(scenario.num_sets))
-    return design_points([(scenario, g, config)], train, {})[0]
+    taps = design_points([(scenario, g, config)], train, {("spectra", g): spectra})[0]
+    _in_band(np.abs(spectra[:, 1]), grid)
+    return taps

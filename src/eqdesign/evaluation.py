@@ -202,14 +202,14 @@ def evaluate(
         raise ValueError(f"filter drives {len(taps)} loudspeakers, scene has {scenario.num_loudspeakers}")
     grid = config.grid(scenario)
     _check_grid_holds(grid, scenario.sets[0], g, taps.shape[1])
-    # each spectrum once: the traces and the leakage ratio average the
-    # scored stack's leakage and processed open-ear rows
+    # each spectrum and set average once: the traces and the leakage ratio
+    # share the averages of the scored stack's leakage and open-ear rows
     spectra = _set_spectra(scenario.sets, g, grid, scenario.num_loudspeakers)
     aided, distances = score_designs(spectra, taps[None], grid)
     with np.errstate(over="ignore"):
         mag_aid = _finite("set-averaged aided magnitude", np.mean(aided[:, 0], axis=0))
-    mag_occ, mag_des = (np.mean(np.abs(spectra[:, row]), axis=0) for row in (0, 1))
-    ratio = _leakage_ratio(spectra)
+    mag_occ, mag_des = np.mean(np.abs(spectra[:, :2]), axis=0)
+    ratio = _leakage_ratio(mag_occ, mag_des)
     return EvaluationReport(
         tuple(distances[0].tolist()),
         grid.frequencies_hz,

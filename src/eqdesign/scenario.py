@@ -576,10 +576,10 @@ def _scenario_dict(scenario: Scenario) -> dict:
         "num_loudspeakers": scenario.num_loudspeakers,
         "sets": [
             {
-                "h_m": ms.h_m.samples.tolist(),
-                "h_open": ms.h_open.samples.tolist(),
-                "h_occ": ms.h_occ.samples.tolist(),
-                "d": [ir.samples.tolist() for ir in ms.d],
+                "h_m": ms.h_m.samples,
+                "h_open": ms.h_open.samples,
+                "h_occ": ms.h_occ.samples,
+                "d": [ir.samples for ir in ms.d],
             }
             for ms in scenario.sets
         ],
@@ -606,36 +606,28 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     return digest.hexdigest()
 
 
-def _finite_floats(node) -> np.ndarray | None:
-    """node as a float64 array if it is a non-empty list of finite floats, else None.
-
-    JSON numbers with a fraction or an exponent parse to floats, so a file's
-    sample lists pass in one pass of C loops; anything else (ints, booleans,
-    strings, nesting, NaN or ±Infinity) is left to the per-item checks.
-    """
-    if isinstance(node, list) and node and all(type(x) is float for x in node):
-        values = np.array(node)
-        if np.isfinite(values).all():
-            return values
-    return None
-
-
 def _json_text(node, depth: int = 0) -> str:
-    """json.dumps(node, indent=1), with object keys that are strings.
+    """json.dumps(node, indent=1), with object keys that are strings, and a
+    numpy array written as its tolist() would be.
 
     The json module's indent encoder is pure Python and emits every number as
-    its own chunk. Here a list of finite floats is one join of float.__repr__,
-    the digits json writes for a float, and everything else is composed the
-    way that encoder lays it out.
+    its own chunk. Here a 1-D float64 array of finite values is one join of
+    float.__repr__, the digits json writes for a float, a 2-D array is its
+    rows, and everything else is composed the way that encoder lays it out.
     """
-    if isinstance(node, dict) and node:
+    if isinstance(node, np.ndarray):
+        if node.ndim == 2 and len(node):
+            items = [_json_text(row, depth + 1) for row in node]
+        elif node.ndim == 1 and node.size and node.dtype == np.float64 and np.isfinite(node).all():
+            items = map(float.__repr__, node.tolist())
+        else:
+            return _json_text(node.tolist(), depth)
+        brackets = "[]"
+    elif isinstance(node, dict) and node:
         items = [f"{json.dumps(key)}: {_json_text(value, depth + 1)}" for key, value in node.items()]
         brackets = "{}"
     elif isinstance(node, (list, tuple)) and node:
-        if _finite_floats(node) is not None:
-            items = map(float.__repr__, node)
-        else:
-            items = [_json_text(item, depth + 1) for item in node]
+        items = [_json_text(item, depth + 1) for item in node]
         brackets = "[]"
     else:
         return json.dumps(node)
@@ -699,11 +691,18 @@ def _number(node, path: str) -> float:
 
 
 def _number_list(node, path: str) -> np.ndarray:
-    values = _finite_floats(node)
-    if values is not None:
-        return values
+    """node, a non-empty list of finite numbers, as a float64 array.
+
+    JSON numbers with a fraction or an exponent parse to floats, so a file's
+    sample lists pass in one pass of C loops; anything else (ints, booleans,
+    strings, nesting, NaN or ±Infinity) is left to the per-item checks.
+    """
     if not isinstance(node, list) or len(node) == 0:
         raise ValidationError(f"{path}: expected a non-empty list of numbers")
+    if all(type(x) is float for x in node):
+        values = np.array(node)
+        if np.isfinite(values).all():
+            return values
     out = np.empty(len(node))
     for i, item in enumerate(node):
         try:

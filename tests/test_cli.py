@@ -1,6 +1,7 @@
 """End-to-end runs of the command line: synth, design, eval, sweep."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -37,10 +38,10 @@ from eqdesign import (
     select_loudspeakers,
     synth_scenario,
 )
-from eqdesign import cli, design
+from eqdesign import cli, design, evaluation
 from eqdesign.cli import EVAL_HEADER, SWEEP_HEADER, main
 from eqdesign.design import VARIANTS
-from eqdesign.scenario import _write_json
+from eqdesign.scenario import _json_text, _write_json
 
 
 def write_json(path, doc):
@@ -179,17 +180,14 @@ def test_design_produces_filter_file(tmp_path, small_scene_path):
     assert run("design", "--scenario", small_scene_path, "--config", config,
                "--out", out) == 0
     doc = json.loads(out.read_text())
-    assert doc["num_loudspeakers"] == 1
-    assert doc["filter_length"] == 9
-    assert doc["d_H"] == 4
+    assert (doc["config"]["L_A"], doc["config"]["d_H"]) == (9, 4)
     assert len(doc["coefficients"]) == 1 and len(doc["coefficients"][0]) == 9
     assert doc["config"]["G0_db"] == 0.0 and doc["config"]["d_G"] == 0
     assert len(doc["scenario_fingerprint"]) == 64
     assert out.read_text() == json.dumps(doc, indent=1) + "\n"
 
 
-FILTER_KEYS = ["num_loudspeakers", "filter_length", "d_H", "coefficients", "config",
-               "scenario_fingerprint"]
+FILTER_KEYS = ["coefficients", "config", "scenario_fingerprint"]
 FILTER_CONFIG_KEYS = ["variant", "L_A", "d_H", "lambda", "beta", "L_FFT", "G0_db", "d_G"]
 
 
@@ -212,7 +210,7 @@ def test_design_writes_the_filter_file_layout(tmp_path, fft_size):
     assert doc["config"] == {**settings, "L_FFT": fft_size or default_fft_size(8, 11)}
     for key in ("L_A", "d_H", "L_FFT", "d_G"):
         assert type(doc["config"][key]) is int
-    assert (doc["num_loudspeakers"], doc["filter_length"], doc["d_H"]) == (2, 11, 4)
+    assert np.shape(doc["coefficients"]) == (2, 11)  # N rows of L_A taps
     scene = load_scenario(scene_path)
     assert doc["scenario_fingerprint"] == scenario_fingerprint(scene)
     config = DesignConfig(variant="MFR_DELTA_LS", filter_length=11, acausal_delay=4,
@@ -231,28 +229,48 @@ TAPS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def filters(draw):
+def filters(draw, taps_drawn=st.floats()):
+    """A filter file's document: 1-4 rows of 1-6 taps as a float64 array, and a config of its L_A."""
     n, taps = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(TAPS, min_size=taps, max_size=taps), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(taps_drawn, min_size=taps, max_size=taps), min_size=n, max_size=n))
     config = draw(st.one_of(st.just({}), st.fixed_dictionaries({
         "variant": st.sampled_from(design.VARIANTS), "L_A": st.just(taps),
         "d_H": st.integers(0, 64), "lambda": TAPS, "beta": TAPS, "L_FFT": st.integers(2, 4096),
         "G0_db": TAPS, "d_G": st.integers(0, 96),
     })))
-    return {"num_loudspeakers": n, "filter_length": taps, "d_H": config.get("d_H", 0),
-            "coefficients": rows, "config": config,
+    return {"coefficients": np.array(rows), "config": config,
             "scenario_fingerprint": draw(st.text(max_size=64))}
 
 
 @settings(max_examples=60)
 @given(doc=filters())
+@example(doc={"coefficients": np.array([[0.5, math.nan], [-math.inf, -0.0]]), "config": {},
+              "scenario_fingerprint": ""})
 def test_filter_file_is_what_json_dump_writes(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "filter.json"
         _write_json(doc, path)
         expected = io.StringIO()
-        json.dump(doc, expected, indent=1)
+        json.dump(doc, expected, indent=1, default=np.ndarray.tolist)
         assert path.read_text(encoding="ascii") == expected.getvalue() + "\n"
+
+
+@settings(max_examples=60)
+@given(doc=filters(TAPS), variant=st.sampled_from(design.VARIANTS), lam=st.floats(0.0, 1e3),
+       beta=st.floats(1e-3, 1e3), gain_db=st.floats(-60.0, 60.0), path_delay=st.integers(0, 96))
+def test_filter_file_round_trips_taps_and_config(doc, variant, lam, beta, gain_db, path_delay):
+    taps = doc["coefficients"]
+    scene = synth_scenario(SynthSpec(num_sets=1, num_loudspeakers=len(taps), source_ir_length=4,
+                                     speaker_ir_length=3), seed=0)
+    config = DesignConfig(variant=variant, filter_length=taps.shape[1],
+                          acausal_delay=0 if variant in ("LS_ATF", "RLS") else path_delay,
+                          reg_lambda=lam, reg_beta=beta)
+    written = cli._filter_doc(taps, scene, config, gain_db, path_delay)
+    read = cli._filter_from_dict(json.loads(_json_text(written)))
+    assert read[0].tobytes() == taps.tobytes()
+    # the config comes back with the grid it was written with
+    assert read[1:] == (dataclasses.replace(config, fft_size=config.grid(scene).fft_size), gain_db,
+                        path_delay, scenario_fingerprint(scene))
 
 
 def test_design_config_errors(tmp_path, small_scene_path, capsys):
@@ -444,7 +462,6 @@ def test_eval_csv_stops_at_nyquist(tmp_path, small_scene_path, fft_size):
 
 def test_eval_zero_filter_reduces_to_leakage(tmp_path, small_scene_path):
     filt = write_json(tmp_path / "zero.json", {
-        "num_loudspeakers": 1, "filter_length": 9, "d_H": 0,
         "coefficients": [[0.0] * 9],
         "config": {"variant": "R_DELTA_LS", "L_A": 9, "d_H": 0, "lambda": 1e-8,
                    "beta": 1.0, "L_FFT": 64, "G0_db": 0.0, "d_G": 0},
@@ -458,7 +475,6 @@ def test_eval_zero_filter_reduces_to_leakage(tmp_path, small_scene_path):
 
 def test_eval_speaker_count_mismatch(tmp_path, small_scene_path, capsys):
     filt = write_json(tmp_path / "wide.json", {
-        "num_loudspeakers": 2, "filter_length": 4, "d_H": 0,
         "coefficients": [[0.0] * 4, [0.0] * 4],
         "config": {"variant": "R_DELTA_LS", "L_A": 4, "d_H": 0, "lambda": 1e-8,
                    "beta": 1.0, "G0_db": 0.0, "d_G": 0},
@@ -474,6 +490,22 @@ def test_eval_rejects_malformed_filter(tmp_path, small_scene_path, capsys):
     assert run("eval", "--scenario", small_scene_path, "--filter", filt,
                "--out", tmp_path / "report") == 2
     assert "filter: missing field" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_filter_that_repeats_its_shape(tmp_path, small_scene_path, capsys):
+    # a filter file is its coefficients, config and fingerprint alone: a
+    # loudspeaker count, tap count or d_H beside them, copies of what the rows
+    # and the config hold, is an unknown field
+    filt = tmp_path / "filter.json"
+    assert run("design", "--scenario", small_scene_path, "--config",
+               write_json(tmp_path / "config.json", SMALL_CONFIG), "--out", filt) == 0
+    doc = json.loads(filt.read_text())
+    write_json(filt, {"num_loudspeakers": 1, "filter_length": 9, "d_H": 4, **doc})
+    capsys.readouterr()
+    assert run("eval", "--scenario", small_scene_path, "--filter", filt,
+               "--out", tmp_path / "report") == 2
+    assert capsys.readouterr().err == "error: filter: unknown field 'num_loudspeakers'\n"
+    assert not any(tmp_path.glob("report.*"))
 
 
 @pytest.mark.parametrize("change, message", [
@@ -497,11 +529,9 @@ def test_eval_filter_config_errors_name_filter_fields(tmp_path, small_scene_path
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("d_H", -1, "error: filter.d_H: -1 does not match filter.config.d_H 4\n"),
-    ("d_H", 5, "error: filter.d_H: 5 does not match filter.config.d_H 4\n"),
     ("config", [], "error: filter.config: expected an object\n"),
     ("scenario_fingerprint", 5, "error: filter.scenario_fingerprint: expected a string\n"),
-], ids=["negative-d_H", "other-d_H", "config-not-object", "fingerprint-not-a-string"])
+], ids=["config-not-object", "fingerprint-not-a-string"])
 def test_eval_filter_fields_checked_once(tmp_path, small_scene_path, capsys, key, value, message):
     config = write_json(tmp_path / "config.json", SMALL_CONFIG)
     filt = tmp_path / "filter.json"
@@ -523,11 +553,10 @@ def test_eval_refuses_a_filter_whose_tap_count_is_not_its_L_A(tmp_path, capsys):
     }, seed=0)
     doc = json.loads(filt.read_text())
     doc["coefficients"] = [row[:9] for row in doc["coefficients"]]
-    doc["filter_length"] = 9
     write_json(filt, doc)
     assert run("eval", "--scenario", scene, "--filter", filt, "--out", tmp_path / "report") == 2
     assert capsys.readouterr().err == (
-        "error: filter.filter_length: 9 does not match filter.config.L_A 99\n")
+        "error: filter.coefficients: expected one or more rows of 99 numbers (filter.config.L_A)\n")
     assert not any(tmp_path.glob("report.*"))
 
 
@@ -776,6 +805,36 @@ def test_readme_study_factors_each_normal_matrix_once(tmp_path, monkeypatch):
     # one spectra stack of the five sets serves the folds' leakage ratios and
     # held-out scores, and the grid is checked once, before any design
     assert calls["_set_spectra"] == calls["_check_grid_holds"] == 1
+
+
+def test_readme_design_and_eval_take_each_stack_and_set_average_once(tmp_path, monkeypatch):
+    stacks, means = [], []
+
+    def counted_spectra(sets, g, grid, loudspeakers):
+        stacks.append((len(sets), loudspeakers))
+        return set_spectra(sets, g, grid, loudspeakers)
+
+    def counted_mean(a, *args, **kwargs):
+        means.append(np.shape(a))
+        return mean(a, *args, **kwargs)
+
+    set_spectra, mean = design._set_spectra, np.mean
+    for module in (design, evaluation, cli):
+        monkeypatch.setattr(module, "_set_spectra", counted_spectra)
+    scene, filt = designed_pair(tmp_path, {"num_sets": 5, "num_loudspeakers": 2}, {
+        "variant": "MFR_DELTA_LS", "L_A": 99, "d_H": 32, "lambda": 0.1, "beta": 1.0,
+        "G0_db": 0.0, "d_G": 96,
+    }, seed=0)
+    # one stack of the five sets' leakage and open-ear rows serves the
+    # weighted design's leakage ratio and then eval's rule
+    assert stacks == [(5, 0)]
+    monkeypatch.setattr(np, "mean", counted_mean)
+    assert run("eval", "--scenario", scene, "--filter", filt, "--out", tmp_path / "report") == 0
+    # eval takes one stack with both loudspeakers' rows, and averages the
+    # aided magnitudes, then rows 0 and 1 together, over the sets once; the
+    # last mean is the summary's, over the five distances
+    assert stacks == [(5, 0), (5, 2)]
+    assert means == [(5, 513), (5, 2, 513), (5,)]
 
 
 def test_commands_refuse_a_grid_shorter_than_the_aided_response(tmp_path, monkeypatch, capsys):

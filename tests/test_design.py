@@ -42,7 +42,7 @@ from eqdesign.scenario import (
     select_loudspeakers,
     synth_scenario,
 )
-from eqdesign.evaluation import evaluate
+from eqdesign.evaluation import ERB_BAND_HZ, evaluate
 from eqdesign.signals import FrequencyGrid, ImpulseResponse, convolution_matrix
 
 from reference import _penalty_block, padded_rtf_system
@@ -140,7 +140,12 @@ def test_design_config_grid(fft_size, rate):
     if fft_size is None:
         fft_size = default_fft_size(scene.sets[0].speaker_length, 9)
     assert grid == FrequencyGrid(fft_size, rate)
-    assert design_filter(scene, forward_path_ir(0.0, 8), config).shape == (2, 9)
+    if rate < 2 * ERB_BAND_HZ[1]:
+        # design applies eval's rule, whose band does not fit under this Nyquist frequency
+        with pytest.raises(ValueError, match="exceeds the Nyquist frequency"):
+            design_filter(scene, forward_path_ir(0.0, 8), config)
+    else:
+        assert design_filter(scene, forward_path_ir(0.0, 8), config).shape == (2, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +503,7 @@ def test_weight_unimodal_in_ratio():
 def test_frequency_weights_flag_dead_open_ear():
     ms = delta_set([0.0, 0.0], h_occ=[0.1, 0.0])
     with pytest.raises(NumericsError, match="bin 0"):
-        _leakage_ratio(_set_spectra([ms], DELTA_G, FrequencyGrid(32, RATE), 0))
+        _leakage_ratio(*np.abs(_set_spectra([ms], DELTA_G, FrequencyGrid(32, RATE), 0)[0]))
 
 
 def test_frequency_weights_ratio_definition():
@@ -506,7 +511,7 @@ def test_frequency_weights_ratio_definition():
     ms = scene.sets[0]
     g = forward_path_ir(8.0, 5)
     grid = FrequencyGrid(128, RATE)
-    ratio = _leakage_ratio(_set_spectra([ms], g, grid, 0))
+    ratio = _leakage_ratio(*np.abs(_set_spectra([ms], g, grid, 0)[0]))
     w = weights_from_ratio(ratio, 1.0, grid)
     leak = np.abs(np.fft.fft(ms.h_occ.samples, 128))[:65]
     open_gain = np.abs(np.fft.fft(np.convolve(g.samples, ms.h_open.samples), 128))[:65]
@@ -825,7 +830,8 @@ def test_single_set_variants_use_first_set():
 def test_one_cache_serves_every_forward_path():
     # two forward paths, each with every variant in one call, through one cache
     # give the taps of one-point calls on fresh caches: nothing one path or
-    # point shapes is served to another
+    # point shapes is served to another; each cache starts with the spectra
+    # stack of the path, as the commands' caches do
     spec = SynthSpec(num_sets=3, num_loudspeakers=2, source_ir_length=10,
                      speaker_ir_length=8, reinsertion_level_db=-20.0)
     scene = synth_scenario(spec, seed=13)
@@ -834,19 +840,20 @@ def test_one_cache_serves_every_forward_path():
                             acausal_delay=0 if variant in ("LS_ATF", "RLS") else 32,
                             reg_lambda=1e-8 if variant == "RLS" else 0.1)
                for variant in VARIANTS]
+    grid = configs[0].grid(scene)
     for g in (forward_path_ir(0.0, 8), forward_path_ir(-10.0, 4)):
+        stack = {("spectra", g): _set_spectra(scene.sets, g, grid, 0)}
+        shared.update(stack)
         together = design_points([(scene, g, config) for config in configs], train, shared)
         for variant, config, taps in zip(VARIANTS, configs, together):
-            assert np.array_equal(taps, design_points([(scene, g, config)], train, {})[0])
+            assert np.array_equal(taps, design_points([(scene, g, config)], train, dict(stack))[0])
             if variant in first:
                 assert not np.array_equal(taps, first[variant])
             first[variant] = taps
 
 
 @pytest.mark.parametrize("call, message", [
-    # the frequency-weights stage: _set_spectra takes the spectra, _leakage_ratio their ratio
-    pytest.param(lambda: _leakage_ratio([]), "at least one measurement set is required",
-                 id="frequency_weights-no-sets"),
+    # the frequency-weights stage: _set_spectra takes the spectra
     # small_scene's h_occ and h_open have 10 samples, and g*h_open 15 at d_G 5
     pytest.param(lambda: _set_spectra(small_scene(3).sets, forward_path_ir(0.0, 5),
                                       FrequencyGrid(9, RATE), 0),

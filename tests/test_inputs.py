@@ -258,8 +258,8 @@ def test_infinite_distance_is_numerical_failure(tmp_path):
     ("scene", {("sets",): {}}, "sets: expected a list"),
     ("scene", {("sets", 0, "h_m"): []}, "sets[0].h_m: expected a non-empty list of numbers"),
     ("config", {("d_H",): -1}, "config: acausal_delay must be a nonnegative integer"),
-    ("filter", {("num_loudspeakers",): 0, ("coefficients",): []},
-     "filter.num_loudspeakers: must be at least 1"),
+    ("filter", {("coefficients",): []},
+     "filter.coefficients: expected one or more rows of 4 numbers (filter.config.L_A)"),
     ("synth", {("num_loudspeakers",): 0}, "num_loudspeakers must be a positive integer"),
     ("synth", {("sample_rate_hz",): 0}, "sample_rate_hz must be positive"),
     ("scene", {("sample_rate_hz",): 0}, "sample_rate_hz must be positive"),
@@ -286,10 +286,10 @@ def test_filter_taps_must_be_numbers(tmp_path, tap):
 
 
 def test_filter_taps_are_a_finite_matrix(tmp_path):
-    # the filter reader is the one check of a filter's taps: a row of taps per
-    # loudspeaker, every tap a finite number
+    # the filter reader is the one check of a filter's taps: a row of L_A taps
+    # per loudspeaker, every tap a finite number
     for coefficients, message in [
-        ([0.0] * 4, "filter.coefficients: expected 2 rows of 4 numbers"),
+        ([0.0] * 4, "filter.coefficients: expected one or more rows of 4 numbers (filter.config.L_A)"),
         ([[0.0, float("nan"), 0.0, 0.0], [0.0] * 4], "filter.coefficients[0][1]: non-finite value"),
         ([[0.0] * 4, [0.0, 0.0, -float("inf"), 0.0]], "filter.coefficients[1][2]: non-finite value"),
     ]:
@@ -298,9 +298,12 @@ def test_filter_taps_are_a_finite_matrix(tmp_path):
 
 
 def test_filter_row_count_is_checked_before_taps(tmp_path):
-    doc = mutate("filter", ("coefficients",), "set", [["x"] * 4])
+    # the rows' count is the filter's loudspeaker count, and their length is
+    # checked before any tap: a row of L_A taps of 2 loudspeakers, one short
+    doc = mutate("filter", ("coefficients",), "set", [["x"] * 4, ["x"] * 3])
     code, err = run_with("filter", doc, tmp_path)
-    assert (code, err) == (2, "error: filter.coefficients: expected 2 rows of 4 numbers\n")
+    assert (code, err) == (
+        2, "error: filter.coefficients: expected one or more rows of 4 numbers (filter.config.L_A)\n")
 
 
 @pytest.mark.parametrize("field", ["num_sets", "speaker_ir_length"])

@@ -541,7 +541,9 @@ def test_save_writes_what_json_dump_writes(scene):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.json"
         save_scenario(scene, path)
-        assert path.read_bytes() == (json.dumps(_scenario_dict(scene), indent=1) + "\n").encode()
+        # the document holds the sample arrays, which json writes as their lists
+        expected = json.dumps(_scenario_dict(scene), indent=1, default=np.ndarray.tolist)
+        assert path.read_bytes() == (expected + "\n").encode()
         loaded = load_scenario(path)
     assert scenario_fingerprint(loaded) == scenario_fingerprint(scene)
 
@@ -557,6 +559,21 @@ def test_save_writes_what_json_dump_writes(scene):
 def test_json_writer_matches_json_dump_off_the_float_path(tmp_path, doc):
     _write_json(doc, tmp_path / "doc.json")
     assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("array", [
+    np.array([0.5, -0.0, 5e-324, -1e308]),
+    np.array([1.5, math.nan, -math.inf]),
+    np.array([[0.25, 1e-300], [math.inf, 2.0]]),
+    np.empty(0), np.empty((0, 3)), np.empty((2, 0)),
+    np.arange(3), np.array([True, False]), np.float32([0.1, 3.0]), np.array(0.1),
+    np.arange(8.0).reshape(2, 2, 2),
+], ids=["finite", "non-finite", "2-d", "empty", "no-rows", "empty-rows", "int", "bool",
+        "float32", "0-d", "3-d"])
+def test_json_writer_writes_an_array_as_its_list(tmp_path, array):
+    _write_json({"array": array}, tmp_path / "doc.json")
+    expected = json.dumps({"array": array.tolist()}, indent=1)
+    assert (tmp_path / "doc.json").read_text() == expected + "\n"
 
 
 # one item a list of numbers may not hold, each with its own message
